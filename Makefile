@@ -37,17 +37,13 @@ transform:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# Gate the clustering hot path and the cache simulator against their
-# committed performance trajectories (machine-independent speedup
-# ratios; docs/PERFORMANCE.md).
+# Gate the cache simulator against its committed performance
+# trajectory (machine-independent speedup ratios; docs/PERFORMANCE.md).
 bench-check:
-	$(PYTHON) benchmarks/clustering_trajectory.py --check
 	$(PYTHON) benchmarks/simulation_trajectory.py --check
 
-# Refresh BENCH_clustering.json / BENCH_simulation.json after a
-# deliberate perf change.
+# Refresh BENCH_simulation.json after a deliberate perf change.
 bench-write:
-	$(PYTHON) benchmarks/clustering_trajectory.py --write
 	$(PYTHON) benchmarks/simulation_trajectory.py --write
 
 report:

@@ -172,23 +172,6 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _load_cluster_state(path):
-    """Load an :class:`IncrementalClusterer` from ``path``, falling back
-    to a fresh instance when the file is missing or unusable."""
-    from .core import IncrementalClusterer
-
-    try:
-        inc = IncrementalClusterer.load(path)
-        print(f"cluster state: resumed from {path}")
-    except FileNotFoundError:
-        inc = IncrementalClusterer()
-        print(f"cluster state: {path} not found, starting fresh")
-    except ValueError as exc:
-        inc = IncrementalClusterer()
-        print(f"cluster state: {path} unusable ({exc}), starting fresh")
-    return inc
-
-
 def _cmd_reduce(args) -> int:
     from .codelets.finder import find_codelets
 
@@ -196,17 +179,8 @@ def _cmd_reduce(args) -> int:
     print("detection:")
     for app in suite.applications:
         print(f"  {find_codelets(app).summary()}")
-    incremental = (_load_cluster_state(args.cluster_state)
-                   if args.cluster_state else None)
-    reducer = BenchmarkReducer(suite, Measurer(), _subsetting_config(args),
-                               incremental=incremental)
+    reducer = BenchmarkReducer(suite, Measurer(), _subsetting_config(args))
     reduced = reducer.reduce(_parse_k(args.k))
-    if reducer.recluster is not None:
-        r = reducer.recluster
-        print(f"clustering: reused {r.rows_reused}/{r.rows_total} "
-              f"distance rows (recomputed {r.rows_recomputed})")
-        incremental.save(args.cluster_state)
-        print(f"cluster state saved to {args.cluster_state}")
     print(f"suite {suite.name}: {len(reduced.profiles)} measurable "
           f"codelets, elbow K={reduced.elbow}, final K={reduced.k}")
     print("\ndendrogram:")
@@ -498,11 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cluster count or 'elbow'")
     p.add_argument("--health-out", default=None, metavar="FILE",
                    help="write the deterministic RunHealth JSON report")
-    p.add_argument("--cluster-state", default=None, metavar="FILE",
-                   help="reuse/persist incremental clustering state: "
-                        "cached pairwise distance rows are recycled for "
-                        "unchanged codelets (output-identical to a cold "
-                        "run)")
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("predict",

@@ -2,15 +2,13 @@
 representative selection, prediction, reduction accounting, the GA
 feature search and the end-to-end pipeline (Steps A-E of the paper)."""
 
-from .clustering import (DEFAULT_LINKAGE_IMPL, ELBOW_THRESHOLD,
-                         LINKAGE_IMPLS, LINKAGE_METHODS, Dendrogram,
-                         IncrementalClusterer, Merge, ReclusterResult,
-                         elbow_k, linkage, linkage_reference,
+from .clustering import (ELBOW_THRESHOLD, LINKAGE_METHODS, Dendrogram,
+                         Merge, elbow_k, linkage, linkage_reference,
                          variance_curve, ward_linkage,
                          within_cluster_variance)
 from .features import (ALL_FEATURE_NAMES, DYNAMIC_FEATURE_NAMES,
                        TABLE2_FEATURES, FeatureMatrix, dynamic_features,
-                       feature_row_digests, feature_vector)
+                       feature_vector)
 from .ga import (FeatureSelectionProblem, GAConfig, GAResult, run_ga,
                  select_features)
 from .persist import (ReducedSuiteManifest, benchmark_manifest,
@@ -33,12 +31,9 @@ from .subsetting import (SubsettingComparison, cross_application_subsetting,
 
 __all__ = [
     "Dendrogram", "Merge", "ward_linkage", "linkage", "LINKAGE_METHODS",
-    "linkage_reference", "LINKAGE_IMPLS", "DEFAULT_LINKAGE_IMPL",
-    "IncrementalClusterer", "ReclusterResult",
-    "elbow_k", "variance_curve",
+    "linkage_reference", "elbow_k", "variance_curve",
     "within_cluster_variance", "ELBOW_THRESHOLD",
     "FeatureMatrix", "feature_vector", "dynamic_features",
-    "feature_row_digests",
     "ALL_FEATURE_NAMES", "DYNAMIC_FEATURE_NAMES", "TABLE2_FEATURES",
     "GAConfig", "GAResult", "run_ga", "select_features",
     "FeatureSelectionProblem",

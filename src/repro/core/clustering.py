@@ -5,26 +5,16 @@ update for Ward's minimum-variance criterion, a dendrogram that can be
 cut at any K, total within-cluster variance, and the Elbow method for
 automatic K selection (Thorndike 1953, as the paper cites).
 
-Two linkage implementations coexist:
-
-* :func:`linkage_reference` — the original O(n^3) greedy loop: at every
-  step it scans all active pairs in row order and merges the first pair
-  attaining the minimum distance.  Slow but transparently correct; it is
-  the oracle the verify harness and the property tests compare against.
-* the **nearest-neighbor-chain fast path** (the default behind
-  :func:`linkage` and :func:`ward_linkage`) — O(n^2) time with
-  vectorized numpy row updates.  The chain phase discovers the merge
-  tree; a replay phase then applies the merges in the reference's
-  canonical order ``(distance, row_a, row_b)`` with the *same*
-  Lance-Williams arithmetic, which makes the output merge-for-merge and
-  bit-for-bit identical to the reference (see docs/PERFORMANCE.md for
-  the tie-breaking contract and why the replay restores bit equality).
-
-:class:`IncrementalClusterer` re-clusters an edited feature matrix in
-O(changed) distance work by recycling cached pairwise-distance rows for
-rows whose bytes did not change; :class:`ReclusterResult` reports how
-much work was skipped so callers (and ``repro reduce`` metrics) can
-assert the savings.
+:func:`linkage` is a vectorized greedy loop.  Every step merges the
+pair at the full-matrix ``np.argmin`` of the distance matrix and
+updates the merged cluster's whole row at once.  Row-major first
+occurrence is the lexicographically smallest minimal pair, and the row
+update mirrors the scalar Lance-Williams formula term for term, so the
+output is merge-for-merge and bit-for-bit that of
+:func:`linkage_reference`, the scalar O(n^3) loop kept as the oracle of
+the verify harness and the property tests.  The pipeline clusters at
+most 67 codelets, where the n argmins cost a few milliseconds (see
+docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -33,8 +23,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-
-from .features import feature_row_digests
 
 
 @dataclass(frozen=True)
@@ -153,13 +141,6 @@ class Dendrogram:
 #: Ward; the others exist for the linkage ablation study.
 LINKAGE_METHODS = ("ward", "single", "complete", "average")
 
-#: Selectable linkage implementations: the vectorized
-#: nearest-neighbor-chain fast path (default) and the O(n^3) greedy
-#: reference loop it must stay bit-identical to.
-LINKAGE_IMPLS = ("nn-chain", "reference")
-
-DEFAULT_LINKAGE_IMPL = "nn-chain"
-
 
 def _lance_williams(method: str, na: int, nb: int, nk: int,
                     dak: float, dbk: float, dab: float) -> float:
@@ -198,6 +179,21 @@ def _check_method(method: str) -> None:
                          f"choose from {LINKAGE_METHODS}")
 
 
+def _check_points(points) -> np.ndarray:
+    """``points`` as a float matrix; raises ``ValueError`` on input no
+    dendrogram can describe: empty, not 2-D, or non-finite."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2:
+        raise ValueError("need a 2-D feature matrix (observations x "
+                         f"features), got {points.ndim}-D input")
+    if points.shape[0] == 0:
+        raise ValueError("cannot cluster zero observations")
+    if not np.isfinite(points).all():
+        raise ValueError("cannot cluster non-finite (NaN or inf) "
+                         "feature values")
+    return points
+
+
 def linkage_reference(points: np.ndarray,
                       method: str = "ward") -> Dendrogram:
     """The original O(n^3) greedy agglomeration — the oracle.
@@ -205,17 +201,12 @@ def linkage_reference(points: np.ndarray,
     At every step, scan all active pairs in row order and merge the
     first pair attaining the minimum distance (so ties break toward the
     lexicographically smallest row pair), then apply scalar
-    Lance-Williams updates.  The fast path is required to reproduce
+    Lance-Williams updates.  :func:`linkage` is required to reproduce
     this output bit for bit; keep this loop boring.
     """
     _check_method(method)
-    points = np.asarray(points, dtype=float)
+    points = _check_points(points)
     n = points.shape[0]
-    if n == 0:
-        raise ValueError("cannot cluster zero observations")
-    if n == 1:
-        return Dendrogram(1, ())
-
     d = _initial_distances(points, method)
 
     active = list(range(n))                 # current cluster ids
@@ -300,202 +291,7 @@ def _lw_update_rows(d: np.ndarray, size: np.ndarray, alive: np.ndarray,
     d[:, b] = np.inf
 
 
-def _nn_chain_tree(d: np.ndarray, method: str,
-                   skew: float) -> List[Tuple[float, int, int]]:
-    """Discover the merge tree with the nearest-neighbor chain.
-
-    Returns raw merges ``(distance, row_a, row_b)`` with
-    ``row_a < row_b``, in chain-discovery order.  ``d`` is consumed.
-    Nearest neighbors come from ``np.argmin`` (first occurrence, i.e.
-    the lowest row index), and a chain closes only when the nearest
-    neighbor *is* the predecessor — both choices bias tied merges
-    toward the reference's lexicographic tie-break.  Reducibility of
-    the supported methods keeps the chain prefix valid across merges,
-    and first-occurrence argmin rules out tie cycles (any cycle would
-    need a cyclically decreasing sequence of row indices).
-    """
-    n = d.shape[0]
-    size = np.ones(n, dtype=np.int64)
-    alive = np.ones(n, dtype=bool)
-    raw: List[Tuple[float, int, int]] = []
-    chain: List[int] = []
-    for _ in range(n - 1):
-        if not chain:
-            chain.append(int(np.argmax(alive)))     # lowest alive row
-        while True:
-            x = chain[-1]
-            nn = int(np.argmin(d[x]))
-            if len(chain) > 1 and nn == chain[-2]:
-                break
-            chain.append(nn)
-        y = chain.pop()
-        x = chain.pop()
-        a, b = (x, y) if x < y else (y, x)
-        dist = d[a, b]
-        raw.append((float(dist), a, b))
-        _lw_update_rows(d, size, alive, a, b, dist, method, skew)
-        size[a] += size[b]
-        alive[b] = False
-    return raw
-
-
-def _canonical_merge_order(
-        raw: List[Tuple[float, int, int]]
-) -> List[Tuple[float, int, int]]:
-    """Reorder chain-discovered merges into the greedy reference's
-    chronological order.
-
-    Merge distances are determined by the merge *tree* alone — every
-    Lance-Williams value depends only on values of strictly earlier
-    tree nodes, so any topological execution order computes identical
-    bits.  The greedy loop therefore executes exactly the priority
-    topological order: among merges whose operands already exist, the
-    one with minimal ``(distance, row_a, row_b)``.  A flat sort is NOT
-    enough: a tied merge can sort lexicographically below the very
-    merge that creates one of its operands (see docs/PERFORMANCE.md).
-    """
-    import heapq
-
-    last: Dict[int, int] = {}           # row -> latest merge using it
-    blocked = [0] * len(raw)
-    dependents: List[List[int]] = [[] for _ in raw]
-    for i, (_, a, b) in enumerate(raw):
-        for row in (a, b):
-            j = last.get(row)
-            if j is not None:
-                dependents[j].append(i)
-                blocked[i] += 1
-            last[row] = i
-    heap = [(raw[i][0], raw[i][1], raw[i][2], i)
-            for i in range(len(raw)) if blocked[i] == 0]
-    heapq.heapify(heap)
-    order: List[Tuple[float, int, int]] = []
-    while heap:
-        dist, a, b, i = heapq.heappop(heap)
-        order.append(raw[i])
-        for k in dependents[i]:
-            blocked[k] -= 1
-            if blocked[k] == 0:
-                heapq.heappush(
-                    heap, (raw[k][0], raw[k][1], raw[k][2], k))
-    return order
-
-
-def _replay_merges(d: np.ndarray, ordered: List[Tuple[float, int, int]],
-                   method: str,
-                   skew: float) -> Optional[Tuple[Merge, ...]]:
-    """Re-apply the discovered merges in canonical order on a fresh
-    distance matrix.
-
-    Because the canonical order is the greedy reference's execution
-    order, replaying the vectorized Lance-Williams updates over the
-    same initial matrix reproduces the reference's arithmetic — and
-    therefore its heights — bit for bit.  Every step carries a
-    *complete* greedy-consistency check: using maintained per-row
-    minima, the merge pair must be, bitwise, the lexicographically
-    first pair attaining the global minimum distance — exactly the
-    reference's selection rule.  If the chain resolved a tie plateau
-    into a different tree than the greedy scan (possible when many
-    merge distances are bitwise equal), some step fails the check and
-    the function returns ``None`` so the caller can fall back to the
-    always-identical vectorized greedy.  ``d`` is consumed.
-    """
-    n = d.shape[0]
-    size = np.ones(n, dtype=np.int64)
-    alive = np.ones(n, dtype=bool)
-    cluster_id = np.arange(n, dtype=np.int64)       # row -> cluster id
-    row_min = d.min(axis=1)
-    row_arg = d.argmin(axis=1)
-    merges: List[Merge] = []
-    for i, (_, a, b) in enumerate(ordered):
-        dist = d[a, b]
-        # -- greedy-consistency check (all comparisons bitwise) -------
-        best = row_min[alive].min()
-        if dist != best:
-            return None
-        # The reference merges the lexicographically first minimal
-        # pair: its first row is the first row attaining the global
-        # minimum, its second the first column attaining it there.
-        if int(np.flatnonzero(alive & (row_min == best))[0]) != a \
-                or int(np.argmin(d[a])) != b:
-            return None
-        height = float(np.sqrt(max(dist, 0.0))) if method == "ward" \
-            else float(dist)
-        merges.append(Merge(int(cluster_id[a]), int(cluster_id[b]),
-                            height, int(size[a] + size[b])))
-        _lw_update_rows(d, size, alive, a, b, dist, method, skew)
-        size[a] += size[b]
-        alive[b] = False
-        cluster_id[a] = n + i
-        # -- maintain per-row minima ----------------------------------
-        # Row a was rewritten and row b retired; other rows changed in
-        # columns a (new value) and b (now inf).  A row whose cached
-        # minimum lived in either column is rescanned; the rest only
-        # need comparing against the new column-a value.
-        row_min[a] = d[a].min()
-        row_arg[a] = d[a].argmin()
-        row_min[b] = np.inf
-        others = alive.copy()
-        others[a] = False
-        stale = others & ((row_arg == a) | (row_arg == b))
-        for k in np.flatnonzero(stale):
-            row_min[k] = d[k].min()
-            row_arg[k] = d[k].argmin()
-        better = others & ~stale & (d[:, a] < row_min)
-        row_min[better] = d[better, a]
-        row_arg[better] = a
-    return tuple(merges)
-
-
-def _vector_greedy_merges(d: np.ndarray, method: str,
-                          skew: float) -> Tuple[Merge, ...]:
-    """Vectorized greedy agglomeration — the tie-proof fallback.
-
-    Selects each step's pair with a full-matrix ``np.argmin``: row-major
-    first occurrence is exactly the reference's lexicographic-smallest
-    minimal row pair (and always lands in the upper triangle), so the
-    selection rule — and with :func:`_lw_update_rows`, the arithmetic —
-    is bit-identical to the reference by construction.  O(n^3) scan
-    work, but vectorized; only exercised when the NN-chain replay
-    detects a tie resolved differently than the reference.  ``d`` is
-    consumed.
-    """
-    n = d.shape[0]
-    size = np.ones(n, dtype=np.int64)
-    alive = np.ones(n, dtype=bool)
-    cluster_id = np.arange(n, dtype=np.int64)
-    merges: List[Merge] = []
-    for i in range(n - 1):
-        a, b = divmod(int(np.argmin(d)), n)
-        dist = d[a, b]
-        height = float(np.sqrt(max(dist, 0.0))) if method == "ward" \
-            else float(dist)
-        merges.append(Merge(int(cluster_id[a]), int(cluster_id[b]),
-                            height, int(size[a] + size[b])))
-        _lw_update_rows(d, size, alive, a, b, dist, method, skew)
-        size[a] += size[b]
-        alive[b] = False
-        cluster_id[a] = n + i
-    return tuple(merges)
-
-
-def _linkage_from_distances(d: np.ndarray, method: str,
-                            skew: float = 0.0) -> Dendrogram:
-    """NN-chain linkage over a precomputed distance matrix (diagonal
-    ``inf``; squared distances for Ward).  ``d`` is not mutated."""
-    n = d.shape[0]
-    if n == 1:
-        return Dendrogram(1, ())
-    raw = _nn_chain_tree(d.copy(), method, skew)
-    ordered = _canonical_merge_order(raw)
-    merges = _replay_merges(d.copy(), ordered, method, skew)
-    if merges is None:
-        merges = _vector_greedy_merges(d.copy(), method, skew)
-    return Dendrogram(n, merges)
-
-
 def linkage(points: np.ndarray, method: str = "ward",
-            impl: Optional[str] = None,
             ward_coeff_skew: float = 0.0) -> Dendrogram:
     """Agglomerative clustering under a Lance-Williams criterion.
 
@@ -505,167 +301,45 @@ def linkage(points: np.ndarray, method: str = "ward",
     (Ward heights match scipy's convention: the square root of the Ward
     distance).
 
-    ``impl`` selects the implementation (:data:`LINKAGE_IMPLS`),
-    defaulting to the vectorized NN-chain fast path, which is
-    bit-identical to ``"reference"``.  ``ward_coeff_skew`` perturbs one
-    Lance-Williams coefficient on the fast path — the verify harness's
-    ``slow-path-skew`` planted defect; it is rejected on the reference
-    path, which is the oracle and must stay unskewable.
+    Each step merges the pair at the full-matrix ``np.argmin``.  Its
+    row-major first occurrence is the reference's lexicographically
+    smallest minimal row pair (and always lands in the upper triangle),
+    and :func:`_lw_update_rows` repeats the reference's arithmetic, so
+    the result is bit-identical to :func:`linkage_reference` by
+    construction.  ``ward_coeff_skew`` perturbs one Lance-Williams
+    coefficient — the verify harness's ``slow-path-skew`` planted
+    defect; the reference has no such knob, so the oracle stays
+    unskewable.
     """
     _check_method(method)
-    impl = DEFAULT_LINKAGE_IMPL if impl is None else impl
-    if impl not in LINKAGE_IMPLS:
-        raise ValueError(f"unknown linkage impl {impl!r}; "
-                         f"choose from {LINKAGE_IMPLS}")
     if ward_coeff_skew and method != "ward":
         raise ValueError("ward_coeff_skew only applies to Ward linkage")
-    if impl == "reference":
-        if ward_coeff_skew:
-            raise ValueError("the reference implementation is the "
-                             "oracle and cannot be skewed")
-        return linkage_reference(points, method)
-    points = np.asarray(points, dtype=float)
+    points = _check_points(points)
     n = points.shape[0]
-    if n == 0:
-        raise ValueError("cannot cluster zero observations")
-    if n == 1:
-        return Dendrogram(1, ())
     d = _initial_distances(points, method)
-    return _linkage_from_distances(d, method, ward_coeff_skew)
+    size = np.ones(n, dtype=np.int64)
+    alive = np.ones(n, dtype=bool)
+    cluster_id = np.arange(n, dtype=np.int64)       # row -> cluster id
+    merges: List[Merge] = []
+    for i in range(n - 1):
+        a, b = divmod(int(np.argmin(d)), n)
+        dist = d[a, b]
+        height = float(np.sqrt(max(dist, 0.0))) if method == "ward" \
+            else float(dist)
+        merges.append(Merge(int(cluster_id[a]), int(cluster_id[b]),
+                            height, int(size[a] + size[b])))
+        _lw_update_rows(d, size, alive, a, b, dist, method,
+                        ward_coeff_skew)
+        size[a] += size[b]
+        alive[b] = False
+        cluster_id[a] = n + i
+    return Dendrogram(n, tuple(merges))
 
 
 def ward_linkage(points: np.ndarray) -> Dendrogram:
     """Agglomerative clustering under Ward's minimum-variance criterion
     (Section 3.3) — the method the whole pipeline uses."""
     return linkage(points, "ward")
-
-
-# ---------------------------------------------------------------------------
-# Incremental re-clustering
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ReclusterResult:
-    """Outcome of one :meth:`IncrementalClusterer.update` call.
-
-    ``rows_reused`` / ``rows_recomputed`` account for pairwise-distance
-    *row* computations — the O(n·f) einsum work per row — which is the
-    quantity the O(changed) claim is about (the linkage itself is
-    O(n^2) either way, but distance construction dominates for wide
-    feature matrices and is the part a delta can skip).
-    """
-
-    dendrogram: Dendrogram
-    rows_total: int
-    rows_reused: int
-    rows_recomputed: int
-
-    @property
-    def pairs_reused(self) -> int:
-        """Cached pairwise distances recycled from the previous run."""
-        return self.rows_reused * (self.rows_reused - 1) // 2
-
-
-class IncrementalClusterer:
-    """Re-clusters an evolving feature matrix, reusing cached distances.
-
-    Rows are matched to the previous matrix by a digest of their bytes
-    (:func:`repro.core.features.feature_row_digests`), so reordering,
-    adding, removing or editing codelets invalidates exactly the rows
-    whose content changed; distances between two unchanged rows are
-    copied from the cached matrix.  Because a block einsum over the
-    changed rows is bit-identical to the corresponding slice of the
-    full-matrix einsum, the rebuilt distance matrix — and hence the
-    dendrogram — is exactly what a from-scratch run would produce
-    (property-tested in ``tests/core/test_clustering_equiv.py`` and
-    enforced by the ``incremental-recluster`` verify invariant).
-    """
-
-    #: Version tag of the persisted state payload; bump on layout change.
-    STATE_FORMAT = "repro-cluster-state-v1"
-
-    def __init__(self, method: str = "ward"):
-        _check_method(method)
-        self.method = method
-        self._digests: Optional[List[bytes]] = None
-        self._distances: Optional[np.ndarray] = None
-
-    def update(self, rows: np.ndarray,
-               ward_coeff_skew: float = 0.0) -> ReclusterResult:
-        """Cluster ``rows``, recycling distances from the last update."""
-        rows = np.ascontiguousarray(np.asarray(rows, dtype=float))
-        if rows.ndim != 2 or rows.shape[0] == 0:
-            raise ValueError("need a non-empty 2-D feature matrix")
-        n = rows.shape[0]
-        digests = feature_row_digests(rows)
-        if self._digests is None:
-            d = _initial_distances(rows, self.method)
-            reused = 0
-        else:
-            pool: Dict[bytes, List[int]] = {}
-            for pos, dig in enumerate(self._digests):
-                pool.setdefault(dig, []).append(pos)
-            new_to_old = np.full(n, -1, dtype=np.int64)
-            for i, dig in enumerate(digests):
-                slots = pool.get(dig)
-                if slots:
-                    new_to_old[i] = slots.pop(0)
-            kept = np.flatnonzero(new_to_old >= 0)
-            fresh = np.flatnonzero(new_to_old < 0)
-            d = np.empty((n, n), dtype=float)
-            if kept.size:
-                old_idx = new_to_old[kept]
-                d[np.ix_(kept, kept)] = \
-                    self._distances[np.ix_(old_idx, old_idx)]
-            if fresh.size:
-                diffs = rows[fresh][:, None, :] - rows[None, :, :]
-                block = np.einsum("ijk,ijk->ij", diffs, diffs)
-                if self.method != "ward":
-                    block = np.sqrt(block)
-                d[fresh, :] = block
-                d[:, fresh] = block.T
-            np.fill_diagonal(d, np.inf)
-            reused = int(kept.size)
-        self._digests = digests
-        self._distances = d
-        dendrogram = _linkage_from_distances(d, self.method,
-                                             ward_coeff_skew)
-        return ReclusterResult(dendrogram, n, reused, n - reused)
-
-    # -- persistence ----------------------------------------------------------
-
-    def state(self) -> Dict[str, object]:
-        """Picklable snapshot of the cached digests and distances."""
-        return {"format": self.STATE_FORMAT, "method": self.method,
-                "digests": self._digests, "distances": self._distances}
-
-    @classmethod
-    def from_state(cls, payload: object) -> "IncrementalClusterer":
-        if (not isinstance(payload, dict)
-                or payload.get("format") != cls.STATE_FORMAT
-                or payload.get("method") not in LINKAGE_METHODS):
-            raise ValueError("not a recognisable clustering state")
-        inc = cls(str(payload["method"]))
-        digests = payload.get("digests")
-        distances = payload.get("distances")
-        if digests is not None and isinstance(distances, np.ndarray) \
-                and distances.shape == (len(digests), len(digests)):
-            inc._digests = list(digests)
-            inc._distances = distances
-        return inc
-
-    def save(self, path: str) -> None:
-        """Persist the state (atomic, checksummed) for a later run."""
-        from ..runtime.cache import save_checksummed
-        save_checksummed(path, self.state())
-
-    @classmethod
-    def load(cls, path: str) -> "IncrementalClusterer":
-        """Restore a saved state; raises ``ValueError`` if the file is
-        corrupt, foreign, or of an incompatible format version."""
-        from ..runtime.cache import load_checksummed
-        return cls.from_state(load_checksummed(path))
 
 
 # ---------------------------------------------------------------------------

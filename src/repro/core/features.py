@@ -15,10 +15,9 @@ reference set.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,25 +70,6 @@ TABLE2_FEATURES: Tuple[str, ...] = (
     "vec_ratio_other_fp_int",       # Vectorization ratio, other (FP+INT)
     "vec_ratio_other_int",          # Vectorization ratio, other (INT)
 )
-
-
-def feature_row_digests(values: np.ndarray) -> List[bytes]:
-    """Stable per-row content digests of a feature matrix.
-
-    The digest covers the row's bytes plus the feature count, so a
-    reshape realigning the same byte stream cannot alias two different
-    matrices.  Rows with identical bytes get identical digests —
-    exactly the equivalence :class:`repro.core.clustering
-    .IncrementalClusterer` needs to recycle cached distance rows, since
-    pairwise distances are functions of row contents only.
-    """
-    rows = np.ascontiguousarray(np.asarray(values, dtype=float))
-    if rows.ndim != 2:
-        raise ValueError("feature matrices are 2-D")
-    width = np.int64(rows.shape[1]).tobytes()
-    return [hashlib.blake2b(width + rows[i].tobytes(),
-                            digest_size=16).digest()
-            for i in range(rows.shape[0])]
 
 
 def _log10p(value: float) -> float:

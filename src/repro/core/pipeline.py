@@ -42,8 +42,7 @@ from ..runtime.config import RuntimeConfig
 from ..runtime.executor import Executor
 from ..runtime.resilience import (QUARANTINED, ResilientExecutor,
                                   RunHealth)
-from .clustering import (Dendrogram, IncrementalClusterer,
-                         ReclusterResult, elbow_k, ward_linkage)
+from .clustering import Dendrogram, elbow_k, ward_linkage
 from .features import TABLE2_FEATURES, FeatureMatrix
 from .prediction import (ApplicationPrediction, ClusterModel,
                          CodeletPrediction, aggregate_application,
@@ -202,8 +201,7 @@ class BenchmarkReducer:
                  measurer: Optional[Measurer] = None,
                  config: SubsettingConfig = SubsettingConfig(),
                  hooks: Optional[PipelineHooks] = None,
-                 obs: Optional[Observation] = None,
-                 incremental: Optional[IncrementalClusterer] = None):
+                 obs: Optional[Observation] = None):
         self.suite = suite
         self.measurer = measurer if measurer is not None else Measurer()
         self.config = config
@@ -226,13 +224,6 @@ class BenchmarkReducer:
         self._features: Optional[FeatureMatrix] = None
         self._normalized: Optional[np.ndarray] = None
         self._dendrogram: Optional[Dendrogram] = None
-        #: Optional incremental clusterer: when supplied (e.g. via the
-        #: CLI's ``--cluster-state``), Step C recycles cached pairwise
-        #: distances from the previous run — an opt-in statefulness
-        #: like ``cache_dir``, guaranteed output-identical to a cold
-        #: run.  ``recluster`` then records how much work was skipped.
-        self.incremental = incremental
-        self.recluster: Optional[ReclusterResult] = None
 
     @property
     def cache_stats(self) -> Optional[CacheStats]:
@@ -294,24 +285,8 @@ class BenchmarkReducer:
         if self._dendrogram is None:
             self.feature_matrix()
             with self.obs.span("stage:cluster",
-                               codelets=self._normalized.shape[0]) as span:
-                if self.incremental is not None:
-                    result = self.incremental.update(self._normalized)
-                    self.recluster = result
-                    self._dendrogram = result.dendrogram
-                    span.set("rows_reused", result.rows_reused)
-                    span.set("rows_recomputed", result.rows_recomputed)
-                    metrics = self.obs.metrics
-                    metrics.gauge("cluster.rows_total").set(
-                        result.rows_total)
-                    metrics.gauge("cluster.rows_reused").set(
-                        result.rows_reused)
-                    metrics.gauge("cluster.rows_recomputed").set(
-                        result.rows_recomputed)
-                    metrics.counter("cluster.distance_rows_computed") \
-                        .inc(result.rows_recomputed)
-                else:
-                    self._dendrogram = ward_linkage(self._normalized)
+                               codelets=self._normalized.shape[0]):
+                self._dendrogram = ward_linkage(self._normalized)
             self.hooks.emit("on_dendrogram", self._dendrogram)
         return self._dendrogram
 

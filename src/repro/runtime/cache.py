@@ -42,64 +42,6 @@ def content_key(material: str) -> str:
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
-def save_checksummed(path: str, payload: Any,
-                     fmt: str = CACHE_FORMAT) -> None:
-    """Atomically write ``payload`` as a checksummed pickle.
-
-    Same wrapper layout as :class:`DiskCache` entries (format tag,
-    SHA-256 of the pickled payload, payload bytes), shared by any
-    persisted artifact that wants the cache's rot detection — e.g. the
-    incremental clusterer's saved distance state.
-    """
-    blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    wrapper = {"format": fmt,
-               "sha256": hashlib.sha256(blob).hexdigest(),
-               "payload": blob}
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            pickle.dump(wrapper, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, path)
-    except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
-def load_checksummed(path: str, fmt: str = CACHE_FORMAT) -> Any:
-    """Read a pickle written by :func:`save_checksummed`.
-
-    Unlike :meth:`DiskCache.get` (where a miss is always recoverable by
-    recomputing), this raises ``ValueError`` on a truncated, foreign or
-    bit-rotted file so the caller can decide how to degrade.
-    """
-    try:
-        with open(path, "rb") as fh:
-            wrapper = pickle.load(fh)
-    except FileNotFoundError:
-        raise
-    except Exception as exc:
-        raise ValueError(f"{path}: unreadable checksummed pickle "
-                         f"({exc})") from exc
-    if (not isinstance(wrapper, dict)
-            or wrapper.get("format") != fmt
-            or not isinstance(wrapper.get("payload"), bytes)
-            or "sha256" not in wrapper):
-        raise ValueError(f"{path}: not a {fmt!r} checksummed pickle")
-    blob = wrapper["payload"]
-    if hashlib.sha256(blob).hexdigest() != wrapper["sha256"]:
-        raise ValueError(f"{path}: payload checksum mismatch "
-                         "(bit rot or tampering)")
-    try:
-        return pickle.loads(blob)
-    except Exception as exc:
-        raise ValueError(f"{path}: corrupt payload ({exc})") from exc
-
-
 @dataclass
 class CacheStats:
     """Hit/miss accounting for one cache instance."""

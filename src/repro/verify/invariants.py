@@ -53,13 +53,9 @@ Registered invariants (see ``repro verify --list``):
     to byte-identical trace and metrics JSON, and no span smuggles in
     a wall-clock attribute.
 ``clustering-equivalence``
-    The vectorized NN-chain linkage is bit-compatible with the O(n³)
+    The vectorized greedy linkage is bit-compatible with the O(n³)
     reference loop: identical merges, bit-identical heights, identical
     ``cut(k)`` labels for every k — including on exact distance ties.
-``incremental-recluster``
-    Incremental re-clustering with cached distance rows is exact (same
-    dendrogram as from scratch) and does O(changed) work: editing one
-    codelet recomputes exactly one row, permutations recompute none.
 ``cache-sim-equivalence``
     The vectorized cache simulator (compiled address streams + batched
     per-set LRU) is bit-identical to the statement-interpreting
@@ -93,8 +89,8 @@ from ..codelets.codelet import Codelet
 from ..codelets.finder import find_suite_codelets
 from ..codelets.measurement import Measurer
 from ..codelets.profiling import ProfilingReport, profile_codelets
-from ..core.clustering import (Dendrogram, IncrementalClusterer, elbow_k,
-                               linkage, linkage_reference, variance_curve,
+from ..core.clustering import (Dendrogram, elbow_k, linkage,
+                               linkage_reference, variance_curve,
                                ward_linkage)
 from ..core.features import FeatureMatrix
 from ..core.ga import GAConfig
@@ -250,11 +246,11 @@ class VerifyContext:
 
     @property
     def clustering_skew(self) -> float:
-        """Perturbation of one Lance–Williams update coefficient in the
-        vectorized fast path — ``0.0`` in a clean context; the
-        ``slow-path-skew`` defect sets it, silently diverging the fast
-        path from the reference loop, which the clustering invariants
-        must notice."""
+        """Perturbation of one Lance–Williams update coefficient in
+        :func:`~repro.core.clustering.linkage` — ``0.0`` in a clean
+        context; the ``slow-path-skew`` defect sets it, silently
+        diverging ``linkage`` from the reference loop, which the
+        ``clustering-equivalence`` invariant must notice."""
         return 1e-3 if self.breakage == "slow-path-skew" else 0.0
 
     # -- pipeline runs --------------------------------------------------------
@@ -817,34 +813,35 @@ def check_trace_replay(ctx: VerifyContext) -> None:
             f"{sorted(reduced.quarantined)} despite the retry budget")
 
 
-def _assert_same_dendrogram(invariant_name: str, label: str,
-                            fast: Dendrogram, slow: Dendrogram) -> None:
-    """Bitwise dendrogram equality: merges, heights, every cut."""
-    if len(fast.merges) != len(slow.merges):
+def _assert_same_dendrogram(label: str, got: Dendrogram,
+                            want: Dendrogram) -> None:
+    """Bitwise equality of a :func:`linkage` dendrogram with the
+    reference's: merges, heights, every cut."""
+    if len(got.merges) != len(want.merges):
         raise InvariantViolation(
-            f"{invariant_name}: {label}: fast path produced "
-            f"{len(fast.merges)} merges, reference {len(slow.merges)}")
-    for step, (mf, ms) in enumerate(zip(fast.merges, slow.merges)):
-        if (mf.a, mf.b, mf.size) != (ms.a, ms.b, ms.size):
+            f"clustering-equivalence: {label}: linkage produced "
+            f"{len(got.merges)} merges, reference {len(want.merges)}")
+    for step, (mg, mw) in enumerate(zip(got.merges, want.merges)):
+        if (mg.a, mg.b, mg.size) != (mw.a, mw.b, mw.size):
             raise InvariantViolation(
-                f"{invariant_name}: {label}: merge {step} joins "
-                f"({mf.a}, {mf.b}) on the fast path but "
-                f"({ms.a}, {ms.b}) in the reference — the trees differ")
-        if mf.height != ms.height:
+                f"clustering-equivalence: {label}: merge {step} joins "
+                f"({mg.a}, {mg.b}) in linkage but "
+                f"({mw.a}, {mw.b}) in the reference — the trees differ")
+        if mg.height != mw.height:
             raise InvariantViolation(
-                f"{invariant_name}: {label}: merge {step} height "
-                f"{mf.height!r} != reference {ms.height!r} — heights "
+                f"clustering-equivalence: {label}: merge {step} height "
+                f"{mg.height!r} != reference {mw.height!r} — heights "
                 "must be bit-identical, not merely close")
-    for k in range(1, fast.n_leaves + 1):
-        if not np.array_equal(fast.cut(k), slow.cut(k)):
+    for k in range(1, got.n_leaves + 1):
+        if not np.array_equal(got.cut(k), want.cut(k)):
             raise InvariantViolation(
-                f"{invariant_name}: {label}: cut(k={k}) labels differ "
-                "between the fast path and the reference")
+                f"clustering-equivalence: {label}: cut(k={k}) labels "
+                "differ between linkage and the reference")
 
 
 @invariant(
     "clustering-equivalence",
-    "the vectorized NN-chain linkage is bit-compatible with the O(n^3) "
+    "the vectorized greedy linkage is bit-compatible with the O(n^3) "
     "reference loop on every method and tie structure: identical "
     "merges, bit-identical heights, identical cut(k) for all k")
 def check_clustering_equivalence(ctx: VerifyContext) -> None:
@@ -853,54 +850,12 @@ def check_clustering_equivalence(ctx: VerifyContext) -> None:
         for rows in (12, 26):
             points = _feature_matrix(ctx.seed + rows, rows, 4, variant)
             for method in ("ward", "single", "complete", "average"):
-                fast = linkage(points, method=method,
-                               ward_coeff_skew=(skew if method == "ward"
-                                                else 0.0))
-                slow = linkage_reference(points, method=method)
+                got = linkage(points, method=method,
+                              ward_coeff_skew=(skew if method == "ward"
+                                               else 0.0))
+                want = linkage_reference(points, method=method)
                 _assert_same_dendrogram(
-                    "clustering-equivalence",
-                    f"{variant} n={rows} method={method}", fast, slow)
-
-
-@invariant(
-    "incremental-recluster",
-    "incremental re-clustering from cached distance rows is exact "
-    "(bit-identical dendrogram to a from-scratch run) and does "
-    "O(changed) work: one edited codelet recomputes exactly one "
-    "distance row, a permutation recomputes none")
-def check_incremental_recluster(ctx: VerifyContext) -> None:
-    skew = ctx.clustering_skew
-    rng = np.random.default_rng(ctx.seed + 0xC1)
-    rows = rng.normal(size=(18, 5))
-    inc = IncrementalClusterer()
-
-    def step(label: str, data: np.ndarray, want_recomputed: int):
-        result = inc.update(data, ward_coeff_skew=skew)
-        _assert_same_dendrogram(
-            "incremental-recluster", label, result.dendrogram,
-            linkage_reference(data, method="ward"))
-        if result.rows_recomputed != want_recomputed:
-            raise InvariantViolation(
-                f"incremental-recluster: {label}: recomputed "
-                f"{result.rows_recomputed} distance rows, expected "
-                f"exactly {want_recomputed} — the update is not "
-                "O(changed)")
-        if result.rows_reused + result.rows_recomputed \
-                != result.rows_total:
-            raise InvariantViolation(
-                f"incremental-recluster: {label}: reuse accounting "
-                f"does not add up ({result.rows_reused} + "
-                f"{result.rows_recomputed} != {result.rows_total})")
-
-    step("cold start", rows, want_recomputed=len(rows))
-    edited = rows.copy()
-    edited[7] += 1.0
-    step("one edited codelet", edited, want_recomputed=1)
-    grown = np.vstack([edited, rng.normal(size=(2, 5))])
-    step("two added codelets", grown, want_recomputed=2)
-    step("permuted suite", grown[::-1].copy(), want_recomputed=0)
-    step("one removed codelet", np.delete(grown, 4, axis=0),
-         want_recomputed=0)
+                    f"{variant} n={rows} method={method}", got, want)
 
 
 #: Architectures the cache-sim differential runs over: two real Table 1
@@ -1117,10 +1072,9 @@ BREAKAGES: Dict[str, str] = {
                         "stop serialising byte-identically; caught by "
                         "'trace-replay'",
     "slow-path-skew": "perturb one Lance-Williams update coefficient "
-                      "in the vectorized fast path by 1e-3, silently "
+                      "in the vectorized linkage by 1e-3, silently "
                       "diverging it from the reference loop; caught by "
-                      "'clustering-equivalence' and "
-                      "'incremental-recluster'",
+                      "'clustering-equivalence'",
     "sim-batch-skew": "make the batched LRU update of the vectorized "
                       "cache simulator insert misses at the MRU way "
                       "instead of evicting the LRU way, silently "

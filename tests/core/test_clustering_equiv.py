@@ -1,10 +1,11 @@
-"""Property suite: the vectorized NN-chain linkage is *bit-compatible*
-with the O(n³) reference loop, and incremental re-clustering is exact.
+"""Property suite: the vectorized greedy linkage is *bit-compatible*
+with the O(n³) reference loop.
 
-These are the equivalence guarantees the clustering rewrite rests on
-(see docs/PERFORMANCE.md): same merges, same heights, same ``cut()``
-labels — including on exact distance ties, which the ``duplicates`` /
-``quantized`` / ``lattice`` matrix variants manufacture on purpose.
+This is the equivalence guarantee the clustering layer rests on (see
+docs/PERFORMANCE.md): same merges, same heights, same ``cut()`` labels
+— including on exact distance ties, which the ``duplicates`` /
+``quantized`` / ``lattice`` matrix variants manufacture on purpose,
+and on the normalized feature matrices the pipeline really clusters.
 """
 
 import numpy as np
@@ -12,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.clustering import (LINKAGE_METHODS, IncrementalClusterer,
-                                   linkage, linkage_reference)
+from repro.core.clustering import (LINKAGE_METHODS, linkage,
+                                   linkage_reference)
+from repro.core.features import (ALL_FEATURE_NAMES, TABLE2_FEATURES,
+                                 FeatureMatrix)
 from repro.verify.strategies import feature_matrices
 
 METHODS = sorted(LINKAGE_METHODS)
@@ -32,7 +35,7 @@ def assert_same_dendrogram(fast, slow):
         assert list(fast.cut(k)) == list(slow.cut(k))
 
 
-class TestNNChainEquivalence:
+class TestLinkageEquivalence:
     @given(points=feature_matrices(), method=st.sampled_from(METHODS))
     @settings(max_examples=60, deadline=None)
     def test_fast_matches_reference(self, points, method):
@@ -40,125 +43,27 @@ class TestNNChainEquivalence:
         slow = linkage_reference(points, method=method)
         assert_same_dendrogram(fast, slow)
 
-    @given(points=feature_matrices())
-    @settings(max_examples=25, deadline=None)
-    def test_impl_reference_is_the_reference(self, points):
-        via_impl = linkage(points, method="ward", impl="reference")
-        direct = linkage_reference(points, method="ward")
-        assert_same_dendrogram(via_impl, direct)
-
-
-def apply_delta(rng, rows: np.ndarray) -> np.ndarray:
-    """One random suite delta: edit, add, remove or permute rows."""
-    op = rng.integers(4)
-    rows = rows.copy()
-    if op == 0 and len(rows) > 2:               # edit one codelet
-        rows[rng.integers(len(rows))] += rng.normal(size=rows.shape[1])
-    elif op == 1:                               # add codelets
-        extra = rng.normal(size=(int(rng.integers(1, 3)), rows.shape[1]))
-        rows = np.vstack([rows, extra])
-    elif op == 2 and len(rows) > 3:             # remove one codelet
-        rows = np.delete(rows, int(rng.integers(len(rows))), axis=0)
-    else:                                       # permute the suite
-        rows = rows[rng.permutation(len(rows))]
-    return rows
-
-
-class TestIncrementalEquivalence:
-    @given(points=feature_matrices(min_rows=4),
-           delta_seed=st.integers(0, 2 ** 32 - 1),
-           n_deltas=st.integers(1, 4))
-    @settings(max_examples=40, deadline=None)
-    def test_incremental_matches_scratch(self, points, delta_seed,
-                                         n_deltas):
-        rng = np.random.default_rng(delta_seed)
-        inc = IncrementalClusterer()
-        rows = points
-        for _ in range(n_deltas):
-            result = inc.update(rows)
-            scratch = linkage(rows, method="ward")
-            assert_same_dendrogram(result.dendrogram, scratch)
-            assert result.rows_total == len(rows)
-            assert (result.rows_reused + result.rows_recomputed
-                    == result.rows_total)
-            rows = apply_delta(rng, rows)
-
-    @given(points=feature_matrices(min_rows=4),
-           state_seed=st.integers(0, 2 ** 32 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_state_roundtrip(self, points, state_seed, tmp_path_factory):
-        path = tmp_path_factory.mktemp("inc") / "state.pkl"
-        inc = IncrementalClusterer()
-        inc.update(points)
-        inc.save(path)
-        rng = np.random.default_rng(state_seed)
-        edited = apply_delta(rng, points)
-        resumed = IncrementalClusterer.load(path).update(edited)
-        fresh = IncrementalClusterer().update(edited)
-        assert_same_dendrogram(resumed.dendrogram, fresh.dendrogram)
-        assert resumed.rows_recomputed <= fresh.rows_recomputed
-
-
-class TestIncrementalCounts:
-    """Deterministic O(changed) accounting (the obs-metric contract)."""
-
-    def setup_method(self):
-        self.rng = np.random.default_rng(7)
-        self.rows = self.rng.normal(size=(12, 5))
-
-    def test_first_update_recomputes_everything(self):
-        result = IncrementalClusterer().update(self.rows)
-        assert (result.rows_total, result.rows_reused,
-                result.rows_recomputed) == (12, 0, 12)
-
-    def test_identical_update_reuses_everything(self):
-        inc = IncrementalClusterer()
-        inc.update(self.rows)
-        result = inc.update(self.rows.copy())
-        assert (result.rows_reused, result.rows_recomputed) == (12, 0)
-
-    def test_single_edit_recomputes_one_row(self):
-        inc = IncrementalClusterer()
-        inc.update(self.rows)
-        edited = self.rows.copy()
-        edited[4] += 1.0
-        result = inc.update(edited)
-        assert (result.rows_reused, result.rows_recomputed) == (11, 1)
-
-    def test_two_additions_recompute_two_rows(self):
-        inc = IncrementalClusterer()
-        inc.update(self.rows)
-        grown = np.vstack([self.rows, self.rng.normal(size=(2, 5))])
-        result = inc.update(grown)
-        assert (result.rows_total, result.rows_reused,
-                result.rows_recomputed) == (14, 12, 2)
-
-    def test_removal_recomputes_nothing(self):
-        inc = IncrementalClusterer()
-        inc.update(self.rows)
-        result = inc.update(np.delete(self.rows, 3, axis=0))
-        assert (result.rows_reused, result.rows_recomputed) == (11, 0)
-
-    def test_permutation_recomputes_nothing(self):
-        inc = IncrementalClusterer()
-        inc.update(self.rows)
-        result = inc.update(self.rows[::-1].copy())
-        assert (result.rows_reused, result.rows_recomputed) == (12, 0)
+    @pytest.mark.parametrize("suite, features, shape", [
+        ("nr", TABLE2_FEATURES, (28, 14)),
+        ("nr", ALL_FEATURE_NAMES, (28, 76)),
+        ("nas", TABLE2_FEATURES, (67, 14)),
+        ("nas", ALL_FEATURE_NAMES, (67, 76)),
+    ], ids=["nr-pipeline", "nr-all", "nas-pipeline", "nas-all"])
+    def test_pipeline_matrices_match_reference(self, ctx, suite, features,
+                                               shape):
+        # The sizes `repro report` clusters: the pipeline's 14 features
+        # and all 76 (the widest matrix the GA evaluates).
+        profiles = getattr(ctx, suite).profiling().profiles
+        rows = FeatureMatrix.from_profiles(profiles, features).normalized()
+        assert rows.shape == shape
+        assert_same_dendrogram(linkage(rows, method="ward"),
+                               linkage_reference(rows, method="ward"))
 
 
 class TestValidation:
-    def test_unknown_impl_rejected(self):
-        with pytest.raises(ValueError, match="impl"):
-            linkage(np.zeros((3, 2)), impl="magic")
-
     def test_skew_requires_ward(self):
         with pytest.raises(ValueError, match="ward"):
             linkage(np.zeros((3, 2)), method="single",
-                    ward_coeff_skew=1e-3)
-
-    def test_skew_requires_fast_impl(self):
-        with pytest.raises(ValueError, match="reference"):
-            linkage(np.zeros((3, 2)), impl="reference",
                     ward_coeff_skew=1e-3)
 
     def test_skew_changes_the_dendrogram(self):
@@ -169,3 +74,19 @@ class TestValidation:
         skewed = linkage(points, ward_coeff_skew=1e-3)
         assert any(a.height != b.height
                    for a, b in zip(plain.merges, skewed.merges))
+
+    @pytest.mark.parametrize("impl", [linkage, linkage_reference],
+                             ids=["linkage", "reference"])
+    @pytest.mark.parametrize("points, match", [
+        (np.zeros((0, 3)), "zero observations"),
+        (np.arange(5.0), "2-D"),
+        (np.zeros((2, 2, 2)), "2-D"),
+        ([[0.0, 1.0], [np.nan, 2.0], [3.0, 1.0]], "non-finite"),
+        ([[0.0, 1.0], [np.inf, 2.0], [3.0, 1.0]], "non-finite"),
+        ([[0.0, 1.0], [-np.inf, 2.0], [3.0, 1.0]], "non-finite"),
+    ], ids=["empty", "1-d", "3-d", "nan", "inf", "-inf"])
+    def test_malformed_input_rejected(self, impl, points, match):
+        # Both linkages share one check: unchecked, a NaN row yields NaN
+        # heights and the reference merges a cluster with itself.
+        with pytest.raises(ValueError, match=match):
+            impl(points)

@@ -140,46 +140,6 @@ def test_quarantine_is_traced_and_counted(suite):
     assert obs.metrics.counter_value("resilience.quarantined") == 1
 
 
-def test_incremental_recluster_gauges_report_skipped_work(suite):
-    """`repro reduce` on an edited suite must account for the distance
-    rows it skipped — the O(changed) contract is asserted via obs
-    metrics, not wall clock."""
-    from repro.core.clustering import IncrementalClusterer
-
-    inc = IncrementalClusterer()
-
-    def incremental_reduce():
-        obs = Observation()
-        reducer = BenchmarkReducer(suite, Measurer(), SubsettingConfig(),
-                                   obs=obs, incremental=inc)
-        reduced = reducer.reduce("elbow")
-        return reduced, reducer, obs
-
-    cold, reducer_a, obs_a = incremental_reduce()
-    n = len(cold.profiles)
-    gauges = obs_a.metrics
-    assert gauges.gauge("cluster.rows_total").value == n
-    assert gauges.gauge("cluster.rows_reused").value == 0
-    assert gauges.gauge("cluster.rows_recomputed").value == n
-    assert reducer_a.recluster.rows_recomputed == n
-    (span,) = obs_a.tracer.find("stage:cluster")
-    assert span.attrs["rows_recomputed"] == n
-
-    # Unchanged suite: everything is recycled, result identical.
-    warm, reducer_b, obs_b = incremental_reduce()
-    gauges = obs_b.metrics
-    assert gauges.gauge("cluster.rows_reused").value == n
-    assert gauges.gauge("cluster.rows_recomputed").value == 0
-    assert gauges.counter_value("cluster.distance_rows_computed") == 0
-    assert warm.representatives == cold.representatives
-    assert (warm.dendrogram.heights() == cold.dendrogram.heights()).all()
-
-    # The stateless path must stay byte-identical to before (no reuse
-    # gauges leak into a plain run's metrics).
-    _, plain = traced_reduce(suite, RuntimeConfig())
-    assert "cluster.rows_total" not in plain.metrics.to_json()
-
-
 def test_evaluate_on_target_spans_and_metrics(suite):
     reduced, obs = traced_reduce(suite, RuntimeConfig())
     evaluation = evaluate_on_target(reduced, TARGETS[0], Measurer(),

@@ -40,31 +40,6 @@ class TestCommands:
         assert "final K=6" in out
         assert "representative" in out
 
-    def test_reduce_cluster_state_roundtrip(self, capsys, tmp_path):
-        state = str(tmp_path / "cluster.pkl")
-        argv = ["--scale", "0.05", "reduce", "--suite", "nr",
-                "--k", "6", "--cluster-state", state]
-        assert main(argv) == 0
-        cold = capsys.readouterr().out
-        assert "starting fresh" in cold
-        assert "recomputed" in cold
-        assert f"cluster state saved to {state}" in cold
-        # Second run resumes the state and recycles every distance row.
-        assert main(argv) == 0
-        warm = capsys.readouterr().out
-        assert f"cluster state: resumed from {state}" in warm
-        assert "(recomputed 0)" in warm
-
-    def test_reduce_corrupt_cluster_state_falls_back(self, capsys,
-                                                     tmp_path):
-        state = tmp_path / "cluster.pkl"
-        state.write_bytes(b"not a checksummed pickle")
-        assert main(["--scale", "0.05", "reduce", "--suite", "nr",
-                     "--k", "6", "--cluster-state", str(state)]) == 0
-        out = capsys.readouterr().out
-        assert "unusable" in out and "starting fresh" in out
-        assert "cluster state saved" in out
-
     def test_predict_single_target(self, capsys):
         assert main(["--scale", "0.05", "predict", "--suite", "nr",
                      "--k", "6", "--target", "Core 2"]) == 0
