@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test verify lint obs transform bench bench-check bench-write report
+.PHONY: test verify lint obs transform bench report
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -36,15 +36,6 @@ transform:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-# Gate the cache simulator against its committed performance
-# trajectory (machine-independent speedup ratios; docs/PERFORMANCE.md).
-bench-check:
-	$(PYTHON) benchmarks/simulation_trajectory.py --check
-
-# Refresh BENCH_simulation.json after a deliberate perf change.
-bench-write:
-	$(PYTHON) benchmarks/simulation_trajectory.py --write
 
 report:
 	$(PYTHON) -m repro report

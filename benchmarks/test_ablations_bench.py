@@ -1,6 +1,6 @@
 """Ablation benchmarks for the design choices DESIGN.md calls out:
 linkage criterion, feature normalization, ill-behaved filtering, timing
-statistic, and the cache-model backend."""
+statistic, and the analytical cache model against the simulator."""
 
 import numpy as np
 import pytest
@@ -134,9 +134,9 @@ def test_ablation_median_vs_mean_timing(benchmark, ctx):
     assert errors["median"] <= errors["mean"] * 2.0
 
 
-def test_ablation_cache_backend(benchmark):
+def test_ablation_cache_model(benchmark):
     """Analytical cache model vs the trace-driven LRU simulator on a
-    shrunken NAS suite: the divergence the analytical default costs."""
+    shrunken NAS suite: the divergence the analytical model costs."""
     from repro.codelets import find_suite_codelets
 
     suite = build_nas_suite(scale=0.01)

@@ -30,7 +30,7 @@ import numpy as np
 from ..machine.architecture import Architecture
 from ..machine.counters import DynamicMetrics
 from ..machine.noise import NoiseModel
-from ..machine.platform import ANALYTICAL, MeasuredRun, run_kernel_model
+from ..machine.platform import MeasuredRun, run_kernel_model
 from .codelet import Codelet
 
 #: Step D invocation-reduction policy (Section 3.4).
@@ -105,26 +105,23 @@ class MeasurerSpec:
 
     cls: type
     noise: NoiseModel
-    cache_backend: str
 
     def build(self) -> "Measurer":
-        return self.cls(noise=self.noise, cache_backend=self.cache_backend)
+        return self.cls(noise=self.noise)
 
 
 class Measurer:
     """Memoizing facade over the machine model plus measurement noise."""
 
-    def __init__(self, noise: Optional[NoiseModel] = None,
-                 cache_backend: str = ANALYTICAL):
+    def __init__(self, noise: Optional[NoiseModel] = None):
         self.noise = noise if noise is not None else NoiseModel()
-        self.cache_backend = cache_backend
         self._runs: Dict[Tuple, MeasuredRun] = {}
 
     # -- worker transfer ------------------------------------------------------
 
     def spec(self) -> MeasurerSpec:
         """The configuration needed to rebuild this measurer elsewhere."""
-        return MeasurerSpec(type(self), self.noise, self.cache_backend)
+        return MeasurerSpec(type(self), self.noise)
 
     def runs_snapshot(self) -> Dict[Tuple, MeasuredRun]:
         """A copy of the memoized model runs (for transfer to the parent)."""
@@ -144,16 +141,14 @@ class Measurer:
     def model_run(self, codelet: Codelet, variant_idx: int,
                   arch: Architecture, standalone: bool) -> MeasuredRun:
         """Model one invocation of one dataset variant on ``arch``."""
-        key = (codelet.name, variant_idx, arch.name, standalone,
-               self.cache_backend)
+        key = (codelet.name, variant_idx, arch.name, standalone)
         run = self._runs.get(key)
         if run is None:
             run = run_kernel_model(
                 codelet.variants[variant_idx], arch,
                 pressure_bytes=0.0 if standalone else codelet.pressure_bytes,
                 warm=True,
-                force_scalar=standalone and codelet.fragile_opt,
-                cache_backend=self.cache_backend)
+                force_scalar=standalone and codelet.fragile_opt)
             self._runs[key] = run
         return run
 

@@ -4,13 +4,14 @@ The Likwid substitute needs, per codelet and architecture, the hit/miss
 distribution across the cache hierarchy and the resulting inter-level
 traffic.  A trace-driven simulator (:mod:`repro.machine.cache_sim`)
 exists for validation, but the experiment sweeps profile ~100 codelets
-on 4 machines many times, so the default backend is this closed-form
-model based on loop footprints:
+on 4 machines many times, so the pipeline's only cache model is this
+closed-form model based on loop footprints:
 
 * per access group (accesses to one array with the same index pattern),
   compute the *lines touched* while the ``d`` innermost loops iterate;
 * per cache level, find the deepest loop window whose total working set
-  fits the (pressure-reduced) capacity;
+  fits the (pressure-reduced) capacity, counting lines of that level's
+  own ``line_bytes``;
 * accesses are misses once per execution of the loops outside that
   window — the classical capacity-miss model for affine loop nests.
 
@@ -281,7 +282,6 @@ def analyze_cache(kernel_or_nests, arch: Architecture,
     else:
         nests = list(kernel_or_nests)
 
-    line = arch.caches[0].line_bytes
     nlevels = len(arch.caches)
     total_accesses = 0.0
     total_stores = 0.0
@@ -298,7 +298,7 @@ def analyze_cache(kernel_or_nests, arch: Architecture,
             capacity = _effective_capacity(cache, li == nlevels - 1,
                                            pressure_bytes)
             level_misses = _nest_group_misses(nest, groups, capacity,
-                                              warm, line)
+                                              warm, cache.line_bytes)
             # An access cannot miss deeper without missing shallower.
             level_misses = [min(m, p) for m, p in zip(level_misses, prev)]
             misses_at[li] += sum(level_misses)
@@ -316,15 +316,17 @@ def analyze_cache(kernel_or_nests, arch: Architecture,
             name=cache.name,
             hits=upstream - m,
             misses=m,
-            bytes_in=m * line,
+            bytes_in=m * cache.line_bytes,
         ))
         upstream = m
 
+    # DRAM traffic moves in last-level lines.
+    llc_line = arch.caches[-1].line_bytes
     mem_accesses = upstream
     return CacheProfile(
         accesses=total_accesses,
         levels=tuple(levels),
         mem_accesses=mem_accesses,
-        mem_bytes=mem_accesses * line,
-        writeback_bytes=store_misses_llc * line,
+        mem_bytes=mem_accesses * llc_line,
+        writeback_bytes=store_misses_llc * llc_line,
     )

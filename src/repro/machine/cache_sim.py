@@ -1,25 +1,13 @@
-"""Trace-driven set-associative cache simulator (the reference path).
+"""Trace-driven set-associative cache simulator: the model's test oracle.
 
-The analytical model (:mod:`repro.machine.cache_model`) is the default
-backend because the experiment sweeps are large; this simulator is the
-ground truth it is validated against (see ``tests/machine/``) and an
-alternative backend for small kernels.  It executes the *actual* address
-stream of a kernel invocation through an inclusive LRU hierarchy.
+The analytical model (:mod:`repro.machine.cache_model`) is the only
+cache model the pipeline runs; this simulator is the ground truth it is
+validated against (``tests/machine/`` and the cache-model ablation
+bench).  :func:`simulate_cache` interprets the statement tree access by
+access and executes the *actual* address stream of a kernel invocation
+through an inclusive LRU hierarchy — simple, obviously correct, slow.
 
-Two implementations exist (docs/PERFORMANCE.md):
-
-* :func:`simulate_cache_reference` (this module) interprets the
-  statement tree access by access — simple, obviously correct, slow;
-* :func:`repro.machine.cache_sim_vec.simulate_cache_fast` compiles the
-  affine loop nests into numpy address streams and runs a batched
-  per-set LRU — proven bit-identical by the ``cache-sim-equivalence``
-  verify invariant and ``tests/machine/test_cache_sim_equiv.py``.
-
-:func:`simulate_cache` dispatches between them (``backend=`` selection,
-default the fast path).
-
-Simulation semantics — shared by both paths, pinned by the equivalence
-suite:
+Simulation semantics, pinned by ``tests/machine/test_cache_sim.py``:
 
 * a trace entry is ``(byte_address, size_bytes, is_store)``: one
   element access of a load or store site;
@@ -211,11 +199,11 @@ class HierarchySim:
         )
 
 
-def simulate_cache_reference(kernel: Kernel, arch: Architecture,
-                             warmup_invocations: int = 1,
-                             max_accesses_per_invocation: Optional[int]
-                             = None) -> CacheProfile:
-    """Run one measured invocation through the interpreting simulator.
+def simulate_cache(kernel: Kernel, arch: Architecture,
+                   warmup_invocations: int = 1,
+                   max_accesses_per_invocation: Optional[int] = None
+                   ) -> CacheProfile:
+    """Simulate one measured invocation of ``kernel`` on ``arch``.
 
     ``warmup_invocations`` prior invocations populate the hierarchy, so
     the measured pass reflects the steady state the analytical model's
@@ -231,49 +219,3 @@ def simulate_cache_reference(kernel: Kernel, arch: Architecture,
                                                max_accesses_per_invocation):
         sim.access(addr, size, is_store)
     return sim.profile()
-
-
-#: ``simulate_cache`` backend names.
-SIM_BACKENDS = ("auto", "fast", "reference")
-
-
-def simulate_cache(kernel: Kernel, arch: Architecture,
-                   warmup_invocations: int = 1,
-                   max_accesses_per_invocation: Optional[int] = None,
-                   backend: str = "auto",
-                   batch_skew: bool = False) -> CacheProfile:
-    """Simulate one measured invocation of ``kernel`` on ``arch``.
-
-    ``backend`` selects the implementation: ``"fast"`` (vectorized
-    address-stream compilation + batched LRU), ``"reference"`` (the
-    statement interpreter above), or ``"auto"`` (the fast path — the
-    two are proven bit-identical, so auto always takes the cheap one).
-    ``batch_skew`` exists only for the ``sim-batch-skew`` planted
-    defect of the verify harness and must stay False in production.
-
-    Emits ``sim.accesses`` (measured trace length) and
-    ``sim.fast_path`` obs counters into the active observation.
-    """
-    if backend not in SIM_BACKENDS:
-        raise ValueError(
-            f"unknown cache-sim backend {backend!r}; "
-            f"choose from {SIM_BACKENDS}")
-    use_fast = backend in ("auto", "fast")
-    if use_fast:
-        from .cache_sim_vec import simulate_cache_fast
-        profile = simulate_cache_fast(
-            kernel, arch, warmup_invocations=warmup_invocations,
-            max_accesses_per_invocation=max_accesses_per_invocation,
-            batch_skew=batch_skew)
-    else:
-        profile = simulate_cache_reference(
-            kernel, arch, warmup_invocations=warmup_invocations,
-            max_accesses_per_invocation=max_accesses_per_invocation)
-
-    from ..obs import active_observation
-    obs = active_observation()
-    if obs is not None:
-        obs.metrics.counter("sim.accesses").inc(int(profile.accesses))
-        if use_fast:
-            obs.metrics.counter("sim.fast_path").inc()
-    return profile

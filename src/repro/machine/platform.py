@@ -15,13 +15,8 @@ from ..ir.kernel import Kernel
 from ..isa.compiler import CompiledKernel, CompilerOptions, compile_kernel
 from .architecture import Architecture
 from .cache_model import CacheProfile, analyze_cache
-from .cache_sim import simulate_cache
 from .counters import DynamicMetrics, derive_metrics
 from .exec_model import ExecutionEstimate, estimate_execution
-
-#: Cache-profile backends.
-ANALYTICAL = "analytical"
-TRACE = "trace"
 
 
 @dataclass(frozen=True)
@@ -52,8 +47,7 @@ def run_kernel_model(kernel: Kernel, arch: Architecture, *,
                      pressure_bytes: float = 0.0,
                      warm: bool = True,
                      compiler_options: Optional[CompilerOptions] = None,
-                     force_scalar: bool = False,
-                     cache_backend: str = ANALYTICAL) -> MeasuredRun:
+                     force_scalar: bool = False) -> MeasuredRun:
     """Model one invocation of ``kernel`` on ``arch``.
 
     Parameters
@@ -66,22 +60,13 @@ def run_kernel_model(kernel: Kernel, arch: Architecture, *,
     force_scalar:
         Compile without vectorization (extraction perturbation of
         fragile codelets).
-    cache_backend:
-        ``"analytical"`` (default, closed-form) or ``"trace"``
-        (trace-driven LRU simulation; exact but slow).
     """
     options = compiler_options or default_options(arch)
     if force_scalar and not options.force_scalar:
         options = replace(options, force_scalar=True)
     compiled = compile_kernel(kernel, options)
-    if cache_backend == ANALYTICAL:
-        profile = analyze_cache([n.nest for n in compiled.nests], arch,
-                                pressure_bytes=pressure_bytes, warm=warm)
-    elif cache_backend == TRACE:
-        profile = simulate_cache(kernel, arch,
-                                 warmup_invocations=1 if warm else 0)
-    else:
-        raise ValueError(f"unknown cache backend {cache_backend!r}")
+    profile = analyze_cache([n.nest for n in compiled.nests], arch,
+                            pressure_bytes=pressure_bytes, warm=warm)
     est = estimate_execution(compiled, arch, profile)
     metrics = derive_metrics(compiled, arch, profile, est)
     return MeasuredRun(arch, compiled, profile, est, metrics)

@@ -85,11 +85,10 @@ def architecture_fingerprint(arch: Architecture) -> str:
 
 
 def measurer_fingerprint(measurer) -> str:
-    """Measurer class, noise model and cache backend."""
+    """Measurer class and noise model."""
     noise = measurer.noise
     return (f"measurer:{type(measurer).__qualname__}"
-            f"|noise={type(noise).__qualname__}:{noise!r}"
-            f"|backend={measurer.cache_backend}")
+            f"|noise={type(noise).__qualname__}:{noise!r}")
 
 
 def profile_cache_key(codelet, arch: Architecture, measurer,

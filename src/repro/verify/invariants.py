@@ -56,13 +56,6 @@ Registered invariants (see ``repro verify --list``):
     The vectorized greedy linkage is bit-compatible with the O(n³)
     reference loop: identical merges, bit-identical heights, identical
     ``cut(k)`` labels for every k — including on exact distance ties.
-``cache-sim-equivalence``
-    The vectorized cache simulator (compiled address streams + batched
-    per-set LRU) is bit-identical to the statement-interpreting
-    reference: the compiled trace equals the generated trace entry for
-    entry, and hits/misses/writebacks match per level across
-    architectures (heterogeneous line sizes included), warmup counts
-    and ``max_accesses`` truncation points.
 ``transform-equivalence``
     Every legally-applied loop rewrite is semantics-preserving: the
     interpreter output of each transformed canary kernel is
@@ -98,18 +91,12 @@ from ..core.pipeline import (BenchmarkReducer, PipelineHooks,
                              ReducedSuite, SubsettingConfig)
 from ..core.prediction import build_cluster_model
 from ..core.representatives import select_representatives
-from ..machine.architecture import ATOM, NEHALEM
-from ..machine.cache_sim import generate_trace, simulate_cache_reference
-from ..machine.cache_sim_vec import (compile_address_stream,
-                                     simulate_cache_fast)
 from ..obs import Observation
 from ..runtime.config import RuntimeConfig
 from ..runtime.faults import FaultPlan, FaultRule
 from .oracle import diff_reduced
 from .strategies import (FEATURE_MATRIX_VARIANTS, _feature_matrix,
-                         random_codelets, recurrence_kernel,
-                         reduction_kernel, stencil_kernel, stream_kernel,
-                         synthetic_suite)
+                         random_codelets, synthetic_suite)
 
 
 class InvariantViolation(AssertionError):
@@ -234,15 +221,6 @@ class VerifyContext:
         the ``transform-legality`` and ``transform-equivalence``
         invariants must both notice."""
         return self.breakage == "interchange-ignores-direction"
-
-    @property
-    def sim_batch_skew(self) -> bool:
-        """Whether the batched LRU update of the vectorized cache
-        simulator inserts misses at the MRU way instead of evicting the
-        LRU way (``--break sim-batch-skew``) — a silent replacement-
-        policy divergence the ``cache-sim-equivalence`` invariant must
-        notice."""
-        return self.breakage == "sim-batch-skew"
 
     @property
     def clustering_skew(self) -> float:
@@ -858,81 +836,6 @@ def check_clustering_equivalence(ctx: VerifyContext) -> None:
                     f"{variant} n={rows} method={method}", got, want)
 
 
-#: Architectures the cache-sim differential runs over: two real Table 1
-#: machines plus two synthetic stress configs — heterogeneous line
-#: sizes per level, and a tiny 4-byte-line L1 that forces straddling
-#: units plus capacity evictions with reuse (without eviction + reuse
-#: the replacement policy is unobservable and a skewed LRU would pass).
-def _sim_architectures():
-    hetero = replace(NEHALEM, name="hetero-lines", caches=(
-        replace(NEHALEM.caches[0], line_bytes=32),
-        replace(NEHALEM.caches[1], line_bytes=64),
-        replace(NEHALEM.caches[2], line_bytes=128),
-    ))
-    tiny = replace(NEHALEM, name="tiny-lines", caches=(
-        replace(NEHALEM.caches[0], size_bytes=1024, line_bytes=4,
-                assoc=2),
-        replace(NEHALEM.caches[1], size_bytes=8192, line_bytes=8,
-                assoc=4),
-    ))
-    return (NEHALEM, ATOM, hetero, tiny)
-
-
-@invariant(
-    "cache-sim-equivalence",
-    "the vectorized cache simulator (compiled address streams + "
-    "batched per-set LRU) is bit-identical to the statement-"
-    "interpreting reference: same compiled trace, same hits/misses/"
-    "writebacks per level across architectures, warmup counts and "
-    "max_accesses truncation points")
-def check_cache_sim_equivalence(ctx: VerifyContext) -> None:
-    skew = ctx.sim_batch_skew
-    kernels = (
-        stream_kernel("sim_stream", 512),
-        reduction_kernel("sim_dot", 768),
-        recurrence_kernel("sim_rec", 512),
-        stencil_kernel("sim_stencil", 1024),
-    )
-    archs = _sim_architectures()
-
-    for kernel in kernels:
-        reference = list(generate_trace(kernel))
-        compiled = compile_address_stream(kernel)
-        fast = list(zip((int(a) for a in compiled.addresses),
-                        (int(s) for s in compiled.sizes),
-                        (bool(w) for w in compiled.stores)))
-        if fast != reference:
-            diff = next(i for i, (f, r) in enumerate(zip(fast, reference))
-                        if f != r) if len(fast) == len(reference) \
-                else min(len(fast), len(reference))
-            raise InvariantViolation(
-                f"cache-sim-equivalence: {kernel.name}: compiled "
-                f"address stream diverges from generate_trace at "
-                f"access {diff} (lengths {len(fast)} vs "
-                f"{len(reference)})")
-
-    for ki, kernel in enumerate(kernels):
-        for ai, arch in enumerate(archs):
-            # Sample the (warmup, truncation) axes deterministically
-            # instead of running the full product on every cell.
-            warmup = (ki + ai) % 2
-            max_accesses = None if (ki + ai) % 3 else 257
-            ref = simulate_cache_reference(
-                kernel, arch, warmup_invocations=warmup,
-                max_accesses_per_invocation=max_accesses)
-            fast_profile = simulate_cache_fast(
-                kernel, arch, warmup_invocations=warmup,
-                max_accesses_per_invocation=max_accesses,
-                batch_skew=skew)
-            if fast_profile != ref:
-                raise InvariantViolation(
-                    f"cache-sim-equivalence: {kernel.name} on "
-                    f"{arch.name} (warmup={warmup}, "
-                    f"max_accesses={max_accesses}): fast-path profile "
-                    f"diverges from the reference\n  reference: {ref}\n"
-                    f"  fast:      {fast_profile}")
-
-
 @invariant(
     "transform-equivalence",
     "every legally-applied loop rewrite is semantics-preserving: "
@@ -1075,11 +978,6 @@ BREAKAGES: Dict[str, str] = {
                       "in the vectorized linkage by 1e-3, silently "
                       "diverging it from the reference loop; caught by "
                       "'clustering-equivalence'",
-    "sim-batch-skew": "make the batched LRU update of the vectorized "
-                      "cache simulator insert misses at the MRU way "
-                      "instead of evicting the LRU way, silently "
-                      "diverging its replacement policy from the "
-                      "reference; caught by 'cache-sim-equivalence'",
     "interchange-ignores-direction": "make interchange legality skip "
                                      "the dependence-direction check, "
                                      "silently applying the pinned "

@@ -1,10 +1,14 @@
 """Tests for the analytical cache model."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.ir import DP, SP, KernelBuilder, analyze_nests
 from repro.machine import (ATOM, CORE2, NEHALEM, SANDY_BRIDGE,
-                           analyze_cache, collect_groups, lines_touched)
+                           analyze_cache, collect_groups, lines_touched,
+                           simulate_cache)
+from repro.verify.strategies import stream_kernel
 
 
 def _stream(n, dtype=DP, name="stream"):
@@ -176,3 +180,22 @@ class TestAnalyzeCache:
         via_kernel = analyze_cache(saxpy_kernel, NEHALEM)
         via_nests = analyze_cache(analyze_nests(saxpy_kernel), NEHALEM)
         assert via_kernel.accesses == via_nests.accesses
+
+    def test_each_level_uses_its_own_line_size(self):
+        # Each level counts misses and bytes in its own lines: on a cold
+        # stream a 32/64/128-byte hierarchy fetches half as many lines
+        # at each deeper level, as the simulator does.
+        arch = replace(NEHALEM, name="mixed-lines", caches=(
+            replace(NEHALEM.caches[0], line_bytes=32),
+            replace(NEHALEM.caches[1], line_bytes=64),
+            replace(NEHALEM.caches[2], line_bytes=128),
+        ))
+        kernel = stream_kernel("mixed", 8192)
+        model = analyze_cache(kernel, arch, warm=False)
+        for stats, spec in zip(model.levels, arch.caches):
+            assert stats.bytes_in == stats.misses * spec.line_bytes
+        assert model.mem_bytes == \
+            model.mem_accesses * arch.caches[-1].line_bytes
+        trace = simulate_cache(kernel, arch, warmup_invocations=0)
+        for got, want in zip(model.levels, trace.levels):
+            assert got.misses == pytest.approx(want.misses, rel=0.01)

@@ -5,10 +5,16 @@ from dataclasses import replace
 
 import pytest
 
-from repro.ir import DP, KernelBuilder
+from repro.ir import DP, SP, KernelBuilder
+from repro.isa import compile_kernel
 from repro.machine import (ATOM, NEHALEM, HierarchySim,
                            SetAssociativeCache, analyze_cache,
-                           generate_trace, simulate_cache)
+                           default_options, estimate_execution,
+                           generate_trace, run_kernel_model,
+                           simulate_cache)
+from repro.suites import patterns as P
+from repro.verify.strategies import (recurrence_kernel, reduction_kernel,
+                                     stencil_kernel, stream_kernel)
 
 
 def _stream(n, name="s"):
@@ -17,6 +23,22 @@ def _stream(n, name="s"):
     y = b.array("y", (n,), DP)
     with b.loop(0, n) as i:
         b.assign(y[i], x[i] * 2.0)
+    return b.build()
+
+
+def _multi_statement(n):
+    """Two sibling loop nests plus a triangular nest."""
+    b = KernelBuilder("multi")
+    x = b.array("x", (n,), DP)
+    y = b.array("y", (n,), DP)
+    z = b.array("z", (n, 8), SP)
+    with b.loop(0, n) as i:
+        b.assign(y[i], x[i] * 2.0)
+    with b.loop(0, n) as i:
+        b.assign(x[i], y[i] + 1.0)
+    with b.loop(0, 8) as i:
+        with b.loop(0, i + 1) as j:
+            b.assign(z[i, j], x[j] * 0.5)
     return b.build()
 
 
@@ -76,6 +98,26 @@ class TestTraceGeneration:
     def test_max_accesses_cap(self):
         trace = list(generate_trace(_stream(1000), max_accesses=100))
         assert len(trace) == 100
+
+    @pytest.mark.parametrize("kernel", [
+        stream_kernel("p_stream", 300),
+        reduction_kernel("p_dot", 257),
+        recurrence_kernel("p_rec", 129),
+        stencil_kernel("p_stencil", 200),
+        _multi_statement(64),
+    ], ids=lambda k: k.name)
+    def test_truncation_is_strict_prefix(self, kernel):
+        full = list(generate_trace(kernel))
+        for cut in (1, 2, 3, 257, len(full) - 1, len(full), len(full) + 5):
+            assert list(generate_trace(kernel, max_accesses=cut)) \
+                == full[:cut]
+
+    def test_multi_nest_trace(self):
+        # Sibling nests run one after the other, then the triangular
+        # nest: 2 * 256 + 2 * 256 + 2 * (1 + 2 + ... + 8) accesses.
+        trace = list(generate_trace(_multi_statement(256)))
+        assert len(trace) == 1096
+        assert sum(1 for _, _, is_store in trace if is_store) == 548
 
     def test_duplicate_loads_dropped(self, dot_kernel):
         # s (CSE'd self-read), x, y per iteration -> 3 loads + 1 store.
@@ -154,21 +196,17 @@ class TestPerLevelLineSizes:
     def test_bytes_accounted_in_each_levels_lines(self):
         arch = _custom_arch((1024, 32, 2), (8192, 128, 4))
         profile = simulate_cache(_stream(4096), arch,
-                                 warmup_invocations=0,
-                                 backend="reference")
+                                 warmup_invocations=0)
         for stats, spec in zip(profile.levels, arch.caches):
             assert stats.bytes_in == stats.misses * spec.line_bytes
         assert profile.mem_bytes == \
             profile.mem_accesses * arch.caches[-1].line_bytes
 
-    def test_straddle_counted_by_fast_and_reference(self):
+    def test_straddle_counted_once_per_touched_line(self):
         arch = _custom_arch((1024, 4, 2), (8192, 8, 4))
-        kernel = _stream(64)
-        ref = simulate_cache(kernel, arch, backend="reference")
-        fast = simulate_cache(kernel, arch, backend="fast")
+        profile = simulate_cache(_stream(64), arch)
         # 8-byte elements over 4-byte units: every access splits in two.
-        assert ref.accesses == 2 * 2 * 64
-        assert ref == fast
+        assert profile.accesses == 2 * 2 * 64
 
 
 class TestAnalyticalVsTrace:
@@ -223,3 +261,14 @@ class TestAnalyticalVsTrace:
         # Both should agree on whether the kernel reaches DRAM at all.
         assert (analytical.mem_accesses > 0) == \
             (trace.mem_accesses > 50)
+
+    def test_backends_agree_on_time_within_factor(self):
+        # The execution model must tolerate the cache-model substitution:
+        # fed the exact simulated profile instead of the analytical one,
+        # it lands within a factor of the pipeline's time.
+        k = P.saxpy("s", 16384)
+        compiled = compile_kernel(k, default_options(ATOM))
+        t_trace = estimate_execution(compiled, ATOM,
+                                     simulate_cache(k, ATOM)).seconds
+        t_model = run_kernel_model(k, ATOM).seconds_per_invocation
+        assert t_model == pytest.approx(t_trace, rel=0.5)

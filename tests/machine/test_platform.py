@@ -1,15 +1,9 @@
-"""Tests for the high-level platform API, including the trace-driven
-cache backend end to end."""
+"""Tests for the high-level platform API."""
 
 import pytest
 
-from repro.codelets import Application, BenchmarkSuite, CodeletRegion, \
-    Measurer, Routine
-from repro.core.pipeline import BenchmarkReducer, evaluate_on_target
-from repro.ir import DP, SourceLoc
 from repro.isa import CompilerOptions, SSE42
-from repro.machine import (ANALYTICAL, ATOM, NEHALEM, TRACE,
-                           default_options, run_kernel_model)
+from repro.machine import ATOM, NEHALEM, default_options, run_kernel_model
 from repro.suites import patterns as P
 
 
@@ -17,11 +11,6 @@ class TestRunKernelModel:
     def test_default_options_follow_arch_isa(self):
         assert default_options(NEHALEM).isa.name == "sse4.2"
         assert default_options(ATOM).isa.name == "sse2"
-
-    def test_unknown_backend_rejected(self, saxpy_kernel):
-        with pytest.raises(ValueError):
-            run_kernel_model(saxpy_kernel, NEHALEM,
-                             cache_backend="magic")
 
     def test_force_scalar_composes_with_options(self, saxpy_kernel):
         run = run_kernel_model(
@@ -35,52 +24,6 @@ class TestRunKernelModel:
         run = run_kernel_model(saxpy_kernel, NEHALEM)
         assert run.seconds_per_invocation == run.execution.seconds
         assert run.cycles_per_invocation == run.execution.cycles
-
-
-class TestTraceBackend:
-    def test_trace_backend_runs(self):
-        k = P.vector_copy("c", 4096)
-        run = run_kernel_model(k, NEHALEM, cache_backend=TRACE)
-        assert run.seconds_per_invocation > 0
-
-    def test_backends_agree_on_l1_behaviour(self):
-        k = P.dot_product("d", 8192)
-        analytical = run_kernel_model(k, NEHALEM,
-                                      cache_backend=ANALYTICAL)
-        trace = run_kernel_model(k, NEHALEM, cache_backend=TRACE)
-        a = analytical.cache.levels[0].miss_ratio
-        t = trace.cache.levels[0].miss_ratio
-        assert a == pytest.approx(t, abs=0.08)
-
-    def test_backends_agree_on_time_within_factor(self):
-        k = P.saxpy("s", 16384)
-        t_a = run_kernel_model(k, ATOM,
-                               cache_backend=ANALYTICAL).seconds_per_invocation
-        t_t = run_kernel_model(k, ATOM,
-                               cache_backend=TRACE).seconds_per_invocation
-        assert t_a == pytest.approx(t_t, rel=0.5)
-
-    def test_pipeline_end_to_end_with_trace_backend(self):
-        """The whole Steps A-E flow on the exact simulator backend."""
-        def region(kernel, invocations):
-            return CodeletRegion((kernel,), (1.0,), invocations,
-                                 kernel.srcloc)
-
-        kernels = [
-            P.saxpy("a", 8192, DP, SourceLoc("f.f", 1, 9)),
-            P.dot_product("b", 8192, DP, SourceLoc("f.f", 20, 29)),
-            P.vector_divide("c", 4096, DP, SourceLoc("f.f", 40, 49)),
-            P.first_order_recurrence("d", 8192, DP,
-                                     srcloc=SourceLoc("f.f", 60, 69)),
-        ]
-        app = Application("tiny", (Routine("f.f", tuple(
-            region(k, 500) for k in kernels)),))
-        suite = BenchmarkSuite("TINY", (app,))
-        measurer = Measurer(cache_backend=TRACE)
-        reduced = BenchmarkReducer(suite, measurer).reduce(3)
-        result = evaluate_on_target(reduced, ATOM, measurer)
-        assert len(result.codelets) == 4
-        assert result.median_error_pct < 25.0
 
 
 class TestMeasurementHelpers:
@@ -97,13 +40,3 @@ class TestMeasurementHelpers:
         from repro.codelets import average_metrics
         with pytest.raises(ValueError):
             average_metrics([])
-
-    def test_measurer_backend_keyed_separately(self):
-        from repro.codelets import Codelet
-        k = P.saxpy("s", 4096, DP, SourceLoc("f.f", 1, 9))
-        c = Codelet("t/s", "t", (k,), (1.0,), 10)
-        m_a = Measurer(cache_backend=ANALYTICAL)
-        m_t = Measurer(cache_backend=TRACE)
-        ra = m_a.model_run(c, 0, NEHALEM, standalone=True)
-        rt = m_t.model_run(c, 0, NEHALEM, standalone=True)
-        assert ra is not rt

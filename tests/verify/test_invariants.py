@@ -21,7 +21,6 @@ EXPECTED_INVARIANTS = {
     "resilience-replay",
     "trace-replay",
     "clustering-equivalence",
-    "cache-sim-equivalence",
     "transform-equivalence",
     "transform-legality",
 }
@@ -116,14 +115,6 @@ class TestDefectInjection:
         equiv, legality = (r for r in report.invariants if not r.passed)
         assert "skew-interchange" in equiv.detail
         assert "pinned ground truth" in legality.detail
-
-    def test_sim_batch_skew_fails_only_the_matching_invariant(self):
-        report = run_verify(seed=0, breakage="sim-batch-skew",
-                            skip_differential=True)
-        assert not report.passed
-        assert report.failed_names() == ["cache-sim-equivalence"]
-        failing = next(r for r in report.invariants if not r.passed)
-        assert "fast-path profile diverges" in failing.detail
 
     def test_slow_path_skew_fails_only_the_matching_invariant(self):
         report = run_verify(seed=0, breakage="slow-path-skew",
