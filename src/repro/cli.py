@@ -596,6 +596,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                      f"got {args.jobs}")
     if args.retries < 0:
         parser.error(f"--retries: must be >= 0, got {args.retries}")
+    # Only `report` and the experiment subcommands take these.
+    for flag, least in (("samples", 1), ("population", 1),
+                        ("generations", 0)):
+        value = getattr(args, flag, None)
+        if value is not None and value < least:
+            parser.error(f"--{flag}: must be >= {least}, got {value}")
     if args.task_timeout is not None and args.task_timeout <= 0:
         parser.error(f"--task-timeout: must be > 0 seconds, "
                      f"got {args.task_timeout}")

@@ -15,6 +15,12 @@ output is merge-for-merge and bit-for-bit that of
 the verify harness and the property tests.  The pipeline clusters at
 most 67 codelets, where the n argmins cost a few milliseconds (see
 docs/PERFORMANCE.md).
+
+:func:`variance_curve` computes the elbow's W(1..k_max) in one pass
+over the merge sequence, re-meaning only the clusters that are live at
+``k_max`` or created after it.  It repeats the floating-point work of
+re-cutting the dendrogram at every k and calling
+:func:`within_cluster_variance`, so each W(k) is the same bits.
 """
 
 from __future__ import annotations
@@ -347,6 +353,13 @@ def ward_linkage(points: np.ndarray) -> Dendrogram:
 # ---------------------------------------------------------------------------
 
 
+def _cluster_sse(members: np.ndarray) -> float:
+    """Sum of squared deviations of ``members`` (one row each) from
+    their centroid."""
+    centroid = members.mean(axis=0)
+    return float(((members - centroid) ** 2).sum())
+
+
 def within_cluster_variance(points: np.ndarray,
                             labels: Sequence[int]) -> float:
     """Total within-cluster sum of squared deviations from centroids."""
@@ -354,19 +367,65 @@ def within_cluster_variance(points: np.ndarray,
     labels = np.asarray(labels)
     total = 0.0
     for lab in np.unique(labels):
-        members = points[labels == lab]
-        centroid = members.mean(axis=0)
-        total += float(((members - centroid) ** 2).sum())
+        total += _cluster_sse(points[labels == lab])
     return total
 
 
 def variance_curve(points: np.ndarray, dendrogram: Dendrogram,
-                   k_max: Optional[int] = None) -> np.ndarray:
-    """W(k) for k = 1..k_max (within-cluster variance after each cut)."""
+                   k_max: Optional[int] = None, *,
+                   keep_absorbed_sse: bool = False) -> np.ndarray:
+    """W(k) for k = 1..k_max (within-cluster variance after each cut).
+
+    One pass over the merge sequence: the first ``n - k_max`` merges
+    only join member lists, then each of the ``k_max`` live clusters,
+    and each cluster a later merge creates, has its sum of squares
+    computed once.  W(k) is the sum, from ``0.0``, of the live
+    clusters' values in ascending order of each cluster's smallest
+    leaf.
+
+    That repeats ``within_cluster_variance(points, dendrogram.cut(k))``
+    bit for bit.  ``cut(k)`` numbers clusters in order of their
+    smallest leaf and ``np.unique`` visits the labels in that order;
+    ``points[labels == lab]`` is the same ascending-row array as
+    ``points[leaves]``.  So every per-cluster value and every addition
+    is the same floating-point operation on the same operands.
+
+    ``keep_absorbed_sse`` leaves a merged-away child's value in the
+    total — the verify harness's ``stale-curve-child`` planted defect,
+    which only the ``variance-curve-equivalence`` invariant sets.
+    """
+    points = np.asarray(points, dtype=float)
     n = dendrogram.n_leaves
+    if points.shape[0] != n:
+        raise ValueError(f"points has {points.shape[0]} rows but the "
+                         f"dendrogram has {n} leaves")
     k_max = min(k_max or n, n)
-    return np.array([within_cluster_variance(points, dendrogram.cut(k))
-                     for k in range(1, k_max + 1)])
+    merges = dendrogram.merges
+    leaves: Dict[int, List[int]] = {leaf: [leaf] for leaf in range(n)}
+    for i, merge in enumerate(merges[:n - k_max]):
+        leaves[n + i] = sorted(leaves.pop(merge.a) + leaves.pop(merge.b))
+    # Live clusters' sums of squares, keyed by their smallest leaf.
+    sse = {idx[0]: _cluster_sse(points[idx]) for idx in leaves.values()}
+
+    def total() -> float:
+        # One add at a time, like within_cluster_variance: sum()
+        # compensates rounding on Python >= 3.12.
+        w = 0.0
+        for first in sorted(sse):
+            w += sse[first]
+        return w
+
+    curve = np.empty(k_max)
+    curve[k_max - 1] = total()
+    for i in range(n - k_max, n - 1):
+        a, b = leaves.pop(merges[i].a), leaves.pop(merges[i].b)
+        idx = sorted(a + b)
+        leaves[n + i] = idx
+        if not keep_absorbed_sse:
+            del sse[max(a[0], b[0])]
+        sse[idx[0]] = _cluster_sse(points[idx])
+        curve[n - i - 2] = total()
+    return curve
 
 
 #: A cut stops improving "significantly" when one more cluster removes

@@ -5,19 +5,25 @@ it against 1000 *random* partitionings for every K from 2 to 24: the GA
 feature set should sit near or below the best random clustering's
 error.  A random partitioning has no feature space, so representatives
 are drawn uniformly from each cluster.
+
+The samples are drawn one at a time, in the order and from the random
+stream of a per-cluster ``rng.choice`` loop, and scored together: one
+(samples × n) matrix of representative indices, elementwise prediction
+errors in :func:`~repro.core.prediction.percent_error`'s operation
+order, and one row-wise median.  Every statistic is bit-identical to
+scoring each sample on its own (see docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
 from ..codelets.measurement import Measurer
 from ..codelets.profiling import CodeletProfile
 from ..machine.architecture import Architecture
-from .prediction import percent_error
 
 
 def random_partition(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -44,21 +50,6 @@ class RandomClusteringStats:
     samples: int
 
 
-def _evaluate_partition(profiles: Sequence[CodeletProfile],
-                        labels: np.ndarray,
-                        reps_idx: Sequence[int],
-                        real: Dict[str, float],
-                        bench: Dict[str, float]) -> float:
-    """Median prediction error of one (partition, representatives)."""
-    errors: List[float] = []
-    rep_of_cluster = {int(labels[i]): i for i in reps_idx}
-    for i, p in enumerate(profiles):
-        rep = profiles[rep_of_cluster[int(labels[i])]]
-        predicted = p.ref_seconds * bench[rep.name] / rep.ref_seconds
-        errors.append(percent_error(predicted, real[p.name]))
-    return float(np.median(errors))
-
-
 def random_clustering_errors(profiles: Sequence[CodeletProfile],
                              measurer: Measurer,
                              target: Architecture,
@@ -67,27 +58,35 @@ def random_clustering_errors(profiles: Sequence[CodeletProfile],
                              seed: int = 7) -> RandomClusteringStats:
     """Figure 7 statistics: worst/median/best median-error over
     ``samples`` random K-partitionings on one target."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed + 1000 * k)
-    real = {p.name: measurer.measure_inapp(p.codelet, target)
-            for p in profiles}
-    bench = {p.name: measurer.benchmark_standalone(
-        p.codelet, target).per_invocation_s for p in profiles}
+    real = np.array([measurer.measure_inapp(p.codelet, target)
+                     for p in profiles])
+    bench = np.array([measurer.benchmark_standalone(
+        p.codelet, target).per_invocation_s for p in profiles])
+    ref = np.array([p.ref_seconds for p in profiles])
+    if (real <= 0).any():
+        raise ValueError("real time must be positive")
     n = len(profiles)
-    results: List[float] = []
-    for _ in range(samples):
+    rep_of = np.empty((samples, n), dtype=np.intp)
+    for s in range(samples):
         labels = random_partition(n, k, rng)
-        reps_idx = []
-        for cluster in range(k):
-            members = np.flatnonzero(labels == cluster)
-            reps_idx.append(int(rng.choice(members)))
-        results.append(_evaluate_partition(profiles, labels, reps_idx,
-                                           real, bench))
-    arr = np.asarray(results)
+        # One bounded draw per cluster, into its members in ascending
+        # order: the stream k calls of rng.choice(members) consume.
+        counts = np.bincount(labels, minlength=k)
+        starts = np.cumsum(counts) - counts
+        by_cluster = np.argsort(labels, kind="stable")
+        reps_idx = by_cluster[starts + rng.integers(0, counts)]
+        rep_of[s] = reps_idx[labels]
+    predicted = ref * bench[rep_of] / ref[rep_of]
+    errors = 100.0 * np.abs(predicted - real) / real
+    medians = np.median(errors, axis=1)
     return RandomClusteringStats(
         k=k,
         arch_name=target.name,
-        worst=float(arr.max()),
-        median=float(np.median(arr)),
-        best=float(arr.min()),
+        worst=float(medians.max()),
+        median=float(np.median(medians)),
+        best=float(medians.min()),
         samples=samples,
     )

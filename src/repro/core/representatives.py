@@ -121,9 +121,9 @@ def select_representatives(profiles: Sequence[CodeletProfile],
                                 and faithful[p.name])
 
     cluster_ids = list(np.unique(labels))
-    members_of: Dict[int, List[int]] = {
-        cid: [i for i in range(len(profiles)) if labels[i] == cid]
-        for cid in cluster_ids}
+    members_of: Dict[int, List[int]] = {cid: [] for cid in cluster_ids}
+    for i, cid in enumerate(labels.tolist()):
+        members_of[cid].append(i)
 
     kept: List[Tuple[int, str]] = []        # (original cluster id, rep)
     orphans: List[int] = []                 # members of destroyed clusters

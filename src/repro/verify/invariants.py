@@ -56,6 +56,9 @@ Registered invariants (see ``repro verify --list``):
     The vectorized greedy linkage is bit-compatible with the O(n³)
     reference loop: identical merges, bit-identical heights, identical
     ``cut(k)`` labels for every k — including on exact distance ties.
+``variance-curve-equivalence``
+    The one-pass W(k) curve is bit-identical to re-cutting the
+    dendrogram at every k and summing ``within_cluster_variance``.
 ``transform-equivalence``
     Every legally-applied loop rewrite is semantics-preserving: the
     interpreter output of each transformed canary kernel is
@@ -84,7 +87,7 @@ from ..codelets.measurement import Measurer
 from ..codelets.profiling import ProfilingReport, profile_codelets
 from ..core.clustering import (Dendrogram, elbow_k, linkage,
                                linkage_reference, variance_curve,
-                               ward_linkage)
+                               ward_linkage, within_cluster_variance)
 from ..core.features import FeatureMatrix
 from ..core.ga import GAConfig
 from ..core.pipeline import (BenchmarkReducer, PipelineHooks,
@@ -230,6 +233,14 @@ class VerifyContext:
         diverging ``linkage`` from the reference loop, which the
         ``clustering-equivalence`` invariant must notice."""
         return 1e-3 if self.breakage == "slow-path-skew" else 0.0
+
+    @property
+    def curve_keeps_absorbed_sse(self) -> bool:
+        """Whether :func:`~repro.core.clustering.variance_curve` leaves
+        a merged-away child's sum of squares in W(k) — ``False`` in a
+        clean context; the ``stale-curve-child`` defect sets it, which
+        the ``variance-curve-equivalence`` invariant must notice."""
+        return self.breakage == "stale-curve-child"
 
     # -- pipeline runs --------------------------------------------------------
 
@@ -837,6 +848,36 @@ def check_clustering_equivalence(ctx: VerifyContext) -> None:
 
 
 @invariant(
+    "variance-curve-equivalence",
+    "the one-pass W(k) curve is bit-identical to re-cutting the "
+    "dendrogram and summing within_cluster_variance at every k")
+def check_variance_curve_equivalence(ctx: VerifyContext) -> None:
+    dendrogram = ctx.reduced.dendrogram
+    rows = ctx.artifacts.cluster_rows
+    stale = ctx.curve_keeps_absorbed_sse
+    n = dendrogram.n_leaves
+    for k_max in (None, ctx.config.elbow_k_max, 1):
+        got = variance_curve(rows, dendrogram, k_max,
+                             keep_absorbed_sse=stale)
+        want = np.array([within_cluster_variance(rows, dendrogram.cut(k))
+                         for k in range(1, min(k_max or n, n) + 1)])
+        if got.shape != want.shape:
+            raise InvariantViolation(
+                f"variance-curve-equivalence: k_max={k_max}: the "
+                f"one-pass curve has {got.size} points, the per-cut "
+                f"curve {want.size}")
+        differ = np.flatnonzero(got.view(np.uint64)
+                                != want.view(np.uint64))
+        if differ.size:
+            k = int(differ[0]) + 1
+            raise InvariantViolation(
+                f"variance-curve-equivalence: k_max={k_max}: W({k}) is "
+                f"{float(got[k - 1])!r} in one pass but "
+                f"{float(want[k - 1])!r} from cut({k}) — the curve must "
+                "be bit-identical, not merely close")
+
+
+@invariant(
     "transform-equivalence",
     "every legally-applied loop rewrite is semantics-preserving: "
     "transformed canary kernels interpret bit-identically to their "
@@ -978,6 +1019,10 @@ BREAKAGES: Dict[str, str] = {
                       "in the vectorized linkage by 1e-3, silently "
                       "diverging it from the reference loop; caught by "
                       "'clustering-equivalence'",
+    "stale-curve-child": "keep each merged-away child's sum of squares "
+                         "in the one-pass W(k) total, silently "
+                         "inflating the elbow curve below k_max; caught "
+                         "by 'variance-curve-equivalence'",
     "interchange-ignores-direction": "make interchange legality skip "
                                      "the dependence-direction check, "
                                      "silently applying the pinned "

@@ -1,11 +1,13 @@
 """Property suite: the vectorized greedy linkage is *bit-compatible*
-with the O(n³) reference loop.
+with the O(n³) reference loop, and the one-pass W(k) curve with
+re-cutting the dendrogram at every k.
 
-This is the equivalence guarantee the clustering layer rests on (see
-docs/PERFORMANCE.md): same merges, same heights, same ``cut()`` labels
-— including on exact distance ties, which the ``duplicates`` /
-``quantized`` / ``lattice`` matrix variants manufacture on purpose,
-and on the normalized feature matrices the pipeline really clusters.
+These are the equivalence guarantees the clustering layer rests on (see
+docs/PERFORMANCE.md): same merges, same heights, same ``cut()`` labels,
+same W(k) bits — including on exact distance ties, which the
+``duplicates`` / ``quantized`` / ``lattice`` matrix variants
+manufacture on purpose, and on the normalized feature matrices the
+pipeline really clusters.
 """
 
 import numpy as np
@@ -14,12 +16,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.clustering import (LINKAGE_METHODS, linkage,
-                                   linkage_reference)
+                                   linkage_reference, variance_curve,
+                                   ward_linkage, within_cluster_variance)
 from repro.core.features import (ALL_FEATURE_NAMES, TABLE2_FEATURES,
                                  FeatureMatrix)
-from repro.verify.strategies import feature_matrices
+from repro.verify.strategies import (FEATURE_MATRIX_VARIANTS,
+                                     _feature_matrix, feature_matrices)
 
 METHODS = sorted(LINKAGE_METHODS)
+
+#: The normalized matrices `repro report` clusters: the pipeline's 14
+#: features and all 76 (the widest matrix the GA evaluates).
+PIPELINE_MATRICES = pytest.mark.parametrize("suite, features, shape", [
+    ("nr", TABLE2_FEATURES, (28, 14)),
+    ("nr", ALL_FEATURE_NAMES, (28, 76)),
+    ("nas", TABLE2_FEATURES, (67, 14)),
+    ("nas", ALL_FEATURE_NAMES, (67, 76)),
+], ids=["nr-pipeline", "nr-all", "nas-pipeline", "nas-all"])
+
+
+def pipeline_rows(ctx, suite, features, shape):
+    profiles = getattr(ctx, suite).profiling().profiles
+    rows = FeatureMatrix.from_profiles(profiles, features).normalized()
+    assert rows.shape == shape
+    return rows
 
 
 def assert_same_dendrogram(fast, slow):
@@ -43,21 +63,51 @@ class TestLinkageEquivalence:
         slow = linkage_reference(points, method=method)
         assert_same_dendrogram(fast, slow)
 
-    @pytest.mark.parametrize("suite, features, shape", [
-        ("nr", TABLE2_FEATURES, (28, 14)),
-        ("nr", ALL_FEATURE_NAMES, (28, 76)),
-        ("nas", TABLE2_FEATURES, (67, 14)),
-        ("nas", ALL_FEATURE_NAMES, (67, 76)),
-    ], ids=["nr-pipeline", "nr-all", "nas-pipeline", "nas-all"])
+    @PIPELINE_MATRICES
     def test_pipeline_matrices_match_reference(self, ctx, suite, features,
                                                shape):
-        # The sizes `repro report` clusters: the pipeline's 14 features
-        # and all 76 (the widest matrix the GA evaluates).
-        profiles = getattr(ctx, suite).profiling().profiles
-        rows = FeatureMatrix.from_profiles(profiles, features).normalized()
-        assert rows.shape == shape
+        rows = pipeline_rows(ctx, suite, features, shape)
         assert_same_dendrogram(linkage(rows, method="ward"),
                                linkage_reference(rows, method="ward"))
+
+
+def per_cut_curve(points, dendrogram, k_max=None):
+    """W(1..k_max) the direct way: cut the dendrogram at every k and
+    re-mean every cluster."""
+    n = dendrogram.n_leaves
+    return np.array([within_cluster_variance(points, dendrogram.cut(k))
+                     for k in range(1, min(k_max or n, n) + 1)])
+
+
+class TestVarianceCurveEquivalence:
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("variant", FEATURE_MATRIX_VARIANTS)
+    def test_matches_per_cut_reference(self, variant, method):
+        # n from one leaf to just above the NAS suite's 67; integer
+        # variants make tied distances and duplicate rows.
+        for seed, n in enumerate((1, 2, 3, 5, 13, 28, 46, 69)):
+            points = _feature_matrix(seed, n, 1 + seed % 6, variant)
+            dendrogram = linkage(points, method=method)
+            for k_max in (None, 1, 2, 24, n):
+                got = variance_curve(points, dendrogram, k_max)
+                want = per_cut_curve(points, dendrogram, k_max)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), (n, k_max)
+
+    @PIPELINE_MATRICES
+    def test_pipeline_matrices_match_per_cut(self, ctx, suite, features,
+                                             shape):
+        rows = pipeline_rows(ctx, suite, features, shape)
+        dendrogram = ward_linkage(rows)
+        assert variance_curve(rows, dendrogram, 24).tobytes() \
+            == per_cut_curve(rows, dendrogram, 24).tobytes()
+
+    def test_row_count_mismatch_rejected(self):
+        points = _feature_matrix(3, 10, 4, "plain")
+        dendrogram = ward_linkage(points)
+        for rows in (points[:-1], np.vstack([points, points[:1]])):
+            with pytest.raises(ValueError, match="rows"):
+                variance_curve(rows, dendrogram)
 
 
 class TestValidation:

@@ -8,7 +8,9 @@ from repro.codelets import Measurer, find_suite_codelets, profile_codelets
 from repro.core.features import ALL_FEATURE_NAMES
 from repro.core.ga import (FeatureSelectionProblem, GAConfig, run_ga,
                            select_features)
-from repro.core.random_baseline import (random_clustering_errors,
+from repro.core.prediction import percent_error
+from repro.core.random_baseline import (RandomClusteringStats,
+                                        random_clustering_errors,
                                         random_partition)
 from repro.core.subsetting import (cross_application_subsetting,
                                    per_application_subsetting)
@@ -119,6 +121,41 @@ class TestRandomBaseline:
         assert stats.best <= stats.median <= stats.worst
         assert stats.samples == 40
 
+    def test_no_samples_rejected(self, nr_profiles):
+        m, profiles = nr_profiles
+        with pytest.raises(ValueError, match="samples"):
+            random_clustering_errors(profiles, m, ATOM, k=6, samples=0)
+
+    @pytest.mark.parametrize("seed", [7, 31])
+    @pytest.mark.parametrize("k", [1, 2, 8, 24, 28])
+    def test_matches_scalar_reference(self, nr_profiles, k, seed):
+        m, profiles = nr_profiles
+        got = random_clustering_errors(profiles, m, ATOM, k, samples=50,
+                                       seed=seed)
+        assert got == scalar_random_clustering_errors(
+            profiles, m, ATOM, k, samples=50, seed=seed)
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 24, 67])
+    def test_draws_match_sequential_choice(self, k):
+        # random_clustering_errors draws every cluster's representative
+        # with one rng.integers(0, counts) call.  That must consume the
+        # stream exactly like one rng.choice(members) per cluster, or
+        # Figure 7 silently moves with the installed numpy.
+        for seed in range(20):
+            one = np.random.default_rng(seed)
+            other = np.random.default_rng(seed)
+            for _ in range(10):
+                labels = random_partition(67, k, one)
+                random_partition(67, k, other)
+                sequential = [int(one.choice(np.flatnonzero(labels == c)))
+                              for c in range(k)]
+                counts = np.bincount(labels, minlength=k)
+                first = np.cumsum(counts) - counts
+                batched = np.argsort(labels, kind="stable")[
+                    first + other.integers(0, counts)]
+                assert batched.tolist() == sequential
+            assert one.integers(2 ** 62) == other.integers(2 ** 62)
+
     def test_guided_beats_random_median(self, nr_profiles):
         """Figure 7's claim on the training suite."""
         from repro.core.clustering import ward_linkage
@@ -143,6 +180,34 @@ class TestRandomBaseline:
         rand = random_clustering_errors(profiles, m, ATOM, k=8,
                                         samples=60, seed=2)
         assert guided <= rand.median
+
+
+def scalar_random_clustering_errors(profiles, measurer, target, k,
+                                    samples, seed):
+    """Figure 7 scored one sample at a time: ``rng.choice`` per cluster,
+    ``percent_error`` per codelet, ``np.median`` per sample."""
+    rng = np.random.default_rng(seed + 1000 * k)
+    real = {p.name: measurer.measure_inapp(p.codelet, target)
+            for p in profiles}
+    bench = {p.name: measurer.benchmark_standalone(
+        p.codelet, target).per_invocation_s for p in profiles}
+    results = []
+    for _ in range(samples):
+        labels = random_partition(len(profiles), k, rng)
+        rep_of_cluster = {}
+        for cluster in range(k):
+            members = np.flatnonzero(labels == cluster)
+            rep_of_cluster[cluster] = int(rng.choice(members))
+        errors = []
+        for i, p in enumerate(profiles):
+            rep = profiles[rep_of_cluster[int(labels[i])]]
+            predicted = p.ref_seconds * bench[rep.name] / rep.ref_seconds
+            errors.append(percent_error(predicted, real[p.name]))
+        results.append(float(np.median(errors)))
+    arr = np.asarray(results)
+    return RandomClusteringStats(k, target.name, float(arr.max()),
+                                 float(np.median(arr)), float(arr.min()),
+                                 samples)
 
 
 class TestSubsetting:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 
 
@@ -20,6 +21,46 @@ class TestParser:
     def test_scale_flag(self):
         args = build_parser().parse_args(["--scale", "0.1", "suites"])
         assert args.scale == 0.1
+
+
+class ExperimentStarted(Exception):
+    pass
+
+
+@pytest.fixture
+def no_experiments(monkeypatch):
+    """Make building the experiment context raise, so a test can tell
+    whether a command got past argument checking."""
+    def start(*args, **kwargs):
+        raise ExperimentStarted
+    monkeypatch.setattr(cli, "ExperimentContext", start)
+
+
+class TestRunLengthFlags:
+    @pytest.mark.parametrize("argv, flag", [
+        (["figure7", "--samples", "0"], "--samples"),
+        (["figure7", "--samples", "-3"], "--samples"),
+        (["report", "--samples", "0"], "--samples"),
+        (["table2", "--population", "0"], "--population"),
+        (["report", "--population", "-1"], "--population"),
+        (["table2", "--generations", "-1"], "--generations"),
+        (["report", "--generations", "-1"], "--generations"),
+    ])
+    def test_rejected_before_any_experiment(self, no_experiments, capsys,
+                                            argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"{flag}: must be >=" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["figure7", "--samples", "1"],
+        ["table2", "--population", "1"],
+        ["table2", "--generations", "0"],
+    ])
+    def test_smallest_values_accepted(self, no_experiments, argv):
+        with pytest.raises(ExperimentStarted):
+            main(argv)
 
 
 class TestCommands:

@@ -21,6 +21,7 @@ EXPECTED_INVARIANTS = {
     "resilience-replay",
     "trace-replay",
     "clustering-equivalence",
+    "variance-curve-equivalence",
     "transform-equivalence",
     "transform-legality",
 }
@@ -121,5 +122,13 @@ class TestDefectInjection:
                             skip_differential=True)
         assert not report.passed
         assert report.failed_names() == ["clustering-equivalence"]
+        failing = next(r for r in report.invariants if not r.passed)
+        assert "bit-identical" in failing.detail
+
+    def test_stale_curve_child_fails_only_the_matching_invariant(self):
+        report = run_verify(seed=0, breakage="stale-curve-child",
+                            skip_differential=True)
+        assert not report.passed
+        assert report.failed_names() == ["variance-curve-equivalence"]
         failing = next(r for r in report.invariants if not r.passed)
         assert "bit-identical" in failing.detail
