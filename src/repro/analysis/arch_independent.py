@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import Dict, List, Tuple
 
+from ..ir.dependence import AnalysisContext
 from ..ir.expr import BinOp, Call, Expr, Load, walk_expr
 from ..ir.kernel import Kernel
 from ..ir.stmt import Store, walk_statements
@@ -173,8 +174,9 @@ def analyze_arch_independent(kernel: Kernel) -> ArchIndependentProfile:
     reductions = recurrences = 0
     rec_distance = 0.0
     vectorizable_w = 0.0
+    dep_ctx = AnalysisContext(kernel)
     for nest, w in zip(nests, weights):
-        deps = analyze_dependences(nest.innermost)
+        deps = analyze_dependences(dep_ctx, nest.innermost)
         if deps.reductions:
             reductions += 1
         if deps.recurrences:

@@ -1,9 +1,10 @@
 """Dataflow/dependence static-analysis (lint) framework over the IR.
 
 The framework is a registry of composable passes sharing one cached
-:class:`AnalysisContext` per kernel; each pass emits structured
-:class:`Diagnostic` objects with stable codes (see
-:mod:`.diagnostics` for the full table).  Entry points:
+:class:`~repro.ir.dependence.AnalysisContext` per kernel, the
+dependence engine the compiler and the loop rewrites use too; each
+pass emits structured :class:`Diagnostic` objects with stable codes
+(see :mod:`.diagnostics` for the full table).  Entry points:
 
 * :func:`lint_kernel` — run every pass over one kernel;
 * :func:`lint_suite` / :func:`make_suite_report` — lint whole built-in
@@ -13,12 +14,6 @@ The framework is a registry of composable passes sharing one cached
   replayed by the ``lint-determinism`` verification invariant.
 """
 
-from .context import AccessSite, AnalysisContext
-from .dependence import (DIRECTIONS, FREE, Dependence, DependenceEdge,
-                         common_loops, compute_dependence_edges,
-                         direction_vector, expand_directions,
-                         format_directions, format_distance,
-                         test_dependence)
 from .diagnostics import Diagnostic, Severity, sort_diagnostics
 from .registry import (PASS_REGISTRY, LintPass, describe_passes,
                        lint_kernel, lint_pass, make_diagnostic)
@@ -40,11 +35,6 @@ from .report import LintReport
 from .runner import lint_suite, make_suite_report
 
 __all__ = [
-    "AccessSite", "AnalysisContext",
-    "FREE", "DIRECTIONS", "Dependence", "DependenceEdge",
-    "common_loops", "compute_dependence_edges", "direction_vector",
-    "expand_directions", "format_directions", "format_distance",
-    "test_dependence",
     "Diagnostic", "Severity", "sort_diagnostics",
     "PASS_REGISTRY", "LintPass", "describe_passes", "lint_kernel",
     "lint_pass", "make_diagnostic",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import List
 
-from .context import AnalysisContext
+from ...ir.dependence import AnalysisContext
 from .diagnostics import Diagnostic, Severity
 from .registry import lint_pass, make_diagnostic
 

@@ -39,6 +39,20 @@ def _recurrence() -> Kernel:
     return b.build()
 
 
+def _nonuniform_self_read() -> Kernel:
+    """Iteration ``2i`` reads what iteration ``i`` wrote: a flow
+    dependence no single distance describes.  The compiler must keep
+    this loop scalar, which ``compiler-dependence-agreement`` checks."""
+    b = KernelBuilder("canary_nonuniform")
+    a = b.array("a", (2 * _N,), DP)
+    x = b.array("x", (_N,), DP)
+    y = b.array("y", (_N,), DP)
+    z = b.array("z", (_N,), DP)
+    with b.loop(1, _N) as i:
+        b.assign(a[2 * i], a[i] + x[i] * y[i] + z[i])
+    return b.build()
+
+
 def _carried_write_overlap() -> Kernel:
     b = KernelBuilder("canary_carried_write")
     u = b.array("u", (_N + 1,), DP)
@@ -93,6 +107,7 @@ class Canary:
 CANARIES: Tuple[Canary, ...] = (
     Canary("canary_clean", _clean_copy, ()),
     Canary("canary_recurrence", _recurrence, ("L101",)),
+    Canary("canary_nonuniform", _nonuniform_self_read, ("L102",)),
     Canary("canary_carried_write", _carried_write_overlap, ("L201",)),
     Canary("canary_oob", _out_of_bounds, ("L301",)),
     Canary("canary_uninit", _uninitialized_read, ("L401",)),

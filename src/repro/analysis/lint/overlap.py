@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from typing import List
 
-from .context import AnalysisContext
-from .dependence import FREE, format_distance, test_dependence
+from ...ir.dependence import FREE, AnalysisContext, format_distance
 from .diagnostics import Diagnostic, Severity
 from .registry import lint_pass, make_diagnostic
 
@@ -36,7 +35,7 @@ def check_write_overlap(ctx: AnalysisContext) -> List[Diagnostic]:
         for b in stores[i + 1:]:
             if a.array.name != b.array.name:
                 continue
-            dep = test_dependence(ctx, a, b)
+            dep = ctx.dependence_between(a, b)
             if dep is None or not dep.carried:
                 continue
             site = f"{a.site_id}+{b.site_id}"

@@ -21,7 +21,11 @@ from __future__ import annotations
 
 from typing import List
 
-from .context import AnalysisContext
+from ...ir.dependence import AnalysisContext
+from ...ir.rewrite.legality import (fuse_verdict, interchange_verdict,
+                                    tile_verdict)
+from ...ir.rewrite.substitute import perfect_chain, scoping_ok
+from ...ir.stmt import Loop
 from .diagnostics import Diagnostic, Severity
 from .registry import lint_pass, make_diagnostic
 
@@ -31,13 +35,6 @@ from .registry import lint_pass, make_diagnostic
     "loop-transformation legality from direction-vector matrices "
     "(interchange, tiling, fusion opportunities and blockers)")
 def check_transformations(ctx: AnalysisContext) -> List[Diagnostic]:
-    # Imported lazily: repro.ir.rewrite consumes this package's
-    # AnalysisContext, so a module-level import would be circular.
-    from ...ir.rewrite.legality import (fuse_verdict, interchange_verdict,
-                                        tile_verdict)
-    from ...ir.rewrite.substitute import perfect_chain, scoping_ok
-    from ...ir.stmt import Loop
-
     diags: List[Diagnostic] = []
     outer_loops = [s for s in ctx.kernel.body if isinstance(s, Loop)]
 

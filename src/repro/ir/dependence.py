@@ -1,4 +1,19 @@
-"""Affine dependence testing between two access sites.
+"""The dependence engine: access sites, the exact affine solver and
+direction-vector edges, shared by every consumer of the IR.
+
+:class:`AnalysisContext` walks a kernel once and caches what dependence
+questions need: every memory-access site with its enclosing loop stack,
+conservative integer ranges for each loop variable (interval evaluation
+of the affine bounds, exact for rectangular and triangular nests), and
+canonical loop labels.  Three layers ask it the same question:
+
+* :mod:`repro.isa.deps` — vectorization legality of innermost loops,
+  through pairwise :meth:`AnalysisContext.dependence_between` queries;
+* :mod:`repro.analysis.lint` — the ``deps``, ``overlap`` and
+  ``transform`` passes;
+* :mod:`repro.ir.rewrite` — legality verdicts of loop rewrites, from
+  the direction-vector matrices of the context's edge graph
+  (:attr:`AnalysisContext.dependence_edges`).
 
 The IR restricts subscripts to affine functions of loop variables, so
 classic dependence analysis applies exactly:
@@ -7,9 +22,10 @@ classic dependence analysis applies exactly:
   reduce to a small integer linear system ``sum(c_v * delta_v) =
   offset_a - offset_b`` per dimension, solved for the iteration
   *distance vector* ``delta`` over the common enclosing loops.  A
-  non-integer or contradictory solution proves independence; loop
-  variables left unconstrained are *free* (the dependence holds at any
-  distance — the signature of reductions and repeated overwrites).
+  non-integer or contradictory solution, or a distance at least one
+  full trip long, proves independence; loop variables left
+  unconstrained are *free* (the dependence holds at any distance — the
+  signature of reductions and repeated overwrites).
 * **Non-uniform pairs** fall back to per-dimension interval
   intersection: provably disjoint index ranges prove independence,
   anything else is a conservative *may-overlap* with unknown distance.
@@ -19,23 +35,45 @@ follows the first's (``delta = I_b - I_a``).
 
 On top of the raw distance test this module derives **direction
 vectors** (``<``/``=``/``>``/``*`` per common loop) and folds every
-pairwise result into oriented :class:`DependenceEdge` records — the
-structured form consumed by both the lint passes and the legality
-analyses of :mod:`repro.ir.rewrite`.  Access them through
-:attr:`AnalysisContext.dependence_edges` so the solver runs once per
-kernel.
+pairwise result into oriented :class:`DependenceEdge` records.
+
+Loop labels deserve a note: loop variables are created by a global
+counter (``fresh_index``), so their *names* differ between two builds
+of the same suite.  Diagnostics must be byte-identical across builds
+(the ``lint-determinism`` invariant), so consumers never mention
+variable names — they use the canonical walk-order labels ``L0``,
+``L1``, ... provided here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
-from ...ir.stmt import Loop
-from .context import AccessSite, AnalysisContext
+from .expr import AffineIndex, Array
+from .kernel import Kernel
+from .stmt import Loop, Store, walk_statements
 
 #: Distance entry for a loop the solution does not constrain.
 FREE = None
+
+
+@dataclass(frozen=True)
+class AccessSite:
+    """One static memory access with its position in the kernel.
+
+    ``site_id`` is canonical and deterministic: stores are numbered in
+    statement walk order (``S0``, ``S1``...), loads by their position in
+    the owning store's right-hand side (``S0.l1``).
+    """
+
+    site_id: str
+    array: Array
+    indices: Tuple[AffineIndex, ...]
+    is_store: bool
+    store_ordinal: int
+    loops: Tuple[Loop, ...]
 
 
 @dataclass(frozen=True)
@@ -71,6 +109,169 @@ class Dependence:
             return self.loops
         return tuple(lp for lp, d in zip(self.loops, self.distance)
                      if d is FREE or d != 0)
+
+
+class AnalysisContext:
+    """Cached IR facts for one kernel; one instance per lint run,
+    lowering or rewrite."""
+
+    def __init__(self, kernel: Kernel):
+        self.kernel = kernel
+
+    # -- loops ---------------------------------------------------------------
+
+    @cached_property
+    def loops(self) -> Tuple[Loop, ...]:
+        return tuple(s for s, _ in walk_statements(self.kernel.body)
+                     if isinstance(s, Loop))
+
+    @cached_property
+    def _loop_labels(self) -> Dict[int, str]:
+        return {id(lp): f"L{k}" for k, lp in enumerate(self.loops)}
+
+    def loop_label(self, loop: Loop) -> str:
+        return self._loop_labels[id(loop)]
+
+    # -- value ranges --------------------------------------------------------
+
+    @cached_property
+    def var_ranges(self) -> Dict[str, Tuple[int, int]]:
+        """Inclusive value range of each loop variable, by interval
+        evaluation of the affine bounds under enclosing ranges."""
+        ranges: Dict[str, Tuple[int, int]] = {}
+        for lp in self.loops:
+            lo, _ = self._interval(lp.lower, ranges)
+            _, hi = self._interval(lp.upper, ranges)
+            # The loop runs [lower, upper); an empty range collapses to
+            # the lower bound so nested intervals stay well-formed.
+            ranges[lp.var.name] = (lo, max(lo, hi - 1))
+        return ranges
+
+    @cached_property
+    def trip_max(self) -> Dict[str, int]:
+        """Upper bound on each loop's trip count (0 = provably empty)."""
+        trips: Dict[str, int] = {}
+        ranges: Dict[str, Tuple[int, int]] = {}
+        for lp in self.loops:
+            lo, _ = self._interval(lp.lower, ranges)
+            _, hi = self._interval(lp.upper, ranges)
+            trips[lp.var.name] = max(0, hi - lo)
+            ranges[lp.var.name] = (lo, max(lo, hi - 1))
+        return trips
+
+    @staticmethod
+    def _interval(idx: AffineIndex,
+                  ranges: Dict[str, Tuple[int, int]]) -> Tuple[int, int]:
+        lo = hi = idx.offset
+        for var, coef in idx.coefs:
+            vlo, vhi = ranges[var]
+            a, b = coef * vlo, coef * vhi
+            lo += min(a, b)
+            hi += max(a, b)
+        return lo, hi
+
+    def index_interval(self, idx: AffineIndex) -> Tuple[int, int]:
+        """Inclusive [min, max] an affine index can reach."""
+        return self._interval(idx, self.var_ranges)
+
+    # -- access sites --------------------------------------------------------
+
+    @cached_property
+    def stores(self) -> Tuple[Tuple[Store, Tuple[Loop, ...]], ...]:
+        return tuple((s, stack)
+                     for s, stack in walk_statements(self.kernel.body)
+                     if isinstance(s, Store))
+
+    @cached_property
+    def sites(self) -> Tuple[AccessSite, ...]:
+        out: List[AccessSite] = []
+        for ordinal, (store, stack) in enumerate(self.stores):
+            for j, ld in enumerate(store.loads()):
+                out.append(AccessSite(f"S{ordinal}.l{j}", ld.array,
+                                      ld.indices, False, ordinal, stack))
+            out.append(AccessSite(f"S{ordinal}", store.array,
+                                  store.indices, True, ordinal, stack))
+        return tuple(out)
+
+    @cached_property
+    def store_sites(self) -> Tuple[AccessSite, ...]:
+        return tuple(s for s in self.sites if s.is_store)
+
+    @cached_property
+    def load_sites(self) -> Tuple[AccessSite, ...]:
+        return tuple(s for s in self.sites if not s.is_store)
+
+    @cached_property
+    def stored_arrays(self) -> Tuple[str, ...]:
+        seen: List[str] = []
+        for site in self.store_sites:
+            if site.array.name not in seen:
+                seen.append(site.array.name)
+        return tuple(seen)
+
+    @cached_property
+    def loaded_arrays(self) -> Tuple[str, ...]:
+        seen: List[str] = []
+        for site in self.load_sites:
+            if site.array.name not in seen:
+                seen.append(site.array.name)
+        return tuple(seen)
+
+    # -- dependences ---------------------------------------------------------
+
+    @cached_property
+    def _dep_cache(self) -> Dict[Tuple[str, str], Optional[Dependence]]:
+        return {}
+
+    def dependence_between(self, a: AccessSite,
+                           b: AccessSite) -> Optional[Dependence]:
+        """Memoised :func:`test_dependence` on ``(a, b)``.
+
+        Oriented: the distance vector is ``I_b - I_a``.  Every consumer
+        of the context's own sites (the compiler, the lint passes, the
+        edge graph) goes through this cache so the solver runs once per
+        site pair.
+        """
+        key = (a.site_id, b.site_id)
+        if key not in self._dep_cache:
+            self._dep_cache[key] = test_dependence(self, a, b)
+        return self._dep_cache[key]
+
+    @cached_property
+    def dependence_edges(self) -> Tuple["DependenceEdge", ...]:
+        """All oriented :class:`DependenceEdge` records."""
+        return compute_dependence_edges(self)
+
+    def direction_matrix(self, loops: Tuple[Loop, ...]):
+        """Direction-vector matrix of a loop band: one row per edge whose
+        endpoints both live inside the band, columns aligned with
+        ``loops`` (outer first)."""
+        rows = []
+        for edge in self.dependence_edges:
+            by_loop = {id(lp): d
+                       for lp, d in zip(edge.dep.loops, edge.directions)}
+            if all(id(lp) in by_loop for lp in loops):
+                rows.append((edge, tuple(by_loop[id(lp)] for lp in loops)))
+        return tuple(rows)
+
+    # -- helpers -------------------------------------------------------------
+
+    def is_reduction_store(self, store: Store) -> bool:
+        """``a[I] = f(a[I], ...)`` — the RHS reads the stored location."""
+        return any(ld.array.name == store.array.name
+                   and ld.indices == store.indices
+                   for ld in store.loads())
+
+    @property
+    def srcloc(self) -> Optional[str]:
+        return str(self.kernel.srcloc) if self.kernel.srcloc else None
+
+    def unreachable(self, site: AccessSite) -> bool:
+        """True when an enclosing loop is provably empty."""
+        return any(self.trip_max[lp.var.name] == 0 for lp in site.loops)
+
+
+# -- the solver ---------------------------------------------------------------
 
 
 def common_loops(a: AccessSite, b: AccessSite) -> Tuple[Loop, ...]:
@@ -154,7 +355,9 @@ def test_dependence(ctx: AnalysisContext, a: AccessSite,
     """Full dependence test; ``None`` means proven independent.
 
     Both sites must reference the same array (the IR has no aliasing
-    between distinct declared arrays).
+    between distinct declared arrays).  Sites the context holds are
+    better queried through :meth:`AnalysisContext.dependence_between`,
+    which memoises this function.
     """
     if a.array.name != b.array.name:
         return None

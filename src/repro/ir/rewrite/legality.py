@@ -1,8 +1,8 @@
 """Dependence-based legality analysis for loop rewrites.
 
 Every verdict here is derived from the exact affine dependence solver
-(:mod:`repro.analysis.lint.dependence`) through the direction-vector
-matrices cached on :class:`~repro.analysis.lint.context.AnalysisContext`.
+(:mod:`repro.ir.dependence`) through the direction-vector matrices
+cached on :class:`~repro.ir.dependence.AnalysisContext`.
 The textbook rules, in the form implemented:
 
 * **Permutation / interchange** — a reordering of a perfect nest is
@@ -32,9 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
-from ...analysis.lint.context import AccessSite, AnalysisContext
-from ...analysis.lint.dependence import (DependenceEdge, direction_vector,
-                                         test_dependence)
+from ..dependence import (AccessSite, AnalysisContext, DependenceEdge,
+                          direction_vector, test_dependence)
 from ..expr import as_affine
 from ..stmt import Loop
 from .substitute import substitute_affine

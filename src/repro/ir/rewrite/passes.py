@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ...analysis.lint.context import AnalysisContext
+from ..dependence import AnalysisContext
 from ..expr import as_affine
 from ..kernel import Kernel
 from ..stmt import Block, Loop, fresh_index

@@ -11,7 +11,13 @@ loop-carried flow dependences and of what kind:
   iteration ``i + d`` (``x[i] = a * x[i-1] + b``, Table 3's "first order
   recurrence" rows).  Not vectorizable.
 
-Only affine subscripts exist in the IR, so distances are exact.
+Reductions and non-associative self-updates are recognised here, from
+the shape of the store.  Every other flow dependence comes from the
+exact solver of :mod:`repro.ir.dependence`, the one lint and the loop
+rewrites use.  A pair it cannot resolve (non-uniform subscripts with
+overlapping ranges, or a distance left free on the innermost loop) is
+a recurrence at distance 1; a distance of at least one full trip is
+independence.
 """
 
 from __future__ import annotations
@@ -19,8 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from ..ir.dependence import FREE, AccessSite, AnalysisContext
 from ..ir.expr import BinOp, Call, Expr, Load, walk_expr
-from ..ir.stmt import Loop, Store, walk_statements
+from ..ir.stmt import Loop, Store
 from ..ir.types import DType
 from .instructions import BINOP_CLASS, OpClass
 
@@ -71,60 +78,38 @@ class DepInfo:
         return max(chains, key=len)
 
 
-def _self_update_path(store: Store,
-                      inner_var: str) -> Optional[Tuple[Tuple[OpClass, DType], ...]]:
+def _self_update(store: Store) -> Optional[
+        Tuple[Tuple[Tuple[OpClass, DType], ...], bool]]:
     """If ``store`` reads its own target location, return the operator
-    path from the expression root down to that self-load, else None."""
+    path from the expression root down to that self-load and whether
+    every operator on it reassociates; else None."""
 
-    def matches(load: Load) -> bool:
-        return (load.array.name == store.array.name
-                and load.indices == store.indices)
-
-    path: List[Tuple[OpClass, DType]] = []
-
-    def search(expr: Expr, acc: List[Tuple[OpClass, DType]]) -> bool:
-        if isinstance(expr, Load) and matches(expr):
-            path.extend(acc)
-            return True
+    def search(expr: Expr, acc: List[Tuple[OpClass, DType, str]]):
+        if (isinstance(expr, Load) and expr.array.name == store.array.name
+                and expr.indices == store.indices):
+            return acc
         if isinstance(expr, BinOp):
-            step = [(BINOP_CLASS[expr.op], expr.dtype)]
-            return (search(expr.left, acc + step)
-                    or search(expr.right, acc + step))
-        if isinstance(expr, Call):
+            children = (expr.left, expr.right)
+            step = (BINOP_CLASS[expr.op], expr.dtype, expr.op)
+        elif isinstance(expr, Call):
             # A self-value passing through an intrinsic is not a simple
-            # accumulation; approximate the chain with a multiply.
-            step = [(OpClass.FP_MUL, expr.dtype)]
-            return any(search(a, acc + step) for a in expr.args)
-        return False
-
-    if search(store.value, []):
-        return tuple(path)
-    return None
-
-
-def _is_associative_path(store: Store,
-                         path: Tuple[Tuple[OpClass, DType], ...]) -> bool:
-    """True when every operator on the self-update path reassociates."""
-
-    def ops_on_path(expr: Expr) -> Optional[List[str]]:
-        if isinstance(expr, Load) and expr.array.name == store.array.name \
-                and expr.indices == store.indices:
-            return []
-        if isinstance(expr, BinOp):
-            for child in (expr.left, expr.right):
-                sub = ops_on_path(child)
-                if sub is not None:
-                    return [expr.op] + sub
-        if isinstance(expr, Call):
-            for a in expr.args:
-                if ops_on_path(a) is not None:
-                    return ["div"]     # force non-associative
+            # accumulation: approximate the chain with a multiply, and
+            # never reassociate it.
+            children = expr.args
+            step = (OpClass.FP_MUL, expr.dtype, "call")
+        else:
+            return None
+        for child in children:
+            found = search(child, acc + [step])
+            if found is not None:
+                return found
         return None
 
-    ops = ops_on_path(store.value)
-    if ops is None:
-        return False
-    return all(op in _ASSOCIATIVE for op in ops)
+    path = search(store.value, [])
+    if path is None:
+        return None
+    return (tuple((oc, dt) for oc, dt, _ in path),
+            all(op in _ASSOCIATIVE for _, _, op in path))
 
 
 def _expr_op_chain(expr: Expr) -> Tuple[Tuple[OpClass, DType], ...]:
@@ -138,63 +123,62 @@ def _expr_op_chain(expr: Expr) -> Tuple[Tuple[OpClass, DType], ...]:
     return tuple(chain)
 
 
-def _carried_distance(store: Store, load: Load, inner_var: str) -> Optional[int]:
-    """Distance ``d > 0`` when the load at iteration ``i + d`` reads what
-    the store wrote at iteration ``i``; None if independent/loop-neutral."""
+def _inner_flow_distance(ctx: AnalysisContext, store: AccessSite,
+                         load: AccessSite,
+                         unresolved_independent: bool) -> Optional[int]:
+    """Distance ``d > 0`` at which ``load`` reads, on the innermost
+    loop, what ``store`` wrote; None if no such flow dependence exists.
+
+    An unresolved pair counts as distance 1 unless
+    ``unresolved_independent`` (the planted ``vectorize-unresolved``
+    defect of ``repro verify``) treats it as independent.
+    """
     if load.array.name != store.array.name:
         return None
-    if load.indices == store.indices:
-        return None                       # same-iteration read (reduction case)
-    distance: Optional[int] = None
-    for st_idx, ld_idx in zip(store.indices, load.indices):
-        st_map, ld_map = st_idx.coef_map, ld_idx.coef_map
-        if {k: v for k, v in st_map.items() if k != inner_var} != \
-                {k: v for k, v in ld_map.items() if k != inner_var}:
-            return None                   # different outer-index pattern
-        coef = st_map.get(inner_var, 0)
-        if coef != ld_map.get(inner_var, 0):
-            return None                   # non-uniform dependence, give up
-        delta = st_idx.offset - ld_idx.offset
-        if coef == 0:
-            if delta != 0:
-                return None               # distinct fixed locations
-            continue
-        if delta % coef != 0:
-            return None
-        d = delta // coef
-        if distance is None:
-            distance = d
-        elif distance != d:
-            return None
-    return distance if distance is not None and distance > 0 else None
+    dep = ctx.dependence_between(store, load)
+    if dep is None:
+        return None
+    if dep.kind == "overlap":
+        return None if unresolved_independent else 1
+    *outer, d = dep.distance
+    if any(o is not FREE and o != 0 for o in outer):
+        return None                       # carried by an outer loop only
+    if d is FREE:
+        return None if unresolved_independent else 1
+    return d if d > 0 else None
 
 
-def analyze_dependences(inner: Loop) -> DepInfo:
-    """Analyse loop-carried dependences of an innermost loop."""
+def analyze_dependences(ctx: AnalysisContext, inner: Loop, *,
+                        unresolved_independent: bool = False) -> DepInfo:
+    """Analyse loop-carried dependences of ``inner``, an innermost loop
+    of ``ctx.kernel``."""
     inner_var = inner.var.name
-    stores: List[Store] = [s for s, _ in walk_statements(inner)
-                           if isinstance(s, Store)]
+    sites = [s for s in ctx.sites if s.loops and s.loops[-1] is inner]
+    loads = [s for s in sites if not s.is_store]
     reductions: List[Reduction] = []
     recurrences: List[Recurrence] = []
 
-    for store in stores:
+    for site in (s for s in sites if s.is_store):
+        store, _ = ctx.stores[site.store_ordinal]
         target_invariant = all(
             idx.coefficient(inner_var) == 0 for idx in store.indices)
-        path = _self_update_path(store, inner_var)
-        if target_invariant and path is not None:
-            if _is_associative_path(store, path):
+        update = _self_update(store)
+        if target_invariant and update is not None:
+            path, associative = update
+            if associative:
                 reductions.append(Reduction(store.array.name, path))
             else:
                 recurrences.append(
                     Recurrence(store.array.name, 1, path))
             continue
         # Cross-iteration flow dependences against every load in the body.
-        for other in stores:
-            for load in other.loads():
-                d = _carried_distance(store, load, inner_var)
-                if d is not None:
-                    recurrences.append(Recurrence(
-                        store.array.name, d, _expr_op_chain(other.value)))
+        for load in loads:
+            d = _inner_flow_distance(ctx, site, load,
+                                     unresolved_independent)
+            if d is not None:
+                owner, _ = ctx.stores[load.store_ordinal]
+                recurrences.append(Recurrence(
+                    store.array.name, d, _expr_op_chain(owner.value)))
 
     # Deduplicate recurrences by (array, distance).
     seen = set()

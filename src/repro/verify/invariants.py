@@ -69,6 +69,11 @@ Registered invariants (see ``repro verify --list``):
     pinned expectations (illegal ones naming the blocking dependence),
     applied records carry legal verdicts, and force-applying the pinned
     illegal interchange demonstrably changes results.
+``compiler-dependence-agreement``
+    The compiler's pairwise dependence queries and the solver's edge
+    graph agree: no innermost loop the compiler vectorizes holds a
+    store/load edge that may be a flow dependence carried on that loop
+    (reduction accumulations excepted).
 """
 
 from __future__ import annotations
@@ -233,6 +238,15 @@ class VerifyContext:
         diverging ``linkage`` from the reference loop, which the
         ``clustering-equivalence`` invariant must notice."""
         return 1e-3 if self.breakage == "slow-path-skew" else 0.0
+
+    @property
+    def compiler_unresolved_independent(self) -> bool:
+        """Whether the compiler treats a dependence pair the solver
+        cannot resolve as independent — ``False`` in a clean context;
+        the ``vectorize-unresolved`` defect sets it, vectorizing loops
+        that may carry a flow dependence, which the
+        ``compiler-dependence-agreement`` invariant must notice."""
+        return self.breakage == "vectorize-unresolved"
 
     @property
     def curve_keeps_absorbed_sse(self) -> bool:
@@ -992,6 +1006,65 @@ def check_transform_legality(ctx: VerifyContext) -> None:
             "legality rule (or the canary) is wrong")
 
 
+def _may_carry_flow(edge, inner) -> bool:
+    """Whether ``edge`` joins a store and a load of the innermost loop
+    ``inner`` and may be a flow dependence carried on it: a ``flow``
+    edge with ``<`` on ``inner``, or an unresolved ``*`` there, while
+    every outer loop may stand still.  A store's read of its own
+    location (a reduction accumulation) is exempt."""
+    source, sink = edge.source, edge.sink
+    if source.is_store == sink.is_store:
+        return False
+    if not all(s.loops and s.loops[-1] is inner for s in (source, sink)):
+        return False
+    store, load = (source, sink) if source.is_store else (sink, source)
+    if (load.store_ordinal == store.store_ordinal
+            and load.indices == store.indices):
+        return False
+    *outer, on_inner = edge.directions
+    if any(d not in ("=", "*") for d in outer):
+        return False
+    return on_inner == "*" or (on_inner == "<" and edge.kind == "flow")
+
+
+@invariant(
+    "compiler-dependence-agreement",
+    "no innermost loop the compiler vectorizes holds a store/load "
+    "dependence edge that may be a flow carried on that loop "
+    "(reduction accumulations excepted)")
+def check_compiler_dependence_agreement(ctx: VerifyContext) -> None:
+    from ..analysis.lint import CANARIES
+    from ..ir.dependence import AnalysisContext, format_directions
+    from ..ir.rewrite import TRANSFORM_CANARIES
+    from ..isa.compiler import compile_kernel
+    from ..machine.platform import default_options
+
+    options = default_options(ctx.config.reference)
+    kernels = ([k for c in ctx.codelets for k in c.variants]
+               + [c.build() for c in CANARIES]
+               + [c.build() for c in TRANSFORM_CANARIES])
+    for kernel in kernels:
+        compiled = compile_kernel(
+            kernel, options,
+            unresolved_independent=ctx.compiler_unresolved_independent)
+        dep_ctx = AnalysisContext(kernel)
+        for nest in compiled.nests:
+            if not nest.vectorized:
+                continue
+            inner = nest.nest.innermost
+            for edge in dep_ctx.dependence_edges:
+                if _may_carry_flow(edge, inner):
+                    raise InvariantViolation(
+                        "compiler-dependence-agreement: the compiler "
+                        f"vectorizes loop {dep_ctx.loop_label(inner)} of "
+                        f"kernel {kernel.name!r} at VF {nest.vf}, but "
+                        f"dependence {edge.pair_id} on "
+                        f"{edge.source.array.name!r}, directions "
+                        f"{format_directions(dep_ctx, edge)}, may be a "
+                        "flow carried on that loop (does the compiler "
+                        "treat unresolved dependences as independent?)")
+
+
 # ---------------------------------------------------------------------------
 # Deliberate defects and registry execution
 # ---------------------------------------------------------------------------
@@ -1023,6 +1096,11 @@ BREAKAGES: Dict[str, str] = {
                          "in the one-pass W(k) total, silently "
                          "inflating the elbow curve below k_max; caught "
                          "by 'variance-curve-equivalence'",
+    "vectorize-unresolved": "make the compiler treat a dependence pair "
+                            "the solver cannot resolve as independent, "
+                            "silently vectorizing the non-uniform "
+                            "canary a[2i] = a[i] + ...; caught by "
+                            "'compiler-dependence-agreement'",
     "interchange-ignores-direction": "make interchange legality skip "
                                      "the dependence-direction check, "
                                      "silently applying the pinned "

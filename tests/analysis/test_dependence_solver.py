@@ -3,12 +3,12 @@ non-uniform fallback, negative strides and edge normalisation."""
 
 import pytest
 
-from repro.analysis.lint import (DIRECTIONS, AnalysisContext,
+from repro.ir import DP, KernelBuilder
+from repro.ir.dependence import (DIRECTIONS, AnalysisContext,
                                  compute_dependence_edges,
                                  direction_vector, expand_directions,
                                  format_directions)
-from repro.analysis.lint import test_dependence as dependence_between
-from repro.ir import DP, KernelBuilder
+from repro.ir.dependence import test_dependence as dependence_between
 
 pytestmark = pytest.mark.lint
 

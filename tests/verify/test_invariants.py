@@ -2,8 +2,14 @@
 
 import pytest
 
+from repro.ir import DP, KernelBuilder
+from repro.ir.dependence import AnalysisContext
+from repro.isa import compile_kernel
+from repro.machine import REFERENCE
+from repro.machine.platform import default_options
 from repro.verify import (BREAKAGES, REGISTRY, VerifyContext,
                           run_registry, run_verify)
+from repro.verify.invariants import _may_carry_flow
 
 pytestmark = pytest.mark.verify
 
@@ -24,6 +30,7 @@ EXPECTED_INVARIANTS = {
     "variance-curve-equivalence",
     "transform-equivalence",
     "transform-legality",
+    "compiler-dependence-agreement",
 }
 
 
@@ -54,6 +61,23 @@ class TestGreenPath:
     def test_second_seed_also_passes(self):
         results = run_registry(VerifyContext(seed=4))
         assert all(r.passed for r in results)
+
+
+class TestCompilerDependenceAgreement:
+    def test_flow_carried_by_an_outer_loop_is_no_disagreement(self):
+        # The compiler vectorizes the inner loop of this wavefront: its
+        # only flow edge, (<, <), is carried by the outer loop.
+        b = KernelBuilder("wavefront")
+        u = b.array("u", (16, 16), DP)
+        with b.loop(1, 16) as i:
+            with b.loop(1, 16) as j:
+                b.assign(u[i, j], u[i - 1, j - 1] * 0.5)
+        kernel = b.build()
+        nest, = compile_kernel(kernel, default_options(REFERENCE)).nests
+        assert nest.vectorized
+        edges = AnalysisContext(kernel).dependence_edges
+        assert [e.directions for e in edges] == [("<", "<")]
+        assert not _may_carry_flow(edges[0], nest.nest.innermost)
 
 
 class TestDefectInjection:
@@ -132,3 +156,12 @@ class TestDefectInjection:
         assert report.failed_names() == ["variance-curve-equivalence"]
         failing = next(r for r in report.invariants if not r.passed)
         assert "bit-identical" in failing.detail
+
+    def test_vectorize_unresolved_fails_only_the_matching_invariant(self):
+        report = run_verify(seed=0, breakage="vectorize-unresolved",
+                            skip_differential=True)
+        assert not report.passed
+        assert report.failed_names() == ["compiler-dependence-agreement"]
+        failing = next(r for r in report.invariants if not r.passed)
+        assert "canary_nonuniform" in failing.detail
+        assert "may be a flow" in failing.detail
