@@ -53,6 +53,21 @@ def _nonuniform_self_read() -> Kernel:
     return b.build()
 
 
+def _running_prefix() -> Kernel:
+    """A reduction whose running value is also read elsewhere: ``y[i]``
+    needs the prefix ``s`` after iteration ``i``, so partial sums would
+    store wrong values.  The compiler must keep this loop scalar, which
+    ``compiler-dependence-agreement`` checks."""
+    b = KernelBuilder("canary_prefix")
+    x = b.array("x", (_N,), DP)
+    y = b.array("y", (_N,), DP)
+    s = b.scalar("s", DP)
+    with b.loop(0, _N) as i:
+        b.assign(s.value(), s.value() + x[i])
+        b.assign(y[i], s.value())
+    return b.build()
+
+
 def _carried_write_overlap() -> Kernel:
     b = KernelBuilder("canary_carried_write")
     u = b.array("u", (_N + 1,), DP)
@@ -108,6 +123,7 @@ CANARIES: Tuple[Canary, ...] = (
     Canary("canary_clean", _clean_copy, ()),
     Canary("canary_recurrence", _recurrence, ("L101",)),
     Canary("canary_nonuniform", _nonuniform_self_read, ("L102",)),
+    Canary("canary_prefix", _running_prefix, ("L102", "L103")),
     Canary("canary_carried_write", _carried_write_overlap, ("L201",)),
     Canary("canary_oob", _out_of_bounds, ("L301",)),
     Canary("canary_uninit", _uninitialized_read, ("L401",)),

@@ -55,6 +55,7 @@ seed and fault plan writes byte-identical files.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import List, Optional
@@ -71,7 +72,7 @@ from .experiments import (ExperimentContext, run_capture_change,
                           run_figure5, run_figure6, run_figure7,
                           run_figure8, run_table1, run_table2,
                           run_table3, run_table4, run_table5, run_whatif)
-from .machine import TARGETS, architecture_by_name
+from .machine import TARGETS, Architecture, architecture_by_name
 from .suites import build_nas_suite, build_nr_suite
 
 _EXPERIMENTS = {
@@ -103,8 +104,41 @@ def _build_suite(name: str, scale: float):
     raise SystemExit(f"unknown suite {name!r}: choose nas or nr")
 
 
-def _parse_k(value: str):
-    return "elbow" if value == "elbow" else int(value)
+def _positive_int(value: str, expected: str = "an integer >= 1") -> int:
+    try:
+        number = int(value)
+    except ValueError:
+        number = 0
+    if number < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be {expected}, got {value!r}")
+    return number
+
+
+def _cluster_count(value: str):
+    """``--k``: ``elbow`` or a count >= 1; the reducer clamps a count
+    above the number of codelets to that number."""
+    if value == "elbow":
+        return value
+    return _positive_int(value, "'elbow' or an integer >= 1")
+
+
+def _scale(value: str) -> float:
+    try:
+        scale = float(value)
+    except ValueError:
+        scale = math.nan
+    if not (math.isfinite(scale) and scale > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {value!r}")
+    return scale
+
+
+def _target(value: str) -> Architecture:
+    try:
+        return architecture_by_name(value)
+    except KeyError as exc:
+        raise argparse.ArgumentTypeError(exc.args[0]) from None
 
 
 def _load_fault_plan(args):
@@ -123,7 +157,6 @@ def _load_fault_plan(args):
 
 def _runtime_config(args) -> RuntimeConfig:
     return RuntimeConfig(jobs=args.jobs, cache_dir=args.cache_dir,
-                         use_cache=not args.no_cache,
                          retries=args.retries,
                          task_timeout_s=args.task_timeout,
                          fault_plan=_load_fault_plan(args),
@@ -180,7 +213,7 @@ def _cmd_reduce(args) -> int:
     for app in suite.applications:
         print(f"  {find_codelets(app).summary()}")
     reducer = BenchmarkReducer(suite, Measurer(), _subsetting_config(args))
-    reduced = reducer.reduce(_parse_k(args.k))
+    reduced = reducer.reduce(args.k)
     print(f"suite {suite.name}: {len(reduced.profiles)} measurable "
           f"codelets, elbow K={reduced.elbow}, final K={reduced.k}")
     print("\ndendrogram:")
@@ -207,15 +240,12 @@ def _cmd_predict(args) -> int:
     measurer = Measurer()
     config = _subsetting_config(args)
     reducer = BenchmarkReducer(suite, measurer, config)
-    reduced = reducer.reduce(_parse_k(args.k))
-    targets = ([architecture_by_name(args.target)] if args.target
-               else list(TARGETS))
+    reduced = reducer.reduce(args.k)
+    targets = [args.target] if args.target else list(TARGETS)
     with config.runtime.make_executor() as executor:
         results = [(t, evaluate_on_target(
                         reduced, t, measurer, executor=executor,
-                        resilience=reducer.resilience,
-                        reference=config.reference,
-                        tolerance=config.tolerance))
+                        resilience=reducer.resilience))
                    for t in targets]
     for target, result in results:
         r = result.reduction
@@ -240,7 +270,7 @@ def _cmd_export(args) -> int:
 
     suite = _build_suite(args.suite, args.scale)
     reducer = BenchmarkReducer(suite, Measurer(), _subsetting_config(args))
-    reduced = reducer.reduce(_parse_k(args.k))
+    reduced = reducer.reduce(args.k)
     manifest = export_manifest(reduced)
     manifest.save(args.output)
     print(f"wrote {args.output}: {len(manifest.representatives)} "
@@ -305,7 +335,7 @@ def _cmd_transform(args) -> int:
 
         result = run_transform_stability(
             suite, specs, config=_subsetting_config(args),
-            k=_parse_k(args.k), force=args.force_unsafe)
+            k=args.k, force=args.force_unsafe)
         print()
         print(result.format())
         if not result.memo_collision_free:
@@ -411,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Fine-grained benchmark subsetting (CGO 2014 "
                     "reproduction)")
-    parser.add_argument("--scale", type=float, default=1.0,
+    parser.add_argument("--scale", type=_scale, default=1.0,
                         help="suite size scale (1.0 = CLASS-B-like)")
     parser.add_argument("-j", "--jobs", type=int, default=1,
                         help="worker processes for profiling and target "
@@ -420,9 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="content-addressed on-disk profile cache "
                              "directory (re-runs only profile what "
                              "changed)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="always re-profile (conflicts with "
-                             "--cache-dir)")
     parser.add_argument("--retries", type=int, default=2,
                         help="extra attempts per failed measurement "
                              "task before quarantine (0 = historical "
@@ -454,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--population", type=int, default=60)
         p.add_argument("--generations", type=int, default=15)
         p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--k-fixed", type=int, default=14,
+        p.add_argument("--k-fixed", type=_positive_int, default=14,
                        help="cluster count for table3")
         p.set_defaults(func=_cmd_experiment)
 
@@ -463,12 +490,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--population", type=int, default=60)
     p.add_argument("--generations", type=int, default=15)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--k-fixed", type=int, default=14)
+    p.add_argument("--k-fixed", type=_positive_int, default=14)
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("reduce", help="run Steps A-D on a suite")
     p.add_argument("--suite", default="nas", choices=("nas", "nr"))
-    p.add_argument("--k", default="elbow",
+    p.add_argument("--k", type=_cluster_count, default="elbow",
                    help="cluster count or 'elbow'")
     p.add_argument("--health-out", default=None, metavar="FILE",
                    help="write the deterministic RunHealth JSON report")
@@ -477,8 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict",
                        help="reduce a suite and predict target(s)")
     p.add_argument("--suite", default="nas", choices=("nas", "nr"))
-    p.add_argument("--k", default="elbow")
-    p.add_argument("--target", default=None,
+    p.add_argument("--k", type=_cluster_count, default="elbow")
+    p.add_argument("--target", type=_target, default=None,
                    help="one architecture name (default: all targets)")
     p.add_argument("--health-out", default=None, metavar="FILE",
                    help="write the deterministic RunHealth JSON report")
@@ -487,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export",
                        help="save a portable reduced-suite manifest")
     p.add_argument("--suite", default="nas", choices=("nas", "nr"))
-    p.add_argument("--k", default="elbow")
+    p.add_argument("--k", type=_cluster_count, default="elbow")
     p.add_argument("-o", "--output", default="reduced.json")
     p.set_defaults(func=_cmd_export)
 
@@ -565,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="re-run subsetting on the transformed suite and "
                         "report representative stability + lowering-"
                         "memo audit")
-    p.add_argument("--k", default="elbow",
+    p.add_argument("--k", type=_cluster_count, default="elbow",
                    help="cluster count for --stability (or 'elbow')")
     p.add_argument("--report-dir", default="reports",
                    help="where to write the text/JSON reports")
@@ -605,10 +632,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.task_timeout is not None and args.task_timeout <= 0:
         parser.error(f"--task-timeout: must be > 0 seconds, "
                      f"got {args.task_timeout}")
-    if args.no_cache and args.cache_dir:
-        parser.error("--no-cache conflicts with --cache-dir: drop one "
-                     "(use --cache-dir to reuse profiles, --no-cache to "
-                     "force re-profiling)")
     if args.cache_dir and os.path.exists(args.cache_dir) \
             and not os.path.isdir(args.cache_dir):
         parser.error(f"--cache-dir: {args.cache_dir!r} is not a directory")

@@ -432,6 +432,9 @@ def variance_curve(points: np.ndarray, dendrogram: Dendrogram,
 #: less than this fraction of the total within-cluster variance.
 ELBOW_THRESHOLD = 0.01
 
+#: The paper sweeps the elbow over K = 1..24.
+ELBOW_K_MAX = 24
+
 
 def elbow_k(points: np.ndarray, dendrogram: Dendrogram,
             k_max: Optional[int] = None,

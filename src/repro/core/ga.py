@@ -26,8 +26,8 @@ import numpy as np
 
 from ..codelets.measurement import Measurer
 from ..codelets.profiling import CodeletProfile
-from ..machine.architecture import ATOM, REFERENCE, SANDY_BRIDGE, Architecture
-from .clustering import elbow_k, ward_linkage
+from ..machine.architecture import ATOM, SANDY_BRIDGE
+from .clustering import ELBOW_K_MAX, elbow_k, ward_linkage
 from .features import ALL_FEATURE_NAMES, FeatureMatrix
 from .prediction import build_cluster_model, percent_error
 from .representatives import select_representatives
@@ -140,32 +140,29 @@ def run_ga(n_bits: int, fitness: Callable[[np.ndarray], float],
 # ---------------------------------------------------------------------------
 
 
+#: The architectures the fitness trains on; Core 2 is held out.
+TRAIN_TARGETS = (ATOM, SANDY_BRIDGE)
+
+
 class FeatureSelectionProblem:
     """Precomputed state for evaluating feature subsets on a suite.
 
     Fitness of a mask: cluster the training codelets using only the
     masked features, cut at the elbow K, select representatives, predict
-    each training architecture, and return
+    each of :data:`TRAIN_TARGETS`, and return
     ``max(median errors) * K`` (lower is better).
     """
 
     def __init__(self, profiles: Sequence[CodeletProfile],
-                 measurer: Measurer,
-                 train_targets: Tuple[Architecture, ...] = (ATOM,
-                                                            SANDY_BRIDGE),
-                 reference: Architecture = REFERENCE,
-                 elbow_k_max: int = 24):
+                 measurer: Measurer):
         self.profiles = list(profiles)
         self.measurer = measurer
-        self.train_targets = train_targets
-        self.reference = reference
-        self.elbow_k_max = elbow_k_max
         self.features = FeatureMatrix.from_profiles(self.profiles,
                                                     ALL_FEATURE_NAMES)
         # Real target times (in-app, measured) per architecture.
         self.real_times: Dict[str, Dict[str, float]] = {}
         self.rep_bench: Dict[str, Dict[str, float]] = {}
-        for arch in train_targets:
+        for arch in TRAIN_TARGETS:
             self.real_times[arch.name] = {
                 p.name: measurer.measure_inapp(p.codelet, arch)
                 for p in self.profiles}
@@ -191,18 +188,17 @@ class FeatureSelectionProblem:
             return hit
         rows = self._normalized_full[:, np.asarray(mask, dtype=bool)]
         dendrogram = ward_linkage(rows)
-        k = elbow_k(rows, dendrogram, self.elbow_k_max)
+        k = elbow_k(rows, dendrogram, ELBOW_K_MAX)
         labels = dendrogram.cut(k)
         try:
             selection = select_representatives(
-                self.profiles, rows, labels, self.measurer,
-                self.reference)
+                self.profiles, rows, labels, self.measurer)
         except ValueError:
             self._cache[key] = float("inf")
             return float("inf")
         model = build_cluster_model(self.profiles, selection)
         worst = 0.0
-        for arch in self.train_targets:
+        for arch in TRAIN_TARGETS:
             rep_times = {r: self.rep_bench[arch.name][r]
                          for r in selection.representatives}
             predicted = model.predict(rep_times)

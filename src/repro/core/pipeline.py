@@ -13,7 +13,12 @@
   (:func:`evaluate_on_target`).
 
 Profiling is cached on the reducer, so sweeping K (Figure 3) or
-evaluating several targets re-uses Steps A-B.  The
+evaluating several targets re-uses Steps A-B.  The reducer records its
+stage metrics (``profiles.*``, ``features.count``, ``cluster.*``,
+``elbow.k``, ``ill_behaved.count``) into its
+:class:`~repro.obs.Observation`: the profiling and feature metrics once,
+when the memoized artifact is first computed, the cluster metrics on
+every :meth:`BenchmarkReducer.reduce`.  The
 :class:`~repro.runtime.config.RuntimeConfig` carried by
 :class:`SubsettingConfig` additionally fans Steps B and E out across
 worker processes (``jobs``) and persists per-codelet profiling outcomes
@@ -24,13 +29,12 @@ guaranteed bit-identical to a serial, cold run (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import (Callable, Dict, List, Optional, Sequence, Tuple,
-                    Union)
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from ..codelets.codelet import BenchmarkSuite, Codelet
+from ..codelets.codelet import BenchmarkSuite
 from ..codelets.finder import find_suite_codelets
 from ..codelets.measurement import Measurer
 from ..codelets.profiling import (MIN_TOTAL_CYCLES, CodeletProfile,
@@ -42,7 +46,7 @@ from ..runtime.config import RuntimeConfig
 from ..runtime.executor import Executor
 from ..runtime.resilience import (QUARANTINED, ResilientExecutor,
                                   RunHealth)
-from .clustering import Dendrogram, elbow_k, ward_linkage
+from .clustering import ELBOW_K_MAX, Dendrogram, elbow_k, ward_linkage
 from .features import TABLE2_FEATURES, FeatureMatrix
 from .prediction import (ApplicationPrediction, ClusterModel,
                          CodeletPrediction, aggregate_application,
@@ -54,7 +58,13 @@ from .representatives import (ILL_BEHAVED_TOLERANCE, SelectionResult,
 
 @dataclass(frozen=True)
 class SubsettingConfig:
-    """Pipeline knobs, defaulting to the paper's choices.
+    """Pipeline knobs.
+
+    The paper fixes the rest of the method, so those are module
+    constants rather than settings: the Nehalem :data:`REFERENCE`, the
+    :data:`MIN_TOTAL_CYCLES` filter of Step B, the
+    :data:`ILL_BEHAVED_TOLERANCE` of Step D and the
+    :data:`ELBOW_K_MAX` of the elbow sweep.
 
     ``normalize_features`` exists for the verification harness
     (:mod:`repro.verify`): switching it off clusters on raw feature
@@ -63,63 +73,8 @@ class SubsettingConfig:
     """
 
     feature_names: Tuple[str, ...] = TABLE2_FEATURES
-    elbow_k_max: int = 24               # the paper sweeps K up to 24
-    tolerance: float = ILL_BEHAVED_TOLERANCE
-    min_total_cycles: float = MIN_TOTAL_CYCLES
-    reference: Architecture = REFERENCE
     runtime: RuntimeConfig = RuntimeConfig()
     normalize_features: bool = True
-
-
-@dataclass(frozen=True)
-class PipelineHooks:
-    """Optional per-stage observers over the reduction pipeline.
-
-    Each callback fires once per computed artifact (memoized stages fire
-    on first computation only), letting callers — chiefly the
-    :mod:`repro.verify` harness — capture exactly the intermediates the
-    pipeline acted on, instead of recomputing approximations of them.
-    """
-
-    on_profiling: Optional[Callable[[ProfilingReport], None]] = None
-    on_cluster_rows: Optional[
-        Callable[[FeatureMatrix, np.ndarray], None]] = None
-    on_dendrogram: Optional[Callable[[Dendrogram], None]] = None
-    on_reduced: Optional[Callable[["ReducedSuite"], None]] = None
-
-    def emit(self, name: str, *args) -> None:
-        declared = tuple(f.name for f in fields(self))
-        if name not in declared:
-            raise ValueError(
-                f"unknown pipeline hook {name!r}: declared hooks are "
-                f"{', '.join(declared)}")
-        callback = getattr(self, name)
-        if callback is not None:
-            callback(*args)
-
-    @classmethod
-    def chain(cls, *hooks: Optional["PipelineHooks"]
-              ) -> "PipelineHooks":
-        """Compose hook sets: each callback fires every non-``None``
-        member, in argument order.  ``None`` entries are skipped, and a
-        hook field nobody observes stays ``None`` (so memoized stages
-        keep their fire-once semantics unchanged)."""
-        present = [h for h in hooks if h is not None]
-
-        def fan_out(name: str):
-            callbacks = [getattr(h, name) for h in present
-                         if getattr(h, name) is not None]
-            if not callbacks:
-                return None
-            if len(callbacks) == 1:
-                return callbacks[0]
-
-            def fire(*args):
-                for callback in callbacks:
-                    callback(*args)
-            return fire
-
-        return cls(**{f.name: fan_out(f.name) for f in fields(cls)})
 
 
 @dataclass(frozen=True)
@@ -161,46 +116,12 @@ class ReducedSuite:
             raise KeyError(name) from None
 
 
-def _observation_hooks(obs: Observation) -> PipelineHooks:
-    """Hooks recording stage-level metrics into ``obs`` — how the
-    observability subsystem rides the same :class:`PipelineHooks`
-    mechanism the verify harness uses (chained, so both coexist)."""
-    metrics = obs.metrics
-
-    def on_profiling(report: ProfilingReport) -> None:
-        metrics.gauge("profiles.kept").set(len(report.profiles))
-        metrics.gauge("profiles.discarded").set(len(report.discarded))
-        metrics.gauge("profiles.quarantined").set(
-            len(report.quarantined))
-        for profile in report.profiles:
-            metrics.histogram("profile.total_ref_seconds").observe(
-                profile.total_ref_seconds)
-
-    def on_cluster_rows(features: FeatureMatrix, rows) -> None:
-        metrics.gauge("features.count").set(len(features.feature_names))
-
-    def on_reduced(reduced: "ReducedSuite") -> None:
-        metrics.gauge("cluster.count").set(reduced.k)
-        metrics.gauge("cluster.destroyed").set(
-            reduced.selection.destroyed_clusters)
-        metrics.gauge("elbow.k").set(reduced.elbow)
-        metrics.gauge("ill_behaved.count").set(
-            len(reduced.selection.ill_behaved))
-        for members in reduced.selection.clusters:
-            metrics.histogram("cluster.size").observe(len(members))
-
-    return PipelineHooks(on_profiling=on_profiling,
-                         on_cluster_rows=on_cluster_rows,
-                         on_reduced=on_reduced)
-
-
 class BenchmarkReducer:
     """Runs the benchmark reduction method over a suite."""
 
     def __init__(self, suite: BenchmarkSuite,
                  measurer: Optional[Measurer] = None,
                  config: SubsettingConfig = SubsettingConfig(),
-                 hooks: Optional[PipelineHooks] = None,
                  obs: Optional[Observation] = None):
         self.suite = suite
         self.measurer = measurer if measurer is not None else Measurer()
@@ -211,8 +132,6 @@ class BenchmarkReducer:
         if obs is None:
             obs = active_observation()
         self.obs = obs if obs is not None else Observation()
-        self.hooks = PipelineHooks.chain(hooks,
-                                         _observation_hooks(self.obs))
         self._cache = config.runtime.make_cache(obs=self.obs)
         self.health = RunHealth()
         #: Run-scoped resilient executor (``None`` when ``--retries 0``
@@ -242,8 +161,7 @@ class BenchmarkReducer:
                 span.set("codelets", len(codelets))
                 with self.config.runtime.make_executor() as executor:
                     self._report = profile_codelets(
-                        codelets, self.measurer, self.config.reference,
-                        self.config.min_total_cycles,
+                        codelets, self.measurer,
                         executor=executor, cache=self._cache,
                         resilience=self.resilience, obs=self.obs)
                 span.set("kept", len(self._report.profiles))
@@ -253,7 +171,15 @@ class BenchmarkReducer:
                     "profiling attempt failed")
             if self._cache is not None:
                 self.health.note_cache(self._cache.stats)
-            self.hooks.emit("on_profiling", self._report)
+            metrics = self.obs.metrics
+            metrics.gauge("profiles.kept").set(len(self._report.profiles))
+            metrics.gauge("profiles.discarded").set(
+                len(self._report.discarded))
+            metrics.gauge("profiles.quarantined").set(
+                len(self._report.quarantined))
+            for profile in self._report.profiles:
+                metrics.histogram("profile.total_ref_seconds").observe(
+                    profile.total_ref_seconds)
         return self._report
 
     # -- Step C ---------------------------------------------------------------
@@ -266,7 +192,7 @@ class BenchmarkReducer:
                     f"suite {self.suite.name!r} has no measurable "
                     f"codelets left to cluster: "
                     f"{len(report.discarded)} discarded by the "
-                    f"{self.config.min_total_cycles:g}-cycle filter, "
+                    f"{MIN_TOTAL_CYCLES:g}-cycle filter, "
                     f"{len(report.quarantined)} quarantined by the "
                     "resilient runtime")
             with self.obs.span("stage:features"):
@@ -277,8 +203,8 @@ class BenchmarkReducer:
                 else:
                     self._normalized = np.array(self._features.values,
                                                 dtype=float)
-            self.hooks.emit("on_cluster_rows", self._features,
-                            self._normalized)
+            self.obs.metrics.gauge("features.count").set(
+                len(self._features.feature_names))
         return self._features
 
     def dendrogram(self) -> Dendrogram:
@@ -287,13 +213,11 @@ class BenchmarkReducer:
             with self.obs.span("stage:cluster",
                                codelets=self._normalized.shape[0]):
                 self._dendrogram = ward_linkage(self._normalized)
-            self.hooks.emit("on_dendrogram", self._dendrogram)
         return self._dendrogram
 
     def elbow(self) -> int:
         self.feature_matrix()
-        return elbow_k(self._normalized, self.dendrogram(),
-                       self.config.elbow_k_max)
+        return elbow_k(self._normalized, self.dendrogram(), ELBOW_K_MAX)
 
     # -- Steps C + D ----------------------------------------------------------
 
@@ -304,13 +228,12 @@ class BenchmarkReducer:
         representative and joins the ineligible set, flowing through
         the existing ill-behaved destruction/re-homing machinery."""
         ineligible = set()
-        reference = self.config.reference
         with self.obs.span("stage:fidelity", probes=len(profiles)):
             for p in profiles:
                 result = self.resilience.run(
                     lambda p=p: self.measurer.is_ill_behaved(
-                        p.codelet, reference, self.config.tolerance),
-                    key=p.name, stage="fidelity", arch=reference.name)
+                        p.codelet, REFERENCE, ILL_BEHAVED_TOLERANCE),
+                    key=p.name, stage="fidelity", arch=REFERENCE.name)
                 self.obs.metrics.counter("tasks.fidelity").inc()
                 self.obs.event(
                     f"fidelity:{p.name}",
@@ -346,8 +269,7 @@ class BenchmarkReducer:
         with self.obs.span("stage:select", cut_k=cut_k) as span:
             selection = select_representatives(
                 report.profiles, self._normalized, labels,
-                self.measurer, self.config.reference,
-                self.config.tolerance, ineligible=ineligible)
+                self.measurer, ineligible=ineligible)
             span.set("final_k", selection.k)
             span.set("destroyed", selection.destroyed_clusters)
         if ineligible and selection.destroyed_clusters:
@@ -370,7 +292,13 @@ class BenchmarkReducer:
             model=model,
             quarantined=report.quarantined,
         )
-        self.hooks.emit("on_reduced", reduced)
+        metrics = self.obs.metrics
+        metrics.gauge("cluster.count").set(reduced.k)
+        metrics.gauge("cluster.destroyed").set(selection.destroyed_clusters)
+        metrics.gauge("elbow.k").set(elbow)
+        metrics.gauge("ill_behaved.count").set(len(selection.ill_behaved))
+        for members in selection.clusters:
+            metrics.histogram("cluster.size").observe(len(members))
         return reduced
 
 
@@ -438,8 +366,6 @@ def evaluate_on_target(reduced: ReducedSuite, target: Architecture,
                        measurer: Measurer,
                        executor: Optional[Executor] = None,
                        resilience: Optional[ResilientExecutor] = None,
-                       reference: Architecture = REFERENCE,
-                       tolerance: float = ILL_BEHAVED_TOLERANCE,
                        obs: Optional[Observation] = None
                        ) -> TargetEvaluation:
     """Benchmark the representatives on ``target`` and compare the
@@ -454,9 +380,7 @@ def evaluate_on_target(reduced: ReducedSuite, target: Architecture,
     quarantined (every attempt failed) does not abort the evaluation:
     it is barred and Step D reselects — possibly destroying its cluster
     and re-homing the members via the ill-behaved machinery — until
-    every surviving representative measures cleanly.  ``reference`` and
-    ``tolerance`` parameterise that reselection and default to the
-    paper's choices.
+    every surviving representative measures cleanly.
     """
     if obs is None:
         obs = active_observation()
@@ -522,8 +446,7 @@ def evaluate_on_target(reduced: ReducedSuite, target: Architecture,
                 f"{target.name}; reselecting its cluster")
             selection = select_representatives(
                 reduced.profiles, reduced.normalized_rows,
-                reduced.labels, measurer, reference, tolerance,
-                ineligible=barred)
+                reduced.labels, measurer, ineligible=barred)
             model = build_cluster_model(reduced.profiles, selection)
 
         span.set("measured", len(rep_times))

@@ -12,12 +12,13 @@ loop-carried flow dependences and of what kind:
   recurrence" rows).  Not vectorizable.
 
 Reductions and non-associative self-updates are recognised here, from
-the shape of the store.  Every other flow dependence comes from the
-exact solver of :mod:`repro.ir.dependence`, the one lint and the loop
-rewrites use.  A pair it cannot resolve (non-uniform subscripts with
-overlapping ranges, or a distance left free on the innermost loop) is
-a recurrence at distance 1; a distance of at least one full trip is
-independence.
+the shape of the store; a read of the accumulator outside its update
+statements (a running prefix ``s = s + x[i]; y[i] = s``) is still a
+recurrence.  Every other flow dependence comes from the exact solver
+of :mod:`repro.ir.dependence`, the one lint and the loop rewrites use.
+A pair it cannot resolve (non-uniform subscripts with overlapping
+ranges, or a distance left free on the innermost loop) is a recurrence
+at distance 1; a distance of at least one full trip is independence.
 """
 
 from __future__ import annotations
@@ -148,6 +149,15 @@ def _inner_flow_distance(ctx: AnalysisContext, store: AccessSite,
     return d if d > 0 else None
 
 
+def _stores_location(ctx: AnalysisContext, load: AccessSite,
+                     store: Store) -> bool:
+    """Whether the statement holding ``load`` stores the location
+    ``store`` writes."""
+    owner, _ = ctx.stores[load.store_ordinal]
+    return (owner.array.name == store.array.name
+            and owner.indices == store.indices)
+
+
 def analyze_dependences(ctx: AnalysisContext, inner: Loop, *,
                         unresolved_independent: bool = False) -> DepInfo:
     """Analyse loop-carried dependences of ``inner``, an innermost loop
@@ -163,6 +173,7 @@ def analyze_dependences(ctx: AnalysisContext, inner: Loop, *,
         target_invariant = all(
             idx.coefficient(inner_var) == 0 for idx in store.indices)
         update = _self_update(store)
+        checked = loads
         if target_invariant and update is not None:
             path, associative = update
             if associative:
@@ -170,9 +181,13 @@ def analyze_dependences(ctx: AnalysisContext, inner: Loop, *,
             else:
                 recurrences.append(
                     Recurrence(store.array.name, 1, path))
-            continue
-        # Cross-iteration flow dependences against every load in the body.
-        for load in loads:
+            # Statements updating the accumulator are the update chain
+            # itself; any other read of it (``y[i] = s`` after
+            # ``s = s + x[i]``) needs the running value.
+            checked = [load for load in loads
+                       if not _stores_location(ctx, load, store)]
+        # Cross-iteration flow dependences against the loads in the body.
+        for load in checked:
             d = _inner_flow_distance(ctx, site, load,
                                      unresolved_independent)
             if d is not None:

@@ -2,8 +2,8 @@
 
 :class:`RuntimeConfig` is carried by
 :class:`repro.core.pipeline.SubsettingConfig` and surfaced on the CLI as
-``--jobs`` / ``--cache-dir`` / ``--no-cache`` plus the resilience flags
-``--retries`` / ``--task-timeout`` / ``--fault-plan`` / ``--strict``.
+``--jobs`` / ``--cache-dir`` plus the resilience flags ``--retries`` /
+``--task-timeout`` / ``--fault-plan`` / ``--strict``.
 The defaults (serial, no cache, two retries, no faults) reproduce the
 historical results exactly: with no faults to recover from, the
 resilient path computes bit-identical values to the plain one.
@@ -32,16 +32,10 @@ class RuntimeConfig:
     cache_dir:
         Directory of the content-addressed profile cache; ``None``
         disables caching entirely.
-    use_cache:
-        ``False`` ignores ``cache_dir`` (the CLI's ``--no-cache``)
-        without having to unset it.
     retries:
         Extra attempts per failed task before its circuit breaker
         quarantines it (the CLI's ``--retries``; 0 restores the
         historical fail-fast behaviour).
-    backoff_s:
-        Base of the exponential backoff between retry rounds; 0 (the
-        default) never sleeps.
     task_timeout_s:
         Per-attempt wall-clock budget (``--task-timeout``); ``None``
         means unbounded.
@@ -56,9 +50,7 @@ class RuntimeConfig:
 
     jobs: int = 1
     cache_dir: Optional[str] = None
-    use_cache: bool = True
     retries: int = 2
-    backoff_s: float = 0.0
     task_timeout_s: Optional[float] = None
     fault_plan: Optional[FaultPlan] = None
     strict: bool = False
@@ -73,7 +65,7 @@ class RuntimeConfig:
         ``obs`` (an :class:`repro.obs.Observation`) mirrors the cache
         accounting into the run's ``cache.*`` metrics.
         """
-        if self.cache_dir and self.use_cache:
+        if self.cache_dir:
             return DiskCache(self.cache_dir, obs=obs)
         return None
 
@@ -87,7 +79,6 @@ class RuntimeConfig:
 
     def retry_policy(self) -> RetryPolicy:
         return RetryPolicy(retries=self.retries,
-                           backoff_s=self.backoff_s,
                            timeout_s=self.task_timeout_s)
 
     def make_resilience(self, health: Optional[RunHealth] = None,

@@ -5,10 +5,11 @@ task failure as fatal — one crashed worker aborts a whole Step B/E
 batch.  This module wraps them with the failure semantics a production
 measurement harness needs:
 
-* **retries with exponential backoff** — a failed attempt is retried up
-  to ``retries`` more times, the batch staying in input order and every
-  value bit-identical to a failure-free run (tasks are pure functions
-  of their payload, so re-running one is always safe);
+* **retries** — a failed attempt is retried up to ``retries`` more
+  times, in back-to-back rounds over the still-failing tasks, the batch
+  staying in input order and every value bit-identical to a
+  failure-free run (tasks are pure functions of their payload, so
+  re-running one is always safe);
 * **per-task circuit breaker** — a task whose attempts are exhausted is
   *quarantined*: it is reported, not raised, and any later execution of
   the same (stage, task) key short-circuits without running;
@@ -41,33 +42,23 @@ class RetryPolicy:
     """How hard the executor tries before quarantining a task.
 
     ``retries`` is the number of *extra* attempts after the first, so a
-    task gets ``retries + 1`` attempts total.  ``backoff_s`` is the base
-    of an exponential backoff (``backoff_s * 2**attempt`` seconds after
-    a failed attempt; 0 disables sleeping, which tests rely on).
-    ``timeout_s`` is a per-attempt wall-clock budget: an attempt that
-    finishes over budget counts as a timeout failure.  Wall-clock
+    task gets ``retries + 1`` attempts total; retry rounds run back to
+    back.  ``timeout_s`` is a per-attempt wall-clock budget: an attempt
+    that finishes over budget counts as a timeout failure.  Wall-clock
     enforcement is inherently machine-dependent, so deterministic
     replays should drive timeouts through a fault plan instead.
     """
 
     retries: int = 2
-    backoff_s: float = 0.0
     timeout_s: Optional[float] = None
 
     def __post_init__(self):
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
-        if self.backoff_s < 0:
-            raise ValueError(
-                f"backoff_s must be >= 0, got {self.backoff_s}")
 
     @property
     def max_attempts(self) -> int:
         return self.retries + 1
-
-    def delay_after(self, attempt: int) -> float:
-        """Backoff delay after a failed attempt (exponential)."""
-        return self.backoff_s * (2.0 ** attempt)
 
 
 @dataclass
@@ -350,10 +341,6 @@ class ResilientExecutor:
                     still_failing.append(i)
             active = still_failing
             attempt += 1
-            if active and attempt < self.policy.max_attempts:
-                delay = self.policy.delay_after(attempt - 1)
-                if delay > 0:
-                    time.sleep(delay)
 
         for i in active:
             records[i].outcome = "quarantined"

@@ -73,7 +73,8 @@ Registered invariants (see ``repro verify --list``):
     The compiler's pairwise dependence queries and the solver's edge
     graph agree: no innermost loop the compiler vectorizes holds a
     store/load edge that may be a flow dependence carried on that loop
-    (reduction accumulations excepted).
+    (reduction accumulations excepted, but not a running prefix that
+    reads the accumulator elsewhere).
 """
 
 from __future__ import annotations
@@ -89,16 +90,17 @@ import numpy as np
 from ..codelets.codelet import Codelet
 from ..codelets.finder import find_suite_codelets
 from ..codelets.measurement import Measurer
-from ..codelets.profiling import ProfilingReport, profile_codelets
-from ..core.clustering import (Dendrogram, elbow_k, linkage,
+from ..codelets.profiling import profile_codelets
+from ..core.clustering import (ELBOW_K_MAX, Dendrogram, elbow_k, linkage,
                                linkage_reference, variance_curve,
                                ward_linkage, within_cluster_variance)
 from ..core.features import FeatureMatrix
 from ..core.ga import GAConfig
-from ..core.pipeline import (BenchmarkReducer, PipelineHooks,
-                             ReducedSuite, SubsettingConfig)
+from ..core.pipeline import BenchmarkReducer, ReducedSuite, SubsettingConfig
 from ..core.prediction import build_cluster_model
-from ..core.representatives import select_representatives
+from ..core.representatives import (ILL_BEHAVED_TOLERANCE,
+                                    select_representatives)
+from ..machine.architecture import REFERENCE
 from ..obs import Observation
 from ..runtime.config import RuntimeConfig
 from ..runtime.faults import FaultPlan, FaultRule
@@ -150,18 +152,6 @@ class InvariantResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class StageArtifacts:
-    """Intermediates captured through :class:`PipelineHooks` — the very
-    objects the pipeline acted on, not recomputations of them."""
-
-    report: Optional[ProfilingReport] = None
-    features: Optional[FeatureMatrix] = None
-    cluster_rows: Optional[np.ndarray] = None
-    dendrogram: Optional[Dendrogram] = None
-    reduced: Optional[ReducedSuite] = None
-
-
 class VerifyContext:
     """One seeded synthetic suite plus everything invariants need.
 
@@ -189,7 +179,6 @@ class VerifyContext:
             base = replace(base, normalize_features=False)
         self.config = base
         self.measurer = Measurer()
-        self.artifacts = StageArtifacts()
         self._reduced: Optional[ReducedSuite] = None
 
     @property
@@ -258,26 +247,14 @@ class VerifyContext:
 
     # -- pipeline runs --------------------------------------------------------
 
-    def hooks(self) -> PipelineHooks:
-        """Hooks that capture each stage artifact into ``artifacts``."""
-        a = self.artifacts
-
-        def on_rows(features, rows):
-            a.features, a.cluster_rows = features, rows
-
-        return PipelineHooks(
-            on_profiling=lambda report: setattr(a, "report", report),
-            on_cluster_rows=on_rows,
-            on_dendrogram=lambda d: setattr(a, "dendrogram", d),
-            on_reduced=lambda r: setattr(a, "reduced", r),
-        )
-
     @property
     def reduced(self) -> ReducedSuite:
-        """The canonical elbow-K reduction of the context suite."""
+        """The canonical elbow-K reduction of the context suite.  Its
+        ``normalized_rows`` are the very rows the pipeline clustered,
+        not a recomputation of them."""
         if self._reduced is None:
             reducer = BenchmarkReducer(self.suite, self.measurer,
-                                       self.config, hooks=self.hooks())
+                                       self.config)
             self._reduced = reducer.reduce("elbow")
         return self._reduced
 
@@ -305,20 +282,18 @@ def reduce_codelets(codelets: Sequence[Codelet], measurer: Measurer,
     (permutations, well-behaved subsets) without re-wrapping them into
     applications.  Returns ``(report, rows, labels, selection, model)``.
     """
-    report = profile_codelets(codelets, measurer, config.reference,
-                              config.min_total_cycles)
+    report = profile_codelets(codelets, measurer)
     features = FeatureMatrix.from_profiles(report.profiles,
                                            config.feature_names)
     rows = (features.normalized() if config.normalize_features
             else np.array(features.values, dtype=float))
     dendrogram = ward_linkage(rows)
-    cut_k = (elbow_k(rows, dendrogram, config.elbow_k_max)
+    cut_k = (elbow_k(rows, dendrogram, ELBOW_K_MAX)
              if k == "elbow" else int(k))
     cut_k = max(1, min(cut_k, features.n_codelets))
     labels = dendrogram.cut(cut_k)
     selection = select_representatives(report.profiles, rows, labels,
-                                       measurer, config.reference,
-                                       config.tolerance)
+                                       measurer)
     model = build_cluster_model(report.profiles, selection)
     return report, rows, labels, selection, model
 
@@ -338,7 +313,7 @@ def _partition(clusters: Sequence[Sequence[str]]) -> frozenset:
     "unit never changes the partition")
 def check_normalized_features(ctx: VerifyContext) -> None:
     reduced = ctx.reduced
-    rows = ctx.artifacts.cluster_rows
+    rows = reduced.normalized_rows
     mean = rows.mean(axis=0)
     std = rows.std(axis=0)
     # Direct: the rows the pipeline clustered on are z-scored (constant
@@ -465,7 +440,7 @@ def check_exact_when_k_equals_n(ctx: VerifyContext) -> None:
     "along the dendrogram cuts")
 def check_variance_monotone(ctx: VerifyContext) -> None:
     reduced = ctx.reduced
-    rows = ctx.artifacts.cluster_rows
+    rows = reduced.normalized_rows
     w = variance_curve(rows, reduced.dendrogram)
     scale = max(float(w[0]), 1e-12)
     for k in range(1, len(w)):
@@ -523,13 +498,12 @@ def check_ill_behaved_never_representative(ctx: VerifyContext) -> None:
     probe = Measurer()
     for rep in selection.representatives:
         codelet = reduced.profile(rep).codelet
-        deviation = probe.behavior_deviation(codelet,
-                                             ctx.config.reference)
-        if deviation > ctx.config.tolerance:
+        deviation = probe.behavior_deviation(codelet, REFERENCE)
+        if deviation > ILL_BEHAVED_TOLERANCE:
             raise InvariantViolation(
                 "ill-behaved-never-representative: representative "
                 f"{rep!r} deviates {deviation:.1%} standalone vs "
-                f"in-app (tolerance {ctx.config.tolerance:.0%}) yet "
+                f"in-app (tolerance {ILL_BEHAVED_TOLERANCE:.0%}) yet "
                 "was not flagged ill-behaved")
 
 
@@ -867,10 +841,10 @@ def check_clustering_equivalence(ctx: VerifyContext) -> None:
     "dendrogram and summing within_cluster_variance at every k")
 def check_variance_curve_equivalence(ctx: VerifyContext) -> None:
     dendrogram = ctx.reduced.dendrogram
-    rows = ctx.artifacts.cluster_rows
+    rows = ctx.reduced.normalized_rows
     stale = ctx.curve_keeps_absorbed_sse
     n = dendrogram.n_leaves
-    for k_max in (None, ctx.config.elbow_k_max, 1):
+    for k_max in (None, ELBOW_K_MAX, 1):
         got = variance_curve(rows, dendrogram, k_max,
                              keep_absorbed_sse=stale)
         want = np.array([within_cluster_variance(rows, dendrogram.cut(k))
@@ -1006,20 +980,24 @@ def check_transform_legality(ctx: VerifyContext) -> None:
             "legality rule (or the canary) is wrong")
 
 
-def _may_carry_flow(edge, inner) -> bool:
+def _may_carry_flow(dep_ctx, edge, inner) -> bool:
     """Whether ``edge`` joins a store and a load of the innermost loop
     ``inner`` and may be a flow dependence carried on it: a ``flow``
     edge with ``<`` on ``inner``, or an unresolved ``*`` there, while
-    every outer loop may stand still.  A store's read of its own
-    location (a reduction accumulation) is exempt."""
+    every outer loop may stand still.  A read of the stored location
+    by a statement that stores it too (a reduction's accumulation) is
+    exempt; any other read of it, such as ``y[i] = s`` after
+    ``s = s + x[i]``, is not."""
     source, sink = edge.source, edge.sink
     if source.is_store == sink.is_store:
         return False
     if not all(s.loops and s.loops[-1] is inner for s in (source, sink)):
         return False
     store, load = (source, sink) if source.is_store else (sink, source)
-    if (load.store_ordinal == store.store_ordinal
-            and load.indices == store.indices):
+    owner, _ = dep_ctx.stores[load.store_ordinal]
+    if (load.indices == store.indices
+            and owner.array.name == store.array.name
+            and owner.indices == store.indices):
         return False
     *outer, on_inner = edge.directions
     if any(d not in ("=", "*") for d in outer):
@@ -1039,7 +1017,7 @@ def check_compiler_dependence_agreement(ctx: VerifyContext) -> None:
     from ..isa.compiler import compile_kernel
     from ..machine.platform import default_options
 
-    options = default_options(ctx.config.reference)
+    options = default_options(REFERENCE)
     kernels = ([k for c in ctx.codelets for k in c.variants]
                + [c.build() for c in CANARIES]
                + [c.build() for c in TRANSFORM_CANARIES])
@@ -1053,7 +1031,7 @@ def check_compiler_dependence_agreement(ctx: VerifyContext) -> None:
                 continue
             inner = nest.nest.innermost
             for edge in dep_ctx.dependence_edges:
-                if _may_carry_flow(edge, inner):
+                if _may_carry_flow(dep_ctx, edge, inner):
                     raise InvariantViolation(
                         "compiler-dependence-agreement: the compiler "
                         f"vectorizes loop {dep_ctx.loop_label(inner)} of "

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from repro.codelets import Measurer
-from repro.core.pipeline import (BenchmarkReducer, PipelineHooks,
-                                 SubsettingConfig, TargetEvaluation,
-                                 evaluate_on_target)
+from repro.core.pipeline import (BenchmarkReducer, SubsettingConfig,
+                                 TargetEvaluation, evaluate_on_target)
 from repro.core.prediction import average_error, median_error
 from repro.core.reduction import ReductionBreakdown
 from repro.machine import ATOM, CORE2, NEHALEM, SANDY_BRIDGE
@@ -121,40 +120,6 @@ class TestEmptyEvaluation:
             median_error(())
         with pytest.raises(ValueError, match="zero codelets"):
             average_error(())
-
-
-class TestPipelineHooks:
-    def test_emit_rejects_mistyped_hook_names(self):
-        # Regression: a typo like "on_profilng" used to raise a bare
-        # AttributeError deep inside getattr.
-        hooks = PipelineHooks()
-        with pytest.raises(ValueError,
-                           match="unknown pipeline hook 'on_profilng'"):
-            hooks.emit("on_profilng", None)
-        with pytest.raises(ValueError, match="declared hooks are"):
-            hooks.emit("emit")
-
-    def test_emit_fires_declared_hooks(self):
-        seen = []
-        hooks = PipelineHooks(on_dendrogram=seen.append)
-        hooks.emit("on_dendrogram", "tree")
-        hooks.emit("on_profiling", "ignored")   # declared but unset
-        assert seen == ["tree"]
-
-    def test_chain_fans_out_in_argument_order(self):
-        calls = []
-        chained = PipelineHooks.chain(
-            PipelineHooks(on_reduced=lambda r: calls.append(("a", r))),
-            None,
-            PipelineHooks(on_reduced=lambda r: calls.append(("b", r)),
-                          on_dendrogram=lambda d: calls.append(("d", d))))
-        chained.emit("on_reduced", 1)
-        chained.emit("on_dendrogram", 2)
-        assert calls == [("a", 1), ("b", 1), ("d", 2)]
-        # A field nobody observes stays None (fire-once memoization
-        # semantics depend on it).
-        assert chained.on_profiling is None
-        assert chained.on_cluster_rows is None
 
 
 class TestErrorVsK:

@@ -193,6 +193,26 @@ class TestUnresolvedAndFullTrip:
         rec, = deps.recurrences
         assert (rec.array_name, rec.distance) == ("s", 1)
 
+    def test_running_prefix_of_a_reduction_is_a_recurrence(self):
+        # y[i] needs s after iteration i, so the reduction cannot be
+        # split into partial sums even though s = s + x[i] alone could.
+        b = KernelBuilder("prefix")
+        x = b.array("x", (64,), DP)
+        y = b.array("y", (64,), DP)
+        s = b.scalar("s", DP)
+        with b.loop(0, 64) as i:
+            b.assign(s.value(), s.value() + x[i])
+            b.assign(y[i], s.value())
+        kernel = b.build()
+        deps = analyze_dependences(*_inner(kernel))
+        assert deps.has_reduction
+        assert not deps.vectorizable
+        rec, = deps.recurrences
+        assert (rec.array_name, rec.distance) == ("s", 1)
+        nest, = compile_kernel(kernel, default_options(REFERENCE)).nests
+        assert not nest.vectorized
+        assert nest.vf == 1
+
     @pytest.mark.parametrize("offset, distances", [
         (70, ()), (64, ()), (63, (63,))])
     def test_a_full_trip_bounds_the_distance(self, offset, distances):

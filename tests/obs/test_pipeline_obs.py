@@ -155,3 +155,25 @@ def test_evaluate_on_target_spans_and_metrics(suite):
             == len(reduced.representatives))
     assert metrics.counter_value("model_seconds.bench") > 0
     assert evaluation.median_error_pct >= 0
+
+
+def test_stage_metrics_recorded_once_per_computed_artifact(suite):
+    single, single_obs = traced_reduce(suite, RuntimeConfig())
+    obs = Observation()
+    reducer = BenchmarkReducer(suite, Measurer(), obs=obs)
+    for _ in range(2):
+        reducer.profiling()
+        reducer.feature_matrix()
+    reducer.reduce("elbow")
+    reduced = reducer.reduce("elbow")
+    metrics, once = obs.metrics, single_obs.metrics
+    # Memoized stages record when they first compute their artifact...
+    assert (metrics.histogram("profile.total_ref_seconds").count
+            == len(reduced.profiles))
+    for gauge in ("profiles.kept", "features.count"):
+        assert metrics.gauge(gauge).value == once.gauge(gauge).value
+    assert metrics.gauge("features.count").value == len(
+        reduced.features.feature_names)
+    # ...while every reduction records its clusters.
+    assert reduced.k == single.k
+    assert metrics.histogram("cluster.size").count == 2 * reduced.k

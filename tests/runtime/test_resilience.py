@@ -185,14 +185,9 @@ class TestRetryPolicy:
     def test_validation(self):
         with pytest.raises(ValueError, match="retries"):
             RetryPolicy(retries=-1)
-        with pytest.raises(ValueError, match="backoff"):
-            RetryPolicy(backoff_s=-0.5)
 
-    def test_attempts_and_backoff(self):
-        policy = RetryPolicy(retries=3, backoff_s=0.1)
-        assert policy.max_attempts == 4
-        assert policy.delay_after(0) == pytest.approx(0.1)
-        assert policy.delay_after(2) == pytest.approx(0.4)
+    def test_max_attempts(self):
+        assert RetryPolicy(retries=3).max_attempts == 4
 
 
 class TestResilientExecutor:

@@ -23,17 +23,19 @@ class TestParser:
         assert args.scale == 0.1
 
 
-class ExperimentStarted(Exception):
+class WorkStarted(Exception):
     pass
 
 
 @pytest.fixture
-def no_experiments(monkeypatch):
-    """Make building the experiment context raise, so a test can tell
-    whether a command got past argument checking."""
+def no_work(monkeypatch):
+    """Make building a suite, a reducer or the experiment context
+    raise, so a test can tell whether a command got past argument
+    checking."""
     def start(*args, **kwargs):
-        raise ExperimentStarted
-    monkeypatch.setattr(cli, "ExperimentContext", start)
+        raise WorkStarted
+    for name in ("_build_suite", "BenchmarkReducer", "ExperimentContext"):
+        monkeypatch.setattr(cli, name, start)
 
 
 class TestRunLengthFlags:
@@ -46,8 +48,8 @@ class TestRunLengthFlags:
         (["table2", "--generations", "-1"], "--generations"),
         (["report", "--generations", "-1"], "--generations"),
     ])
-    def test_rejected_before_any_experiment(self, no_experiments, capsys,
-                                            argv, flag):
+    def test_rejected_before_any_experiment(self, no_work, capsys, argv,
+                                            flag):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -58,9 +60,53 @@ class TestRunLengthFlags:
         ["table2", "--population", "1"],
         ["table2", "--generations", "0"],
     ])
-    def test_smallest_values_accepted(self, no_experiments, argv):
-        with pytest.raises(ExperimentStarted):
+    def test_smallest_values_accepted(self, no_work, argv):
+        with pytest.raises(WorkStarted):
             main(argv)
+
+
+class TestValueFlags:
+    @pytest.mark.parametrize("argv, flag", [
+        (["reduce", "--k", "foo"], "--k"),
+        (["reduce", "--k", "0"], "--k"),
+        (["reduce", "--k", "-4"], "--k"),
+        (["predict", "--k", "foo"], "--k"),
+        (["export", "--k", "2.5"], "--k"),
+        (["transform", "--pass", "fuse", "--stability", "--k", "foo"],
+         "--k"),
+        (["table3", "--k-fixed", "0"], "--k-fixed"),
+        (["report", "--k-fixed", "-1"], "--k-fixed"),
+        (["--scale", "0", "reduce"], "--scale"),
+        (["--scale", "-1", "reduce"], "--scale"),
+        (["--scale", "nan", "predict"], "--scale"),
+        (["--scale", "inf", "table4"], "--scale"),
+        (["predict", "--target", "Foo"], "--target"),
+    ])
+    def test_rejected_before_any_work(self, no_work, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["reduce", "--k", "1"],
+        ["reduce", "--k", "elbow"],
+        ["table3", "--k-fixed", "1"],
+        ["--scale", "0.05", "reduce"],
+        ["predict", "--target", "Atom"],
+    ])
+    def test_smallest_values_accepted(self, no_work, argv):
+        with pytest.raises(WorkStarted):
+            main(argv)
+
+    def test_parsed_values(self):
+        from repro.machine import ATOM
+        parser = build_parser()
+        assert parser.parse_args(["reduce"]).k == "elbow"
+        assert parser.parse_args(["reduce", "--k", "3"]).k == 3
+        assert parser.parse_args(["table3"]).k_fixed == 14
+        args = parser.parse_args(["predict", "--target", "Atom"])
+        assert args.target is ATOM
 
 
 class TestCommands:
@@ -88,9 +134,14 @@ class TestCommands:
         assert "Core 2: median codelet error" in out
         assert "reduction x" in out
 
-    def test_predict_unknown_target(self):
-        with pytest.raises(KeyError):
+    def test_predict_unknown_target(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["--scale", "0.05", "predict", "--target", "VAX"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown architecture 'VAX'" in err
+        for name in ("Atom", "Core 2", "Nehalem", "Sandy Bridge"):
+            assert repr(name) in err
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(SystemExit):

@@ -14,14 +14,6 @@ def test_negative_jobs_rejected(capsys):
     assert "-j/--jobs: must be >= 0" in capsys.readouterr().err
 
 
-def test_cache_dir_conflicts_with_no_cache(capsys, tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["--cache-dir", str(tmp_path), "--no-cache", "suites"])
-    assert exc.value.code == 2
-    assert "--no-cache conflicts with --cache-dir" in \
-        capsys.readouterr().err
-
-
 def test_cache_dir_must_be_a_directory(capsys, tmp_path):
     not_a_dir = tmp_path / "cache"
     not_a_dir.write_text("plain file")

@@ -75,9 +75,40 @@ class TestCompilerDependenceAgreement:
         kernel = b.build()
         nest, = compile_kernel(kernel, default_options(REFERENCE)).nests
         assert nest.vectorized
-        edges = AnalysisContext(kernel).dependence_edges
+        dep_ctx = AnalysisContext(kernel)
+        edges = dep_ctx.dependence_edges
         assert [e.directions for e in edges] == [("<", "<")]
-        assert not _may_carry_flow(edges[0], nest.nest.innermost)
+        assert not _may_carry_flow(dep_ctx, edges[0], nest.nest.innermost)
+
+    def test_running_prefix_is_checked_but_its_accumulation_is_not(self):
+        b = KernelBuilder("prefix")
+        x = b.array("x", (16,), DP)
+        y = b.array("y", (16,), DP)
+        s = b.scalar("s", DP)
+        with b.loop(0, 16) as i:
+            b.assign(s.value(), s.value() + x[i])
+            b.assign(y[i], s.value())
+        kernel = b.build()
+        dep_ctx = AnalysisContext(kernel)
+        inner = kernel.outer_loops[0]
+        assert {e.pair_id for e in dep_ctx.dependence_edges
+                if _may_carry_flow(dep_ctx, e, inner)} == {"S0/S1.l0"}
+
+    def test_accumulation_split_over_two_statements_is_exempt(self):
+        # Both statements update s: the compiler vectorizes them as two
+        # reductions, and no edge between them is a disagreement.
+        b = KernelBuilder("two_updates")
+        x = b.array("x", (16,), DP)
+        s = b.scalar("s", DP)
+        with b.loop(0, 16) as i:
+            b.assign(s.value(), s.value() + x[i])
+            b.assign(s.value(), s.value() * 2.0)
+        kernel = b.build()
+        nest, = compile_kernel(kernel, default_options(REFERENCE)).nests
+        assert nest.vectorized
+        dep_ctx = AnalysisContext(kernel)
+        assert not any(_may_carry_flow(dep_ctx, e, nest.nest.innermost)
+                       for e in dep_ctx.dependence_edges)
 
 
 class TestDefectInjection:
