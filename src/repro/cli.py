@@ -75,26 +75,6 @@ from .experiments import (ExperimentContext, run_capture_change,
 from .machine import TARGETS, Architecture, architecture_by_name
 from .suites import build_nas_suite, build_nr_suite
 
-_EXPERIMENTS = {
-    "table1": lambda ctx, args: run_table1(),
-    "table2": lambda ctx, args: run_table2(
-        ctx, GAConfig(population=args.population,
-                      generations=args.generations, seed=args.seed)),
-    "table3": lambda ctx, args: run_table3(ctx, k=args.k_fixed),
-    "table4": lambda ctx, args: run_table4(ctx),
-    "table5": lambda ctx, args: run_table5(ctx),
-    "figure2": lambda ctx, args: run_figure2(ctx),
-    "figure3": lambda ctx, args: run_figure3(ctx),
-    "figure4": lambda ctx, args: run_figure4(ctx),
-    "figure5": lambda ctx, args: run_figure5(ctx),
-    "figure6": lambda ctx, args: run_figure6(ctx),
-    "figure7": lambda ctx, args: run_figure7(ctx,
-                                             samples=args.samples),
-    "figure8": lambda ctx, args: run_figure8(ctx),
-    "capture": lambda ctx, args: run_capture_change(ctx),
-    "whatif": lambda ctx, args: run_whatif(ctx),
-}
-
 
 def _build_suite(name: str, scale: float):
     if name == "nas":
@@ -104,15 +84,23 @@ def _build_suite(name: str, scale: float):
     raise SystemExit(f"unknown suite {name!r}: choose nas or nr")
 
 
-def _positive_int(value: str, expected: str = "an integer >= 1") -> int:
+def _at_least(value: str, least: int, expected: str) -> int:
     try:
         number = int(value)
     except ValueError:
-        number = 0
-    if number < 1:
+        number = least - 1
+    if number < least:
         raise argparse.ArgumentTypeError(
             f"must be {expected}, got {value!r}")
     return number
+
+
+def _positive_int(value: str) -> int:
+    return _at_least(value, 1, "an integer >= 1")
+
+
+def _non_negative_int(value: str) -> int:
+    return _at_least(value, 0, "an integer >= 0")
 
 
 def _cluster_count(value: str):
@@ -120,7 +108,7 @@ def _cluster_count(value: str):
     above the number of codelets to that number."""
     if value == "elbow":
         return value
-    return _positive_int(value, "'elbow' or an integer >= 1")
+    return _at_least(value, 1, "'elbow' or an integer >= 1")
 
 
 def _scale(value: str) -> float:
@@ -141,6 +129,45 @@ def _target(value: str) -> Architecture:
         raise argparse.ArgumentTypeError(exc.args[0]) from None
 
 
+#: Every flag an experiment reads; ``report`` takes them all.
+_FLAGS = {
+    "--samples": dict(type=_positive_int, default=200,
+                      help="random clusterings per K (figure7)"),
+    "--population": dict(type=_positive_int, default=GAConfig.population,
+                         help="GA population (table2)"),
+    "--generations": dict(type=_non_negative_int,
+                          default=GAConfig.generations,
+                          help="GA generations (table2)"),
+    "--seed": dict(type=int, default=GAConfig.seed, help="GA seed (table2)"),
+    "--k-fixed": dict(type=_positive_int, default=14,
+                      help="cluster count (table3)"),
+}
+
+#: Each experiment, in ``report`` order: the flags it reads and its
+#: runner.
+_EXPERIMENTS = {
+    "table1": ((), lambda ctx, args: run_table1()),
+    "table2": (("--population", "--generations", "--seed"),
+               lambda ctx, args: run_table2(ctx, GAConfig(
+                   population=args.population,
+                   generations=args.generations, seed=args.seed))),
+    "table3": (("--k-fixed",),
+               lambda ctx, args: run_table3(ctx, k=args.k_fixed)),
+    "table4": ((), lambda ctx, args: run_table4(ctx)),
+    "table5": ((), lambda ctx, args: run_table5(ctx)),
+    "figure2": ((), lambda ctx, args: run_figure2(ctx)),
+    "figure3": ((), lambda ctx, args: run_figure3(ctx)),
+    "figure4": ((), lambda ctx, args: run_figure4(ctx)),
+    "figure5": ((), lambda ctx, args: run_figure5(ctx)),
+    "figure6": ((), lambda ctx, args: run_figure6(ctx)),
+    "figure7": (("--samples",),
+                lambda ctx, args: run_figure7(ctx, samples=args.samples)),
+    "figure8": ((), lambda ctx, args: run_figure8(ctx)),
+    "capture": ((), lambda ctx, args: run_capture_change(ctx)),
+    "whatif": ((), lambda ctx, args: run_whatif(ctx)),
+}
+
+
 def _load_fault_plan(args):
     from .runtime import FaultPlan
 
@@ -158,7 +185,6 @@ def _load_fault_plan(args):
 def _runtime_config(args) -> RuntimeConfig:
     return RuntimeConfig(jobs=args.jobs, cache_dir=args.cache_dir,
                          retries=args.retries,
-                         task_timeout_s=args.task_timeout,
                          fault_plan=_load_fault_plan(args),
                          strict=args.strict)
 
@@ -187,20 +213,16 @@ def _subsetting_config(args) -> SubsettingConfig:
 def _cmd_experiment(args) -> int:
     ctx = ExperimentContext(scale=args.scale,
                             config=_subsetting_config(args))
-    runner = _EXPERIMENTS[args.command]
-    result = runner(ctx, args)
-    print(result.format())
+    _flags, runner = _EXPERIMENTS[args.command]
+    print(runner(ctx, args).format())
     return 0
 
 
 def _cmd_report(args) -> int:
     ctx = ExperimentContext(scale=args.scale,
                             config=_subsetting_config(args))
-    for name in ("table1", "table2", "table3", "table4", "table5",
-                 "figure2", "figure3", "figure4", "figure5", "figure6",
-                 "figure7", "figure8", "capture", "whatif"):
-        result = _EXPERIMENTS[name](ctx, args)
-        print(result.format())
+    for _flags, runner in _EXPERIMENTS.values():
+        print(runner(ctx, args).format())
         print()
     return 0
 
@@ -276,7 +298,7 @@ def _cmd_export(args) -> int:
     print(f"wrote {args.output}: {len(manifest.representatives)} "
           f"representatives covering "
           f"{sum(len(c) for c in manifest.clusters)} codelets")
-    return 0
+    return _finish_health(reducer, args)
 
 
 def _cmd_verify(args) -> int:
@@ -454,10 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="extra attempts per failed measurement "
                              "task before quarantine (0 = historical "
                              "fail-fast behaviour)")
-    parser.add_argument("--task-timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="per-attempt wall-clock budget for "
-                             "measurement tasks")
     parser.add_argument("--fault-plan", default=None, metavar="FILE",
                         help="JSON fault-injection plan (deterministic "
                              "crashes/timeouts/corruption; see "
@@ -474,23 +492,15 @@ def build_parser() -> argparse.ArgumentParser:
                              "(counters/gauges/histograms) as JSON")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in _EXPERIMENTS:
+    for name, (flags, _runner) in _EXPERIMENTS.items():
         p = sub.add_parser(name, help=f"regenerate {name}")
-        p.add_argument("--samples", type=int, default=200,
-                       help="random clusterings per K (figure7)")
-        p.add_argument("--population", type=int, default=60)
-        p.add_argument("--generations", type=int, default=15)
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--k-fixed", type=_positive_int, default=14,
-                       help="cluster count for table3")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
         p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("report", help="regenerate every experiment")
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--population", type=int, default=60)
-    p.add_argument("--generations", type=int, default=15)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--k-fixed", type=_positive_int, default=14)
+    for flag, options in _FLAGS.items():
+        p.add_argument(flag, **options)
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("reduce", help="run Steps A-D on a suite")
@@ -623,15 +633,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                      f"got {args.jobs}")
     if args.retries < 0:
         parser.error(f"--retries: must be >= 0, got {args.retries}")
-    # Only `report` and the experiment subcommands take these.
-    for flag, least in (("samples", 1), ("population", 1),
-                        ("generations", 0)):
-        value = getattr(args, flag, None)
-        if value is not None and value < least:
-            parser.error(f"--{flag}: must be >= {least}, got {value}")
-    if args.task_timeout is not None and args.task_timeout <= 0:
-        parser.error(f"--task-timeout: must be > 0 seconds, "
-                     f"got {args.task_timeout}")
     if args.cache_dir and os.path.exists(args.cache_dir) \
             and not os.path.isdir(args.cache_dir):
         parser.error(f"--cache-dir: {args.cache_dir!r} is not a directory")

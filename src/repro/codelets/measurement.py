@@ -41,6 +41,10 @@ MIN_INVOCATIONS = 10
 #: invocations to fill the 1 ms budget.
 MAX_INVOCATIONS = 10 ** 6
 
+#: Section 3.4 fidelity tolerance: a standalone time deviating more
+#: than this from the in-app time marks a codelet ill-behaved.
+ILL_BEHAVED_TOLERANCE = 0.10
+
 
 @dataclass(frozen=True)
 class StandaloneTiming:
@@ -57,25 +61,23 @@ class StandaloneTiming:
         return self.per_invocation_s
 
 
-def choose_invocations(estimated_seconds: float,
-                       min_seconds: float = MIN_BENCH_SECONDS,
-                       min_invocations: int = MIN_INVOCATIONS,
-                       max_invocations: int = MAX_INVOCATIONS) -> int:
-    """Fewest invocations so the run lasts ``min_seconds`` (≥ 10).
+def choose_invocations(estimated_seconds: float) -> int:
+    """Fewest invocations so the run lasts :data:`MIN_BENCH_SECONDS`
+    (at least :data:`MIN_INVOCATIONS`).
 
     Degenerate estimates — zero, negative, NaN or infinite — fall back
-    to ``min_invocations``, and the count is capped at
-    ``max_invocations`` so a near-zero standalone time (an empty or
+    to :data:`MIN_INVOCATIONS`, and the count is capped at
+    :data:`MAX_INVOCATIONS` so a near-zero standalone time (an empty or
     constant-folded codelet) can never demand an unbounded benchmark.
     """
     if not math.isfinite(estimated_seconds) or estimated_seconds <= 0:
-        return min_invocations
+        return MIN_INVOCATIONS
     # The epsilon keeps exact ratios (1 ms / 10 us -> 100) from rounding
     # up on floating-point dust.
-    needed = min_seconds / estimated_seconds - 1e-9
-    if needed >= max_invocations:
-        return max_invocations
-    return max(min_invocations, int(math.ceil(needed)))
+    needed = MIN_BENCH_SECONDS / estimated_seconds - 1e-9
+    if needed >= MAX_INVOCATIONS:
+        return MAX_INVOCATIONS
+    return max(MIN_INVOCATIONS, int(math.ceil(needed)))
 
 
 def average_metrics(parts: List[Tuple[DynamicMetrics, float]]) -> DynamicMetrics:
@@ -147,7 +149,6 @@ class Measurer:
             run = run_kernel_model(
                 codelet.variants[variant_idx], arch,
                 pressure_bytes=0.0 if standalone else codelet.pressure_bytes,
-                warm=True,
                 force_scalar=standalone and codelet.fragile_opt)
             self._runs[key] = run
         return run
@@ -227,6 +228,6 @@ class Measurer:
         return abs(standalone - inapp) / inapp
 
     def is_ill_behaved(self, codelet: Codelet, arch: Architecture,
-                       tolerance: float = 0.10) -> bool:
+                       tolerance: float = ILL_BEHAVED_TOLERANCE) -> bool:
         """Step D criterion: standalone deviates > 10% from the original."""
         return self.behavior_deviation(codelet, arch) > tolerance

@@ -115,8 +115,7 @@ class ProfileOutcome:
 
 
 def profile_codelet(codelet: Codelet, measurer: Measurer,
-                    arch: Architecture = REFERENCE,
-                    run_id: int = 0) -> CodeletProfile:
+                    arch: Architecture = REFERENCE) -> CodeletProfile:
     """Static + dynamic profile of one codelet on ``arch``."""
     compiled = compile_kernel(codelet.kernel, default_options(arch))
     static = analyze_static(compiled, arch)
@@ -125,21 +124,21 @@ def profile_codelet(codelet: Codelet, measurer: Measurer,
         codelet=codelet,
         static=static,
         dynamic=dynamic,
-        ref_seconds=measurer.measure_inapp(codelet, arch, run_id),
+        ref_seconds=measurer.measure_inapp(codelet, arch),
         ref_cycles=measurer.reference_cycles(codelet, arch),
     )
 
 
 def profile_outcome(codelet: Codelet, measurer: Measurer,
                     arch: Architecture = REFERENCE,
-                    min_total_cycles: float = MIN_TOTAL_CYCLES,
-                    run_id: int = 0) -> ProfileOutcome:
+                    min_total_cycles: float = MIN_TOTAL_CYCLES
+                    ) -> ProfileOutcome:
     """Profile one codelet, including the measurability decision."""
     total_cycles = (measurer.reference_cycles(codelet, arch)
                     * codelet.invocations)
     if total_cycles < min_total_cycles:
         return ProfileOutcome(codelet.name, total_cycles, kept=False)
-    profile = profile_codelet(codelet, measurer, arch, run_id)
+    profile = profile_codelet(codelet, measurer, arch)
     return ProfileOutcome(
         name=codelet.name,
         total_cycles=total_cycles,
@@ -158,17 +157,15 @@ def _profile_worker(payload):
     which the parent absorbs so post-profiling steps (representative
     selection, Step E) don't recompute them.
     """
-    codelet, spec, arch, min_total_cycles, run_id = payload
+    codelet, spec, arch, min_total_cycles = payload
     measurer = spec.build()
-    outcome = profile_outcome(codelet, measurer, arch,
-                              min_total_cycles, run_id)
+    outcome = profile_outcome(codelet, measurer, arch, min_total_cycles)
     return outcome, measurer.runs_snapshot()
 
 
 def profile_codelets(codelets: Sequence[Codelet], measurer: Measurer,
                      arch: Architecture = REFERENCE,
                      min_total_cycles: float = MIN_TOTAL_CYCLES,
-                     run_id: int = 0,
                      executor: Optional[Executor] = None,
                      cache: Optional[DiskCache] = None,
                      resilience: Optional[ResilientExecutor] = None,
@@ -198,7 +195,7 @@ def profile_codelets(codelets: Sequence[Codelet], measurer: Measurer,
     for i, codelet in enumerate(codelets):
         if cache is not None:
             keys[i] = content_key(profile_cache_key(
-                codelet, arch, measurer, min_total_cycles, run_id))
+                codelet, arch, measurer, min_total_cycles))
             # Deliberately hit/miss-agnostic, so cold and warm runs of
             # the same suite produce the same span tree (the hit/miss
             # split lives in the cache.* metrics instead).
@@ -215,13 +212,13 @@ def profile_codelets(codelets: Sequence[Codelet], measurer: Measurer,
         parallel = executor is not None and executor.jobs > 1
         if parallel:
             spec = measurer.spec()
-            payloads = [(codelets[i], spec, arch, min_total_cycles,
-                         run_id) for i in pending]
+            payloads = [(codelets[i], spec, arch, min_total_cycles)
+                        for i in pending]
             task, items = _profile_worker, payloads
         else:
             def task(i):
                 return profile_outcome(codelets[i], measurer, arch,
-                                       min_total_cycles, run_id)
+                                       min_total_cycles)
             items = pending
         if resilience is None:
             raw = (executor.map(task, items) if parallel

@@ -33,12 +33,22 @@ from .prediction import build_cluster_model, percent_error
 from .representatives import select_representatives
 
 
+#: The GA's operators, which the paper fixes (R ``genalg``, mutation
+#: 0.01): per-bit mutation rate, uniform-crossover probability,
+#: tournament size, elite individuals kept per generation, and the
+#: expected fraction of bits set in the initial population.
+MUTATION_RATE = 0.01
+CROSSOVER_RATE = 0.9
+TOURNAMENT = 3
+ELITE = 2
+INIT_DENSITY = 0.2
+
+
 @dataclass(frozen=True)
 class GAConfig:
-    """GA hyper-parameters.  The paper used population 1000 for 100
-    generations with mutation 0.01; the defaults here are smaller so the
-    experiment reruns in seconds, and the benchmark harness scales them
-    up.
+    """The GA settings the experiments vary.  The paper used population
+    1000 for 100 generations; the defaults here, which ``repro report``
+    runs, are smaller so the experiment reruns in seconds.
 
     ``seed=None`` draws OS entropy — every run then explores a
     different trajectory.  The verify harness's ``ga-selection``
@@ -46,14 +56,9 @@ class GAConfig:
     into experiments, so production configs always pin a seed.
     """
 
-    population: int = 120
-    generations: int = 40
-    mutation_rate: float = 0.01
-    crossover_rate: float = 0.9
-    tournament: int = 3
-    elite: int = 2
+    population: int = 60
+    generations: int = 15
     seed: Optional[int] = 42
-    init_density: float = 0.2       # expected fraction of bits set
 
 
 @dataclass(frozen=True)
@@ -85,7 +90,7 @@ def run_ga(n_bits: int, fitness: Callable[[np.ndarray], float],
             f"{len(seed_individuals)} seed individuals exceed the "
             f"population size {config.population}")
     rng = np.random.default_rng(config.seed)
-    pop = rng.random((config.population, n_bits)) < config.init_density
+    pop = rng.random((config.population, n_bits)) < INIT_DENSITY
     for i, individual in enumerate(seed_individuals):
         pop[i] = np.asarray(individual, dtype=bool)
     # Guarantee non-empty individuals.
@@ -101,23 +106,22 @@ def run_ga(n_bits: int, fitness: Callable[[np.ndarray], float],
     for _ in range(config.generations):
         order = np.argsort(scores)
         history.append(float(scores[order[0]]))
-        next_pop = [pop[i].copy() for i in order[:config.elite]]
+        next_pop = [pop[i].copy() for i in order[:ELITE]]
         while len(next_pop) < config.population:
             # Tournament selection of two parents.
             parents = []
             for _ in range(2):
-                contenders = rng.integers(0, config.population,
-                                          config.tournament)
+                contenders = rng.integers(0, config.population, TOURNAMENT)
                 parents.append(pop[contenders[np.argmin(
                     scores[contenders])]])
             # Uniform crossover.
-            if rng.random() < config.crossover_rate:
+            if rng.random() < CROSSOVER_RATE:
                 mask = rng.random(n_bits) < 0.5
                 child = np.where(mask, parents[0], parents[1])
             else:
                 child = parents[0].copy()
             # Bit-flip mutation.
-            flips = rng.random(n_bits) < config.mutation_rate
+            flips = rng.random(n_bits) < MUTATION_RATE
             child = np.logical_xor(child, flips)
             if not child.any():
                 child[rng.integers(n_bits)] = True

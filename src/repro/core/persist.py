@@ -14,17 +14,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
-
-import numpy as np
+from typing import Dict, Mapping, Optional, Tuple
 
 from ..codelets.codelet import BenchmarkSuite
 from ..codelets.finder import find_suite_codelets
 from ..codelets.measurement import Measurer
 from ..machine.architecture import Architecture
 from .pipeline import ReducedSuite
-from .prediction import (ApplicationPrediction, CodeletPrediction,
-                         aggregate_application)
+from .prediction import extrapolate
 
 FORMAT_VERSION = 1
 
@@ -133,14 +130,12 @@ class ReducedSuiteManifest:
 
     def predict(self, rep_target_seconds: Mapping[str, float]
                 ) -> Dict[str, float]:
-        """Extrapolate every codelet from representative measurements."""
-        out: Dict[str, float] = {}
-        for idx, cluster in enumerate(self.clusters):
-            rep = self.representatives[idx]
-            scale = rep_target_seconds[rep] / self.ref_seconds[rep]
-            for name in cluster:
-                out[name] = self.ref_seconds[name] * scale
-        return out
+        """Extrapolate every codelet from representative measurements,
+        with the live model's arithmetic (:func:`extrapolate`)."""
+        rep_of = {name: rep for rep, cluster
+                  in zip(self.representatives, self.clusters)
+                  for name in cluster}
+        return extrapolate(rep_of, self.ref_seconds, rep_target_seconds)
 
     def predict_applications(self, rep_target_seconds: Mapping[str, float]
                              ) -> Dict[str, float]:

@@ -93,6 +93,9 @@ class ReducedSuite:
     selection: SelectionResult
     model: ClusterModel
     quarantined: Tuple[str, ...] = ()   # dropped by the resilient runtime
+    #: Codelets whose Step D fidelity probe was quarantined: they stay
+    #: in the suite but may never represent a cluster.
+    ineligible: Tuple[str, ...] = ()
 
     @property
     def k(self) -> int:
@@ -221,13 +224,13 @@ class BenchmarkReducer:
 
     # -- Steps C + D ----------------------------------------------------------
 
-    def _probe_fidelity(self, profiles) -> set:
+    def _probe_fidelity(self, profiles) -> Tuple[str, ...]:
         """Step D pre-flight under resilience: run every codelet's
         standalone-fidelity probe through the retry/quarantine wrapper.
         A codelet whose probe is quarantined cannot be trusted as a
         representative and joins the ineligible set, flowing through
         the existing ill-behaved destruction/re-homing machinery."""
-        ineligible = set()
+        ineligible = []
         with self.obs.span("stage:fidelity", probes=len(profiles)):
             for p in profiles:
                 result = self.resilience.run(
@@ -241,11 +244,11 @@ class BenchmarkReducer:
                     ill_behaved=(result is not QUARANTINED
                                  and bool(result)))
                 if result is QUARANTINED:
-                    ineligible.add(p.name)
+                    ineligible.append(p.name)
                     self.health.degrade(
                         f"step D: fidelity probe for {p.name!r} "
                         "quarantined — ineligible as representative")
-        return ineligible
+        return tuple(ineligible)
 
     def reduce(self, k: Union[int, str] = "elbow") -> ReducedSuite:
         """Cluster at ``k`` (or the elbow K) and select representatives."""
@@ -265,11 +268,11 @@ class BenchmarkReducer:
         cut_k = max(1, min(cut_k, features.n_codelets))
         labels = dendrogram.cut(cut_k)
         ineligible = (self._probe_fidelity(report.profiles)
-                      if self.resilience is not None else set())
+                      if self.resilience is not None else ())
         with self.obs.span("stage:select", cut_k=cut_k) as span:
             selection = select_representatives(
                 report.profiles, self._normalized, labels,
-                self.measurer, ineligible=ineligible)
+                self.measurer, ineligible=set(ineligible))
             span.set("final_k", selection.k)
             span.set("destroyed", selection.destroyed_clusters)
         if ineligible and selection.destroyed_clusters:
@@ -291,6 +294,7 @@ class BenchmarkReducer:
             selection=selection,
             model=model,
             quarantined=report.quarantined,
+            ineligible=ineligible,
         )
         metrics = self.obs.metrics
         metrics.gauge("cluster.count").set(reduced.k)
@@ -380,7 +384,8 @@ def evaluate_on_target(reduced: ReducedSuite, target: Architecture,
     quarantined (every attempt failed) does not abort the evaluation:
     it is barred and Step D reselects — possibly destroying its cluster
     and re-homing the members via the ill-behaved machinery — until
-    every surviving representative measures cleanly.
+    every surviving representative measures cleanly.  The reselection
+    keeps Step D's :attr:`ReducedSuite.ineligible` codelets barred too.
     """
     if obs is None:
         obs = active_observation()
@@ -446,7 +451,8 @@ def evaluate_on_target(reduced: ReducedSuite, target: Architecture,
                 f"{target.name}; reselecting its cluster")
             selection = select_representatives(
                 reduced.profiles, reduced.normalized_rows,
-                reduced.labels, measurer, ineligible=barred)
+                reduced.labels, measurer,
+                ineligible=barred.union(reduced.ineligible))
             model = build_cluster_model(reduced.profiles, selection)
 
         span.set("measured", len(rep_times))

@@ -53,10 +53,23 @@ class ClusterModel:
     def predict(self, rep_target_times: Mapping[str, float]) -> Dict[str, float]:
         """Predict every codelet's target time from representative
         measurements (``t_all = M · t_repr``)."""
-        t_repr = np.array([rep_target_times[r]
-                           for r in self.representatives])
-        t_all = self.matrix() @ t_repr
-        return dict(zip(self.codelet_names, t_all))
+        reps = self.representatives
+        rep_of = {name: reps[self.selection.cluster_of(name)]
+                  for name in self.codelet_names}
+        return extrapolate(rep_of, self.ref_times, rep_target_times)
+
+
+def extrapolate(rep_of: Mapping[str, str], ref_times: Mapping[str, float],
+                rep_target_times: Mapping[str, float]) -> Dict[str, float]:
+    """Section 3.5's extrapolation for every codelet of ``rep_of``
+    (codelet -> its representative), in that order:
+    ``t_tar_i = t_ref_i / t_ref_rk * t_tar_rk``.
+
+    This is row i of ``M · t_repr`` bit for bit: the row's one non-zero
+    entry is ``t_ref_i / t_ref_rk``, and its zero entries add nothing.
+    """
+    return {name: ref_times[name] / ref_times[rep] * rep_target_times[rep]
+            for name, rep in rep_of.items()}
 
 
 def build_cluster_model(profiles: Sequence[CodeletProfile],

@@ -18,12 +18,9 @@ from typing import (AbstractSet, Dict, List, Optional, Sequence,
 
 import numpy as np
 
-from ..codelets.measurement import Measurer
+from ..codelets.measurement import ILL_BEHAVED_TOLERANCE, Measurer
 from ..codelets.profiling import CodeletProfile
 from ..machine.architecture import Architecture, REFERENCE
-
-#: Section 3.4 fidelity tolerance.
-ILL_BEHAVED_TOLERANCE = 0.10
 
 #: Relative tolerance under which two centroid/neighbour distances are
 #: considered tied.  Ties happen structurally — feature-identical
@@ -105,7 +102,6 @@ def select_representatives(profiles: Sequence[CodeletProfile],
     """
     labels = np.asarray(labels)
     names = [p.name for p in profiles]
-    by_name = {p.name: p for p in profiles}
     barred = ineligible if ineligible is not None else frozenset()
 
     # Fidelity of every codelet on the reference machine (memoized runs

@@ -284,7 +284,6 @@ def analyze_cache(kernel_or_nests, arch: Architecture,
 
     nlevels = len(arch.caches)
     total_accesses = 0.0
-    total_stores = 0.0
     # misses_at[l] = accesses that miss level l (forwarded deeper)
     misses_at = [0.0] * nlevels
     store_misses_llc = 0.0
@@ -292,7 +291,6 @@ def analyze_cache(kernel_or_nests, arch: Architecture,
     for nest in nests:
         groups = collect_groups(nest)
         total_accesses += sum(g.count for g in groups)
-        total_stores += sum(g.store_count for g in groups)
         prev = [g.count for g in groups]
         for li, cache in enumerate(arch.caches):
             capacity = _effective_capacity(cache, li == nlevels - 1,

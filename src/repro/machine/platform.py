@@ -45,7 +45,6 @@ def default_options(arch: Architecture) -> CompilerOptions:
 
 def run_kernel_model(kernel: Kernel, arch: Architecture, *,
                      pressure_bytes: float = 0.0,
-                     warm: bool = True,
                      compiler_options: Optional[CompilerOptions] = None,
                      force_scalar: bool = False) -> MeasuredRun:
     """Model one invocation of ``kernel`` on ``arch``.
@@ -55,8 +54,6 @@ def run_kernel_model(kernel: Kernel, arch: Architecture, *,
     pressure_bytes:
         LLC footprint of the surrounding application (0 for an extracted
         standalone microbenchmark).
-    warm:
-        Whether the codelet's data survives in cache between invocations.
     force_scalar:
         Compile without vectorization (extraction perturbation of
         fragile codelets).
@@ -66,7 +63,7 @@ def run_kernel_model(kernel: Kernel, arch: Architecture, *,
         options = replace(options, force_scalar=True)
     compiled = compile_kernel(kernel, options)
     profile = analyze_cache([n.nest for n in compiled.nests], arch,
-                            pressure_bytes=pressure_bytes, warm=warm)
+                            pressure_bytes=pressure_bytes)
     est = estimate_execution(compiled, arch, profile)
     metrics = derive_metrics(compiled, arch, profile, est)
     return MeasuredRun(arch, compiled, profile, est, metrics)

@@ -18,12 +18,12 @@ package supplies the corresponding machinery:
   injection (:class:`FaultPlan`) keyed like the measurement noise
   model;
 * :mod:`~repro.runtime.resilience` — :class:`ResilientExecutor`
-  (per-task retries in back-to-back rounds, wall-clock budgets, circuit
-  breakers) and the structured :class:`RunHealth` report;
+  (per-task retries in back-to-back rounds, circuit breakers) and the
+  structured :class:`RunHealth` report;
 * :mod:`~repro.runtime.config` — :class:`RuntimeConfig`, the knob bundle
   wired through :class:`repro.core.pipeline.SubsettingConfig` and the
-  CLI (``--jobs``, ``--cache-dir``, ``--retries``, ``--task-timeout``,
-  ``--fault-plan``, ``--strict``).
+  CLI (``--jobs``, ``--cache-dir``, ``--retries``, ``--fault-plan``,
+  ``--strict``).
 
 This package deliberately depends only on :mod:`repro.ir` and
 :mod:`repro.machine`; the codelet and core layers import *it*.

@@ -3,7 +3,7 @@
 :class:`RuntimeConfig` is carried by
 :class:`repro.core.pipeline.SubsettingConfig` and surfaced on the CLI as
 ``--jobs`` / ``--cache-dir`` plus the resilience flags ``--retries`` /
-``--task-timeout`` / ``--fault-plan`` / ``--strict``.
+``--fault-plan`` / ``--strict``.
 The defaults (serial, no cache, two retries, no faults) reproduce the
 historical results exactly: with no faults to recover from, the
 resilient path computes bit-identical values to the plain one.
@@ -36,9 +36,6 @@ class RuntimeConfig:
         Extra attempts per failed task before its circuit breaker
         quarantines it (the CLI's ``--retries``; 0 restores the
         historical fail-fast behaviour).
-    task_timeout_s:
-        Per-attempt wall-clock budget (``--task-timeout``); ``None``
-        means unbounded.
     fault_plan:
         Deterministic fault injection (``--fault-plan``); ``None`` in
         production.
@@ -51,7 +48,6 @@ class RuntimeConfig:
     jobs: int = 1
     cache_dir: Optional[str] = None
     retries: int = 2
-    task_timeout_s: Optional[float] = None
     fault_plan: Optional[FaultPlan] = None
     strict: bool = False
 
@@ -72,14 +68,9 @@ class RuntimeConfig:
     @property
     def resilience_active(self) -> bool:
         """Whether pipeline stages should run through the resilient
-        executor.  ``--retries 0`` with no fault plan and no timeout
-        restores the historical fail-fast code path exactly."""
-        return (self.retries > 0 or self.fault_plan is not None
-                or self.task_timeout_s is not None)
-
-    def retry_policy(self) -> RetryPolicy:
-        return RetryPolicy(retries=self.retries,
-                           timeout_s=self.task_timeout_s)
+        executor.  ``--retries 0`` with no fault plan restores the
+        historical fail-fast code path exactly."""
+        return self.retries > 0 or self.fault_plan is not None
 
     def make_resilience(self, health: Optional[RunHealth] = None,
                         obs=None) -> Optional[ResilientExecutor]:
@@ -93,6 +84,6 @@ class RuntimeConfig:
         """
         if not self.resilience_active:
             return None
-        return ResilientExecutor(policy=self.retry_policy(),
+        return ResilientExecutor(policy=RetryPolicy(retries=self.retries),
                                  fault_plan=self.fault_plan,
                                  health=health, obs=obs)

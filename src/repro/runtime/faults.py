@@ -43,7 +43,7 @@ class InjectedCrash(InjectedFault):
 
 
 class InjectedTimeout(InjectedFault):
-    """The task 'hung' past its wall-clock budget."""
+    """The task 'hung' (modelled as an exception)."""
 
 
 class CorruptResult(InjectedFault):

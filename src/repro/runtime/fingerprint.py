@@ -92,7 +92,7 @@ def measurer_fingerprint(measurer) -> str:
 
 
 def profile_cache_key(codelet, arch: Architecture, measurer,
-                      min_total_cycles: float, run_id: int) -> str:
+                      min_total_cycles: float) -> str:
     """Canonical (pre-hash) key material for one profiling outcome."""
     return "|".join([
         FINGERPRINT_VERSION,
@@ -100,5 +100,4 @@ def profile_cache_key(codelet, arch: Architecture, measurer,
         architecture_fingerprint(arch),
         measurer_fingerprint(measurer),
         f"min_cycles={min_total_cycles!r}",
-        f"run={run_id}",
     ])

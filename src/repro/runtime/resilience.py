@@ -26,7 +26,6 @@ organic ones, which is how the test-suite proves the degradation paths.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, List, Optional, Sequence,
                     Tuple)
@@ -43,14 +42,10 @@ class RetryPolicy:
 
     ``retries`` is the number of *extra* attempts after the first, so a
     task gets ``retries + 1`` attempts total; retry rounds run back to
-    back.  ``timeout_s`` is a per-attempt wall-clock budget: an attempt
-    that finishes over budget counts as a timeout failure.  Wall-clock
-    enforcement is inherently machine-dependent, so deterministic
-    replays should drive timeouts through a fault plan instead.
+    back.
     """
 
     retries: int = 2
-    timeout_s: Optional[float] = None
 
     def __post_init__(self):
         if self.retries < 0:
@@ -205,9 +200,8 @@ def _classify(exc: BaseException) -> str:
 
 def _guarded_call(fn: Callable[[Any], Any], item: Any, stage: str,
                   task: str, arch: str, attempt: int,
-                  plan: Optional[FaultPlan],
-                  timeout_s: Optional[float]) -> Any:
-    """One attempt: inject faults, run, enforce the time budget."""
+                  plan: Optional[FaultPlan]) -> Any:
+    """One attempt: inject the plan's faults around running the task."""
     faults = (plan.faults_for(stage, task, arch, attempt)
               if plan is not None else ())
     if "crash" in faults:
@@ -216,26 +210,20 @@ def _guarded_call(fn: Callable[[Any], Any], item: Any, stage: str,
     if "timeout" in faults:
         raise InjectedTimeout(
             f"injected timeout ({stage}:{task}, attempt {attempt})")
-    start = time.monotonic()
     result = fn(item)
     if "corrupt" in faults:
         raise CorruptResult(
             f"injected corrupt result ({stage}:{task}, "
             f"attempt {attempt})")
-    if timeout_s is not None and time.monotonic() - start > timeout_s:
-        raise TimeoutError(
-            f"task {stage}:{task} attempt {attempt} exceeded its "
-            f"{timeout_s:g}s budget")
     return result
 
 
 def _resilient_worker(payload) -> Tuple[str, Any, str]:
     """Run one guarded attempt, folding failures into the return value
     so a crashed task can never abort the surrounding pool ``map``."""
-    fn, item, stage, task, arch, attempt, plan, timeout_s = payload
+    fn, item, stage, task, arch, attempt, plan = payload
     try:
-        result = _guarded_call(fn, item, stage, task, arch, attempt,
-                               plan, timeout_s)
+        result = _guarded_call(fn, item, stage, task, arch, attempt, plan)
     except InjectedFault as exc:
         return ("fail", _classify(exc), str(exc))
     except Exception as exc:        # noqa: BLE001 - report, don't mask
@@ -307,8 +295,7 @@ class ResilientExecutor:
         attempt = 0
         while active and attempt < self.policy.max_attempts:
             payloads = [(fn, items[i], stage, keys[i], arch, attempt,
-                         self.fault_plan, self.policy.timeout_s)
-                        for i in active]
+                         self.fault_plan) for i in active]
             if metrics is not None:
                 metrics.counter("resilience.attempts").inc(
                     len(payloads))

@@ -651,10 +651,8 @@ def check_resilience_replay(ctx: VerifyContext) -> None:
 
     # 1. With nothing to recover from, the resilient path must compute
     #    exactly what the historical fail-fast path computes.
-    _, resilient = run(replace(base_rt, retries=2, fault_plan=None,
-                               task_timeout_s=None))
-    _, failfast = run(replace(base_rt, retries=0, fault_plan=None,
-                              task_timeout_s=None))
+    _, resilient = run(replace(base_rt, retries=2, fault_plan=None))
+    _, failfast = run(replace(base_rt, retries=0, fault_plan=None))
     if (resilient.profiles != failfast.profiles
             or not np.array_equal(resilient.labels, failfast.labels)
             or resilient.representatives != failfast.representatives):
@@ -757,8 +755,7 @@ def check_trace_replay(ctx: VerifyContext) -> None:
 
     base_rt = ctx.config.runtime
     _, clean_trace, _ = replay(
-        "clean", replace(base_rt, retries=2, fault_plan=None,
-                         task_timeout_s=None))
+        "clean", replace(base_rt, retries=2, fault_plan=None))
     if '"stage:profile"' not in clean_trace:
         raise InvariantViolation(
             "trace-replay: the clean trace has no 'stage:profile' span "

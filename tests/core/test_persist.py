@@ -76,8 +76,7 @@ class TestPortableWorkflow:
         from_manifest = manifest.predict(rep_times)
         live = evaluate_on_target(reduced, CORE2, m)
         for pred in live.codelets:
-            assert from_manifest[pred.name] == pytest.approx(
-                pred.predicted_seconds, rel=1e-9)
+            assert from_manifest[pred.name] == pred.predicted_seconds
 
     def test_application_totals(self, reduced_and_measurer):
         reduced, m = reduced_and_measurer

@@ -118,8 +118,8 @@ class TestInvalidation:
         assert (kernel_fingerprint(a.kernel)
                 == kernel_fingerprint(b.kernel))
         m = Measurer()
-        assert (content_key(profile_cache_key(a, NEHALEM, m, 1e6, 0))
-                == content_key(profile_cache_key(b, NEHALEM, m, 1e6, 0)))
+        assert (content_key(profile_cache_key(a, NEHALEM, m, 1e6))
+                == content_key(profile_cache_key(b, NEHALEM, m, 1e6)))
 
     def test_rebuilt_suite_hits_across_sessions(self, tmp_path):
         """Two independent builds of the same codelets share entries —

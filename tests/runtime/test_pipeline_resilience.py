@@ -18,7 +18,9 @@ from repro.cli import main
 from repro.codelets import Measurer
 from repro.core.pipeline import (BenchmarkReducer, SubsettingConfig,
                                  evaluate_on_target)
+from repro.core.representatives import select_representatives
 from repro.machine import ATOM
+from repro.obs import Observation
 from repro.runtime import FaultPlan, FaultRule, crash_plan
 from repro.runtime.config import RuntimeConfig
 from repro.verify.oracle import diff_reduced
@@ -155,6 +157,36 @@ class TestDegradation:
         assert any("step E" in m
                    for m in resilience.health.degradations)
 
+    def test_target_reselection_keeps_fidelity_quarantine(self, baseline):
+        """Y's target benchmark is quarantined, and X, the codelet Step E
+        would pick in Y's place, had its Step D fidelity probe
+        quarantined: the reselection must not pick X either."""
+        measurer = Measurer()
+        for y in baseline.representatives:
+            fallback = select_representatives(
+                baseline.profiles, baseline.normalized_rows,
+                baseline.labels, measurer, ineligible={y})
+            fresh = (set(fallback.representatives)
+                     - set(baseline.representatives))
+            if fresh:
+                [x] = fresh
+                break
+        else:
+            pytest.fail("no representative has an eligible stand-in")
+        plan = FaultPlan(rules=(
+            FaultRule(kind="crash", match=x, stage="fidelity"),
+            FaultRule(kind="crash", match=y, stage="bench")))
+        reducer, reduced = _reduce(RuntimeConfig(retries=1,
+                                                 fault_plan=plan))
+        assert reduced.representatives == baseline.representatives
+        obs = Observation()
+        evaluation = evaluate_on_target(reduced, ATOM, Measurer(),
+                                        resilience=reducer.resilience,
+                                        obs=obs)
+        assert evaluation.degraded_representatives == (y,)
+        assert obs.tracer.find(f"bench:{x}") == []
+        assert reduced.ineligible == (x,)
+
 
 class TestResilienceCLI:
     def _plan_file(self, tmp_path, plan: FaultPlan) -> str:
@@ -196,6 +228,15 @@ class TestResilienceCLI:
                      "reduce", "--suite", "nr", "--k", "6"])
         assert code == 3
 
+    def test_strict_escalates_export_degradation(self, capsys, tmp_path):
+        plan = crash_plan(self._victim(), stage="profile")
+        code = main(["--scale", "0.05", "--strict", "--fault-plan",
+                     self._plan_file(tmp_path, plan),
+                     "export", "--suite", "nr", "--k", "6",
+                     "-o", str(tmp_path / "m.json")])
+        assert code == 3
+        assert "run health" in capsys.readouterr().out
+
     def test_missing_plan_file_rejected(self, tmp_path):
         with pytest.raises(SystemExit, match="cannot read"):
             main(["--fault-plan", str(tmp_path / "absent.json"),
@@ -210,10 +251,6 @@ class TestResilienceCLI:
     def test_negative_retries_rejected(self):
         with pytest.raises(SystemExit):
             main(["--retries", "-1", "suites"])
-
-    def test_zero_timeout_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["--task-timeout", "0", "suites"])
 
     def test_retries_zero_reproduces_default_output(self, capsys):
         argv = ["--scale", "0.05", "reduce", "--suite", "nr",

@@ -53,7 +53,8 @@ class TestRunLengthFlags:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert f"{flag}: must be >=" in capsys.readouterr().err
+        assert (f"argument {flag}: must be an integer >="
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("argv", [
         ["figure7", "--samples", "1"],
@@ -63,6 +64,33 @@ class TestRunLengthFlags:
     def test_smallest_values_accepted(self, no_work, argv):
         with pytest.raises(WorkStarted):
             main(argv)
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["table1", "--samples", "3"], "--samples"),
+        (["figure7", "--population", "5"], "--population"),
+    ])
+    def test_flag_the_experiment_does_not_read_rejected(
+            self, no_work, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert (f"unrecognized arguments: {flag}"
+                in capsys.readouterr().err)
+
+    def test_each_experiment_takes_only_its_own_flags(self, capsys):
+        flags = ("--samples", "--population", "--generations", "--seed",
+                 "--k-fixed")
+        own = {"table2": {"--population", "--generations", "--seed"},
+               "table3": {"--k-fixed"}, "figure7": {"--samples"},
+               "report": set(flags)}
+        parser = build_parser()
+        for command in list(cli._EXPERIMENTS) + ["report"]:
+            for flag in flags:
+                if flag in own.get(command, ()):
+                    parser.parse_args([command, flag, "1"])
+                else:
+                    with pytest.raises(SystemExit):
+                        parser.parse_args([command, flag, "1"])
 
 
 class TestValueFlags:
