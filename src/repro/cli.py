@@ -60,13 +60,11 @@ import os
 import sys
 from typing import List, Optional
 
-from .codelets import Measurer
 from .core.ga import GAConfig
-from .core.pipeline import (BenchmarkReducer, SubsettingConfig,
-                            evaluate_on_target)
+from .core.pipeline import SubsettingConfig
 from .obs import Observation, load_trace, observing, render_summary, \
     render_tree
-from .runtime import RuntimeConfig
+from .runtime import RunHealth, RuntimeConfig
 from .experiments import (ExperimentContext, run_capture_change,
                           run_figure2, run_figure3, run_figure4,
                           run_figure5, run_figure6, run_figure7,
@@ -77,11 +75,7 @@ from .suites import build_nas_suite, build_nr_suite
 
 
 def _build_suite(name: str, scale: float):
-    if name == "nas":
-        return build_nas_suite(scale)
-    if name == "nr":
-        return build_nr_suite(scale)
-    raise SystemExit(f"unknown suite {name!r}: choose nas or nr")
+    return build_nas_suite(scale) if name == "nas" else build_nr_suite(scale)
 
 
 def _at_least(value: str, least: int, expected: str) -> int:
@@ -182,18 +176,22 @@ def _load_fault_plan(args):
         raise SystemExit(f"--fault-plan: {args.fault_plan!r}: {exc}")
 
 
-def _runtime_config(args) -> RuntimeConfig:
-    return RuntimeConfig(jobs=args.jobs, cache_dir=args.cache_dir,
-                         retries=args.retries,
-                         fault_plan=_load_fault_plan(args),
-                         strict=args.strict)
+def _subsetting_config(args) -> SubsettingConfig:
+    return SubsettingConfig(runtime=RuntimeConfig(
+        jobs=args.jobs, cache_dir=args.cache_dir, retries=args.retries,
+        fault_plan=_load_fault_plan(args), strict=args.strict))
 
 
-def _finish_health(reducer, args) -> int:
-    """Print/persist run health; non-zero under ``--strict`` if the
-    run degraded (quarantines, poisoned cache, destroyed clusters)."""
-    health = reducer.health
-    if reducer.config.runtime.resilience_active:
+def _context(args) -> ExperimentContext:
+    return ExperimentContext(scale=args.scale,
+                             config=_subsetting_config(args))
+
+
+def _finish_health(health: RunHealth, args, footer: bool) -> int:
+    """Print the run-health footer if ``footer`` and persist it; non-zero
+    under ``--strict`` if the run degraded (quarantines, poisoned
+    cache, destroyed clusters)."""
+    if footer:
         print()
         print(health.format())
     if getattr(args, "health_out", None):
@@ -206,36 +204,30 @@ def _finish_health(reducer, args) -> int:
     return 0
 
 
-def _subsetting_config(args) -> SubsettingConfig:
-    return SubsettingConfig(runtime=_runtime_config(args))
-
-
-def _cmd_experiment(args) -> int:
-    ctx = ExperimentContext(scale=args.scale,
-                            config=_subsetting_config(args))
-    _flags, runner = _EXPERIMENTS[args.command]
-    print(runner(ctx, args).format())
-    return 0
-
-
-def _cmd_report(args) -> int:
-    ctx = ExperimentContext(scale=args.scale,
-                            config=_subsetting_config(args))
-    for _flags, runner in _EXPERIMENTS.values():
+def _cmd_experiments(args) -> int:
+    """One experiment, or every one of them for ``report``."""
+    ctx = _context(args)
+    report = args.command == "report"
+    for name in (_EXPERIMENTS if report else [args.command]):
+        _flags, runner = _EXPERIMENTS[name]
         print(runner(ctx, args).format())
-        print()
-    return 0
+        if report:
+            print()
+    # Clean stdout must not move (benchmarks/pipeline/digests.json pins
+    # it), so only a degraded run prints the footer.
+    health = ctx.health
+    return _finish_health(health, args, health.degraded)
 
 
 def _cmd_reduce(args) -> int:
     from .codelets.finder import find_codelets
 
-    suite = _build_suite(args.suite, args.scale)
+    ctx = _context(args)
+    suite = ctx.reducer(args.suite).suite
     print("detection:")
     for app in suite.applications:
         print(f"  {find_codelets(app).summary()}")
-    reducer = BenchmarkReducer(suite, Measurer(), _subsetting_config(args))
-    reduced = reducer.reduce(args.k)
+    reduced = ctx.reduced(args.suite, args.k)
     print(f"suite {suite.name}: {len(reduced.profiles)} measurable "
           f"codelets, elbow K={reduced.elbow}, final K={reduced.k}")
     print("\ndendrogram:")
@@ -254,21 +246,15 @@ def _cmd_reduce(args) -> int:
         for member in members:
             marker = " *" if member == rep else ""
             print(f"  {member}{marker}")
-    return _finish_health(reducer, args)
+    return _finish_health(ctx.health, args,
+                          ctx.config.runtime.resilience_active)
 
 
 def _cmd_predict(args) -> int:
-    suite = _build_suite(args.suite, args.scale)
-    measurer = Measurer()
-    config = _subsetting_config(args)
-    reducer = BenchmarkReducer(suite, measurer, config)
-    reduced = reducer.reduce(args.k)
+    ctx = _context(args)
     targets = [args.target] if args.target else list(TARGETS)
-    with config.runtime.make_executor() as executor:
-        results = [(t, evaluate_on_target(
-                        reduced, t, measurer, executor=executor,
-                        resilience=reducer.resilience))
-                   for t in targets]
+    results = [(t, ctx.evaluation(args.suite, args.k, t))
+               for t in targets]
     for target, result in results:
         r = result.reduction
         print(f"\n{target.name}: median codelet error "
@@ -284,21 +270,21 @@ def _cmd_predict(args) -> int:
             print(f"  {app.app:4s} real {app.real_seconds:10.2f}s  "
                   f"predicted {app.predicted_seconds:10.2f}s  "
                   f"error {app.error_pct:6.2f}%")
-    return _finish_health(reducer, args)
+    return _finish_health(ctx.health, args,
+                          ctx.config.runtime.resilience_active)
 
 
 def _cmd_export(args) -> int:
     from .core.persist import export_manifest
 
-    suite = _build_suite(args.suite, args.scale)
-    reducer = BenchmarkReducer(suite, Measurer(), _subsetting_config(args))
-    reduced = reducer.reduce(args.k)
-    manifest = export_manifest(reduced)
+    ctx = _context(args)
+    manifest = export_manifest(ctx.reduced(args.suite, args.k))
     manifest.save(args.output)
     print(f"wrote {args.output}: {len(manifest.representatives)} "
           f"representatives covering "
           f"{sum(len(c) for c in manifest.clusters)} codelets")
-    return _finish_health(reducer, args)
+    return _finish_health(ctx.health, args,
+                          ctx.config.runtime.resilience_active)
 
 
 def _cmd_verify(args) -> int:
@@ -360,8 +346,11 @@ def _cmd_transform(args) -> int:
             k=args.k, force=args.force_unsafe)
         print()
         print(result.format())
+        status = _finish_health(result.health, args,
+                                result.health.degraded)
         if not result.memo_collision_free:
             return 1
+        return status
     return 0
 
 
@@ -496,12 +485,12 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"regenerate {name}")
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
-        p.set_defaults(func=_cmd_experiment)
+        p.set_defaults(func=_cmd_experiments)
 
     p = sub.add_parser("report", help="regenerate every experiment")
     for flag, options in _FLAGS.items():
         p.add_argument(flag, **options)
-    p.set_defaults(func=_cmd_report)
+    p.set_defaults(func=_cmd_experiments)
 
     p = sub.add_parser("reduce", help="run Steps A-D on a suite")
     p.add_argument("--suite", default="nas", choices=("nas", "nr"))

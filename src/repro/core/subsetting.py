@@ -11,19 +11,20 @@ A-E run on each application separately, with the representative budget
 split evenly, and the per-codelet errors aggregated afterwards.  An
 application whose codelets are all ill-behaved (MG in the paper) cannot
 be predicted this way and is reported in ``unpredictable``.
+
+Both take the :class:`repro.experiments.ExperimentContext` and ask it
+for every reducer (``"nas"``, or ``"nas:bt"`` for one application),
+reduction and evaluation, which it builds once and caches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from ..codelets.codelet import Application, BenchmarkSuite
-from ..codelets.measurement import Measurer
 from ..machine.architecture import Architecture
-from .pipeline import BenchmarkReducer, SubsettingConfig, evaluate_on_target
 from .prediction import CodeletPrediction
 
 
@@ -38,57 +39,45 @@ class SubsettingComparison:
     unpredictable: Tuple[str, ...] = ()
 
 
-def cross_application_subsetting(suite: BenchmarkSuite,
-                                 measurer: Measurer,
-                                 target: Architecture,
-                                 k: int,
-                                 config: SubsettingConfig = SubsettingConfig()
-                                 ) -> SubsettingComparison:
-    """Shared representatives across the whole suite at budget ``k``."""
-    reducer = BenchmarkReducer(suite, measurer, config)
-    reduced = reducer.reduce(k)
-    evaluation = evaluate_on_target(reduced, target, measurer)
+def cross_application_subsetting(ctx, target: Architecture,
+                                 k: int) -> SubsettingComparison:
+    """Shared representatives across the NAS suite at budget ``k``."""
+    evaluation = ctx.evaluation("nas", k, target)
     return SubsettingComparison(
         arch_name=target.name,
-        total_representatives=len(reduced.representatives),
+        total_representatives=len(ctx.reduced("nas", k).representatives),
         median_error_pct=evaluation.median_error_pct,
         codelets=evaluation.codelets,
     )
 
 
-def per_application_subsetting(suite: BenchmarkSuite,
-                               measurer: Measurer,
-                               target: Architecture,
-                               reps_per_app: int,
-                               config: SubsettingConfig = SubsettingConfig()
-                               ) -> SubsettingComparison:
+def per_application_subsetting(ctx, target: Architecture,
+                               reps_per_app: int) -> SubsettingComparison:
     """Independent per-application subsetting (the SimPoint-like regime).
 
-    Each application gets ``reps_per_app`` representatives.  Apps where
-    representative selection fails outright (all codelets ill-behaved)
-    are excluded from the error computation and listed as
+    Each NAS application gets ``reps_per_app`` representatives.  Apps
+    where representative selection fails outright (all codelets
+    ill-behaved) are excluded from the error computation and listed as
     unpredictable, as the paper does for MG.
     """
     all_predictions: List[CodeletPrediction] = []
     unpredictable: List[str] = []
     total_reps = 0
-    for app in suite.applications:
-        sub_suite = BenchmarkSuite(f"{suite.name}:{app.name}", (app,))
-        reducer = BenchmarkReducer(sub_suite, measurer, config)
-        n_codelets = len(reducer.profiling().profiles)
+    for app in ctx.nas.suite.applications:
+        name = f"nas:{app.name}"
+        n_codelets = len(ctx.reducer(name).profiling().profiles)
         if n_codelets == 0:
             unpredictable.append(app.name)
             continue
         k = max(1, min(reps_per_app, n_codelets))
         try:
-            reduced = reducer.reduce(k)
+            reduced = ctx.reduced(name, k)
         except ValueError:
             # Every codelet ill-behaved: no faithful representative.
             unpredictable.append(app.name)
             continue
-        evaluation = evaluate_on_target(reduced, target, measurer)
         total_reps += len(reduced.representatives)
-        all_predictions.extend(evaluation.codelets)
+        all_predictions.extend(ctx.evaluation(name, k, target).codelets)
     if not all_predictions:
         raise ValueError("no application could be predicted")
     median = float(np.median([p.error_pct for p in all_predictions]))

@@ -1,65 +1,88 @@
 """Shared experiment state.
 
-All experiment drivers share one :class:`ExperimentContext` so the
-expensive parts — suite construction, Step A/B profiling, dendrograms —
-run once per process.  ``scale`` shrinks suite working sets for fast
-test runs; the experiments use 1.0 (the CLASS-B-like configuration).
+:class:`ExperimentContext` is the one place that builds a command's
+reducers, reductions and Step E evaluations, so the expensive parts —
+suite construction, Step A/B profiling, dendrograms — run once per
+process, and :attr:`~ExperimentContext.health` covers every reducer.
+``scale`` shrinks suite working sets for fast test runs; the
+experiments use 1.0 (the CLASS-B-like configuration).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
+from ..codelets.codelet import BenchmarkSuite
 from ..codelets.measurement import Measurer
 from ..core.pipeline import (BenchmarkReducer, ReducedSuite,
                              SubsettingConfig, TargetEvaluation,
                              evaluate_on_target)
 from ..machine.architecture import Architecture
+from ..runtime.resilience import RunHealth
 from ..suites import build_nas_suite, build_nr_suite
+
+_SUITES = {"nr": build_nr_suite, "nas": build_nas_suite}
 
 
 @dataclass
 class ExperimentContext:
-    """Lazily-built shared state for the paper's experiments."""
+    """Lazily-built shared state for the paper's experiments.
+
+    Reducers are named ``"nr"``, ``"nas"`` or ``"nas:bt"``: one NAS
+    application alone, Figure 8's per-application regime.
+    """
 
     scale: float = 1.0
     measurer: Measurer = field(default_factory=Measurer)
     config: SubsettingConfig = field(default_factory=SubsettingConfig)
-    _nr: Optional[BenchmarkReducer] = None
-    _nas: Optional[BenchmarkReducer] = None
+    _reducers: Dict[str, BenchmarkReducer] = field(default_factory=dict)
     _reduced: Dict = field(default_factory=dict)
     _evaluations: Dict = field(default_factory=dict)
 
+    def reducer(self, name: str) -> BenchmarkReducer:
+        """The reducer called ``name``, built once."""
+        if name not in self._reducers:
+            suite_name, _, app = name.partition(":")
+            if app:
+                whole = self.reducer(suite_name).suite
+                suite = BenchmarkSuite(f"{whole.name}:{app}",
+                                       (whole.application(app),))
+            else:
+                suite = _SUITES[suite_name](self.scale)
+            self._reducers[name] = BenchmarkReducer(suite, self.measurer,
+                                                    self.config)
+        return self._reducers[name]
+
     @property
     def nr(self) -> BenchmarkReducer:
-        if self._nr is None:
-            self._nr = BenchmarkReducer(build_nr_suite(self.scale),
-                                        self.measurer, self.config)
-        return self._nr
+        return self.reducer("nr")
 
     @property
     def nas(self) -> BenchmarkReducer:
-        if self._nas is None:
-            self._nas = BenchmarkReducer(build_nas_suite(self.scale),
-                                         self.measurer, self.config)
-        return self._nas
+        return self.reducer("nas")
 
-    def reduced(self, suite: str, k) -> ReducedSuite:
-        """Cached Steps C-D result for ('nr'|'nas', k)."""
-        key = (suite, k)
+    def reduced(self, name: str, k) -> ReducedSuite:
+        """Cached Steps C-D result for (reducer name, k)."""
+        key = (name, k)
         if key not in self._reduced:
-            reducer = self.nr if suite == "nr" else self.nas
-            self._reduced[key] = reducer.reduce(k)
+            self._reduced[key] = self.reducer(name).reduce(k)
         return self._reduced[key]
 
-    def evaluation(self, suite: str, k,
+    def evaluation(self, name: str, k,
                    target: Architecture) -> TargetEvaluation:
-        """Cached Step E evaluation for ('nr'|'nas', k, target)."""
-        key = (suite, k, target.name)
+        """Cached Step E evaluation for (reducer name, k, target), run
+        under that reducer's resilience."""
+        key = (name, k, target.name)
         if key not in self._evaluations:
+            reduced = self.reduced(name, k)
             with self.config.runtime.make_executor() as executor:
                 self._evaluations[key] = evaluate_on_target(
-                    self.reduced(suite, k), target, self.measurer,
-                    executor=executor)
+                    reduced, target, self.measurer, executor=executor,
+                    resilience=self.reducer(name).resilience)
         return self._evaluations[key]
+
+    @property
+    def health(self) -> RunHealth:
+        """Every reducer's run health, in the order they were built."""
+        return RunHealth.combined(r.health for r in self._reducers.values())

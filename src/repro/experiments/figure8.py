@@ -71,15 +71,13 @@ class Figure8Result:
 def run_figure8(ctx: ExperimentContext,
                 reps_per_app: Sequence[int] = (1, 2, 3),
                 targets=(ATOM, CORE2, SANDY_BRIDGE)) -> Figure8Result:
-    suite = ctx.nas.suite
-    n_apps = len(suite.applications)
+    n_apps = len(ctx.nas.suite.applications)
     points = []
     for budget in reps_per_app:
         for arch in targets:
-            per_app = per_application_subsetting(
-                suite, ctx.measurer, arch, budget, ctx.config)
-            cross = cross_application_subsetting(
-                suite, ctx.measurer, arch, budget * n_apps, ctx.config)
+            per_app = per_application_subsetting(ctx, arch, budget)
+            cross = cross_application_subsetting(ctx, arch,
+                                                 budget * n_apps)
             points.append(Figure8Point(arch.name, budget, per_app,
                                        cross))
     return Figure8Result(tuple(points))

@@ -22,7 +22,7 @@ kernel's content fingerprint (no silent aliasing).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..codelets.measurement import Measurer
@@ -30,6 +30,7 @@ from ..core.pipeline import BenchmarkReducer, SubsettingConfig
 from ..ir.fingerprint import kernel_fingerprint
 from ..ir.rewrite import PassSpec, transform_suite
 from ..isa import compile_kernel, lowering_memo_keys
+from ..runtime.resilience import RunHealth
 
 
 def _variants(suite):
@@ -86,6 +87,8 @@ class TransformStabilityResult:
     #: Distinct fingerprints across both suites vs memo entries touched.
     n_distinct_fingerprints: int
     n_memo_entries: int
+    #: Both reducers' run health, the original suite's first.
+    health: RunHealth = field(default_factory=RunHealth, compare=False)
 
     @property
     def representative_overlap(self) -> int:
@@ -166,9 +169,11 @@ def run_transform_stability(
     # them as present rather than as collisions.
     n_memo = len(touched) + len(missing)
 
-    reduced_a = BenchmarkReducer(suite, Measurer(), config).reduce(k)
-    reduced_b = BenchmarkReducer(transformed, Measurer(),
-                                 config).reduce(k)
+    # Each suite needs its own Measurer: the measurer memo keys on
+    # codelet names, which rewrites keep.
+    reducers = [BenchmarkReducer(s, Measurer(), config)
+                for s in (suite, transformed)]
+    reduced_a, reduced_b = (reducer.reduce(k) for reducer in reducers)
     mem_a, mem_b = _membership(reduced_a), _membership(reduced_b)
     common = sorted(set(mem_a) & set(mem_b))
     moved = tuple(n for n in common if mem_a[n] != mem_b[n])
@@ -188,4 +193,5 @@ def run_transform_stability(
         n_fingerprint_aliases=aliases,
         n_distinct_fingerprints=len(ours),
         n_memo_entries=n_memo,
+        health=RunHealth.combined(r.health for r in reducers),
     )

@@ -84,14 +84,6 @@ class Kernel:
     def outer_loops(self) -> List[Loop]:
         return [s for s in self.body if isinstance(s, Loop)]
 
-    def innermost_loops(self) -> List[Tuple[Loop, Tuple[Loop, ...]]]:
-        """All innermost loops with their enclosing loop stacks."""
-        found = []
-        for stmt, stack in walk_statements(self.body):
-            if isinstance(stmt, Loop) and stmt.is_innermost():
-                found.append((stmt, stack))
-        return found
-
     def stores(self) -> List[Tuple[Store, Tuple[Loop, ...]]]:
         return [(s, stack) for s, stack in walk_statements(self.body)
                 if isinstance(s, Store)]

@@ -138,10 +138,6 @@ class TransformReport:
     def count(self, status: str) -> int:
         return sum(r.status == status for r in self.records)
 
-    @property
-    def n_refused(self) -> int:
-        return self.count("refused")
-
     def format(self) -> str:
         spec = ",".join(str(s) for s in self.pipeline)
         lines = [f"repro transform — {self.title} "

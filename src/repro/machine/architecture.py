@@ -82,10 +82,6 @@ class Architecture:
     def llc(self) -> CacheLevel:
         return self.caches[-1]
 
-    @property
-    def cycle_ns(self) -> float:
-        return 1.0 / self.freq_ghz
-
     def mem_bw_bytes_per_cycle(self) -> float:
         return self.mem_bw_gbps / self.freq_ghz
 

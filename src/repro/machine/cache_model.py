@@ -88,10 +88,6 @@ class AccessGroup:
     count: float            # dynamic element accesses per invocation
     store_count: float      # dynamic stores within the group
 
-    @property
-    def load_count(self) -> float:
-        return self.count - self.store_count
-
 
 def collect_groups(nest: NestAnalysis) -> List[AccessGroup]:
     """Group the nest's accesses; duplicate loads are CSE'd first."""

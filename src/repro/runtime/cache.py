@@ -52,10 +52,6 @@ class CacheStats:
     errors: int = 0              # corrupted/unreadable entries evicted
     checksum_failures: int = 0   # entries whose payload bytes rotted
 
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"CacheStats(hits={self.hits}, misses={self.misses}, "
                 f"stores={self.stores}, errors={self.errors}, "

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, List, Optional, Sequence,
-                    Tuple)
+from typing import (Any, Callable, Dict, Iterable, List, Optional,
+                    Sequence, Tuple)
 
 from ..obs import Observation
 from .executor import Executor, SerialExecutor
@@ -86,6 +86,15 @@ class RunHealth:
     degradations: List[str] = field(default_factory=list)
     cache_checksum_failures: int = 0
     cache_errors: int = 0
+
+    @classmethod
+    def combined(cls, healths: Iterable["RunHealth"]) -> "RunHealth":
+        """One report over several runs' health, in the given order."""
+        healths = list(healths)
+        return cls([t for h in healths for t in h.tasks],
+                   [m for h in healths for m in h.degradations],
+                   sum(h.cache_checksum_failures for h in healths),
+                   sum(h.cache_errors for h in healths))
 
     # -- recording ------------------------------------------------------------
 

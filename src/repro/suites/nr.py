@@ -214,9 +214,3 @@ def build_nr_suite(scale: float = 1.0) -> BenchmarkSuite:
             codelet_coverage=1.0,       # NR codes are single kernels
         ))
     return BenchmarkSuite("NR", tuple(apps))
-
-
-def nr_codelet_name(spec: NRSpec) -> str:
-    """The finder's name for a spec's codelet."""
-    kernel = spec.build(1e-9)           # smallest instance, just for srcloc
-    return f"{spec.name}/{kernel.srcloc}"

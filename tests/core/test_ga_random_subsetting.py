@@ -15,7 +15,7 @@ from repro.core.random_baseline import (RandomClusteringStats,
 from repro.core.subsetting import (cross_application_subsetting,
                                    per_application_subsetting)
 from repro.machine import ATOM, CORE2
-from repro.suites import build_nas_suite, build_nr_suite
+from repro.suites import build_nr_suite
 
 
 @pytest.fixture(scope="module")
@@ -211,28 +211,19 @@ def scalar_random_clustering_errors(profiles, measurer, target, k,
 
 
 class TestSubsetting:
-    @pytest.fixture(scope="class")
-    def suite_and_measurer(self):
-        return build_nas_suite(), Measurer()
-
-    def test_cross_app_basic(self, suite_and_measurer):
-        suite, m = suite_and_measurer
-        result = cross_application_subsetting(suite, m, CORE2, k=14)
+    def test_cross_app_basic(self, ctx):
+        result = cross_application_subsetting(ctx, CORE2, k=14)
         assert result.total_representatives <= 14
         assert len(result.codelets) == 67
 
-    def test_per_app_excludes_mg(self, suite_and_measurer):
-        suite, m = suite_and_measurer
-        result = per_application_subsetting(suite, m, CORE2,
-                                            reps_per_app=2)
+    def test_per_app_excludes_mg(self, ctx):
+        result = per_application_subsetting(ctx, CORE2, reps_per_app=2)
         assert "mg" in result.unpredictable
         apps_predicted = {c.app for c in result.codelets}
         assert "mg" not in apps_predicted
 
-    def test_cross_app_beats_per_app(self, suite_and_measurer):
+    def test_cross_app_beats_per_app(self, ctx):
         """Figure 8's headline at a matched budget."""
-        suite, m = suite_and_measurer
-        per_app = per_application_subsetting(suite, m, ATOM,
-                                             reps_per_app=2)
-        cross = cross_application_subsetting(suite, m, ATOM, k=14)
+        per_app = per_application_subsetting(ctx, ATOM, reps_per_app=2)
+        cross = cross_application_subsetting(ctx, ATOM, k=14)
         assert cross.median_error_pct <= per_app.median_error_pct

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.codelets import Measurer, find_suite_codelets
-from repro.experiments import ExperimentContext
+from repro.core.pipeline import BenchmarkReducer, SubsettingConfig
+from repro.experiments import ExperimentContext, run_figure8
 from repro.machine import ATOM, NEHALEM
+from repro.runtime import RuntimeConfig, crash_plan
 from repro.suites import build_nr_suite
 
 
@@ -39,6 +41,54 @@ class TestContextCaching:
         codelet_big = big.nr.profiling().profiles[0].codelet
         assert codelet.kernel.footprint_bytes() < \
             codelet_big.kernel.footprint_bytes()
+
+
+class TestReducersBuiltOnce:
+    def test_application_reducer_is_named_and_cached(self):
+        ctx = ExperimentContext(scale=0.05)
+        bt = ctx.reducer("nas:bt")
+        assert bt is ctx.reducer("nas:bt")
+        assert bt.suite.name == "NAS:bt"
+        assert [app.name for app in bt.suite.applications] == ["bt"]
+        assert bt.measurer is ctx.measurer
+
+    def test_figure8_builds_one_reducer_per_suite_and_application(
+            self, monkeypatch):
+        built = []
+        init = BenchmarkReducer.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(BenchmarkReducer, "__init__", counting_init)
+        ctx = ExperimentContext(scale=0.3)
+        run_figure8(ctx, reps_per_app=(1, 2))
+        n_apps = len(ctx.nas.suite.applications)
+        assert n_apps == 7
+        assert len(built) <= 1 + n_apps
+
+    def test_health_lists_every_reducer_in_build_order(self):
+        ctx = ExperimentContext(scale=0.05)
+        ctx.reduced("nr", 4)
+        ctx.reduced("nas", 4)
+        tasks = ctx.nr.health.tasks + ctx.nas.health.tasks
+        assert tasks and ctx.health.tasks == tasks
+        assert not ctx.health.degraded
+
+
+class TestStepEResilience:
+    def test_quarantined_representative_is_reselected(self):
+        victim = ExperimentContext(scale=0.3).reduced(
+            "nr", 8).representatives[0]
+        plan = crash_plan(victim, stage="bench", arch=ATOM.name)
+        ctx = ExperimentContext(scale=0.3, config=SubsettingConfig(
+            runtime=RuntimeConfig(fault_plan=plan)))
+        evaluation = ctx.evaluation("nr", 8, ATOM)
+        assert evaluation.degraded_representatives == (victim,)
+        assert ctx.health.degraded
+        assert any("step E" in m and victim in m
+                   for m in ctx.health.degradations)
 
 
 class TestRunIds:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.codelets import Measurer
+from repro.codelets import Measurer, find_suite_codelets
 from repro.core.pipeline import (BenchmarkReducer, SubsettingConfig,
                                  evaluate_on_target)
 from repro.core.representatives import select_representatives
@@ -235,6 +235,37 @@ class TestResilienceCLI:
                      "export", "--suite", "nr", "--k", "6",
                      "-o", str(tmp_path / "m.json")])
         assert code == 3
+        assert "run health" in capsys.readouterr().out
+
+    def test_strict_escalates_experiment_degradation(self, capsys,
+                                                     tmp_path):
+        from repro.experiments import ExperimentContext
+
+        ctx = ExperimentContext(scale=0.3)
+        victim = ctx.nas.profiling().profiles[0].name
+        plan = self._plan_file(tmp_path,
+                               crash_plan(victim, stage="profile"))
+        argv = ["--scale", "0.3", "--fault-plan", plan, "figure8"]
+        assert main(["--strict"] + argv) == 3
+        assert "run health" in capsys.readouterr().out
+        assert main(argv) == 0
+        assert "run health" in capsys.readouterr().out
+
+    def test_clean_experiment_prints_no_footer(self, capsys):
+        assert main(["--scale", "0.3", "--strict", "table3"]) == 0
+        assert "run health" not in capsys.readouterr().out
+
+    def test_strict_escalates_transform_stability_degradation(
+            self, capsys, tmp_path):
+        from repro.suites import build_nr_suite
+
+        victim = find_suite_codelets(build_nr_suite(0.3))[0].name
+        plan = self._plan_file(tmp_path,
+                               crash_plan(victim, stage="profile"))
+        assert main(["--scale", "0.3", "--strict", "--fault-plan", plan,
+                     "transform", "--suite", "nr", "--pass",
+                     "interchange", "--stability", "--report-dir",
+                     str(tmp_path)]) == 3
         assert "run health" in capsys.readouterr().out
 
     def test_missing_plan_file_rejected(self, tmp_path):

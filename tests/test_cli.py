@@ -29,12 +29,11 @@ class WorkStarted(Exception):
 
 @pytest.fixture
 def no_work(monkeypatch):
-    """Make building a suite, a reducer or the experiment context
-    raise, so a test can tell whether a command got past argument
-    checking."""
+    """Make building a suite or the experiment context raise, so a
+    test can tell whether a command got past argument checking."""
     def start(*args, **kwargs):
         raise WorkStarted
-    for name in ("_build_suite", "BenchmarkReducer", "ExperimentContext"):
+    for name in ("_build_suite", "ExperimentContext"):
         monkeypatch.setattr(cli, name, start)
 
 
