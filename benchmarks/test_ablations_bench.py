@@ -9,16 +9,15 @@ from conftest import report
 from repro.core.clustering import LINKAGE_METHODS, elbow_k, linkage
 from repro.core.features import TABLE2_FEATURES, FeatureMatrix
 from repro.core.prediction import build_cluster_model, percent_error
-from repro.core.representatives import select_representatives
+from repro.core.representatives import (ill_behaved_codelets,
+                                        select_representatives)
 from repro.experiments.report import format_table
 from repro.machine import ATOM, NEHALEM, analyze_cache, simulate_cache
 from repro.suites import build_nas_suite
 
 
-def _median_error(profiles, rows, labels, measurer, target,
-                  tolerance=0.10):
-    selection = select_representatives(profiles, rows, labels, measurer,
-                                       tolerance=tolerance)
+def _median_error(profiles, rows, labels, ill_behaved, measurer, target):
+    selection = select_representatives(profiles, rows, labels, ill_behaved)
     model = build_cluster_model(profiles, selection)
     by_name = {p.name: p for p in profiles}
     rep_times = {r: measurer.benchmark_standalone(
@@ -36,6 +35,7 @@ def test_ablation_linkage_methods(benchmark, ctx):
     profiles = ctx.nas.profiling().profiles
     fm = FeatureMatrix.from_profiles(profiles, TABLE2_FEATURES)
     rows = fm.normalized()
+    ill_behaved = ill_behaved_codelets(profiles, ctx.measurer)
 
     def run():
         out = {}
@@ -43,7 +43,7 @@ def test_ablation_linkage_methods(benchmark, ctx):
             dg = linkage(rows, method)
             labels = dg.cut(16)
             out[method] = _median_error(profiles, rows, labels,
-                                        ctx.measurer, ATOM)
+                                        ill_behaved, ctx.measurer, ATOM)
         return out
 
     errors = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -60,6 +60,7 @@ def test_ablation_feature_normalization(benchmark, ctx):
     on normalization so every feature weighs equally)."""
     profiles = ctx.nas.profiling().profiles
     fm = FeatureMatrix.from_profiles(profiles, TABLE2_FEATURES)
+    ill_behaved = ill_behaved_codelets(profiles, ctx.measurer)
 
     def run():
         out = {}
@@ -67,7 +68,7 @@ def test_ablation_feature_normalization(benchmark, ctx):
                             ("raw", fm.values)):
             dg = linkage(rows, "ward")
             out[label] = _median_error(profiles, rows, dg.cut(16),
-                                       ctx.measurer, ATOM)
+                                       ill_behaved, ctx.measurer, ATOM)
         return out
 
     errors = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -86,15 +87,16 @@ def test_ablation_ill_behaved_filter(benchmark, ctx):
     rows = fm.normalized()
     dg = linkage(rows, "ward")
     labels = dg.cut(16)
+    ill_behaved = ill_behaved_codelets(profiles, ctx.measurer)
 
     def run():
         return {
             "filter on (10%)": _median_error(
-                profiles, rows, labels, ctx.measurer, NEHALEM,
-                tolerance=0.10),
+                profiles, rows, labels, ill_behaved, ctx.measurer,
+                NEHALEM),
             "filter off": _median_error(
-                profiles, rows, labels, ctx.measurer, NEHALEM,
-                tolerance=float("inf")),
+                profiles, rows, labels, frozenset(), ctx.measurer,
+                NEHALEM),
         }
 
     errors = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -227,7 +227,7 @@ class Measurer:
         standalone = self.true_standalone_seconds(codelet, arch)
         return abs(standalone - inapp) / inapp
 
-    def is_ill_behaved(self, codelet: Codelet, arch: Architecture,
-                       tolerance: float = ILL_BEHAVED_TOLERANCE) -> bool:
-        """Step D criterion: standalone deviates > 10% from the original."""
-        return self.behavior_deviation(codelet, arch) > tolerance
+    def is_ill_behaved(self, codelet: Codelet, arch: Architecture) -> bool:
+        """Step D criterion: standalone deviates > 10% from the original
+        (Step D asks once per codelet, via ``ill_behaved_codelets``)."""
+        return self.behavior_deviation(codelet, arch) > ILL_BEHAVED_TOLERANCE

@@ -2,6 +2,7 @@
 representative selection, prediction, reduction accounting, the GA
 feature search and the end-to-end pipeline (Steps A-E of the paper)."""
 
+from ..codelets.measurement import ILL_BEHAVED_TOLERANCE
 from .clustering import (ELBOW_K_MAX, ELBOW_THRESHOLD, LINKAGE_METHODS,
                          Dendrogram, Merge, elbow_k, linkage,
                          linkage_reference, variance_curve, ward_linkage,
@@ -23,8 +24,7 @@ from .prediction import (ApplicationPrediction, ClusterModel,
 from .random_baseline import (RandomClusteringStats, random_clustering_errors,
                               random_partition)
 from .reduction import ReductionBreakdown, reduction_breakdown
-from .representatives import (ILL_BEHAVED_TOLERANCE, SelectionResult,
-                              select_representatives)
+from .representatives import SelectionResult, select_representatives
 from .subsetting import (SubsettingComparison, cross_application_subsetting,
                          per_application_subsetting)
 

@@ -30,7 +30,7 @@ from ..machine.architecture import ATOM, SANDY_BRIDGE
 from .clustering import ELBOW_K_MAX, elbow_k, ward_linkage
 from .features import ALL_FEATURE_NAMES, FeatureMatrix
 from .prediction import build_cluster_model, percent_error
-from .representatives import select_representatives
+from .representatives import ill_behaved_codelets, select_representatives
 
 
 #: The GA's operators, which the paper fixes (R ``genalg``, mutation
@@ -154,13 +154,14 @@ class FeatureSelectionProblem:
     Fitness of a mask: cluster the training codelets using only the
     masked features, cut at the elbow K, select representatives, predict
     each of :data:`TRAIN_TARGETS`, and return
-    ``max(median errors) * K`` (lower is better).
+    ``max(median errors) * K`` (lower is better).  The fidelity
+    verdicts do not depend on the mask, so they are judged once here.
     """
 
     def __init__(self, profiles: Sequence[CodeletProfile],
                  measurer: Measurer):
         self.profiles = list(profiles)
-        self.measurer = measurer
+        self.ill_behaved = ill_behaved_codelets(self.profiles, measurer)
         self.features = FeatureMatrix.from_profiles(self.profiles,
                                                     ALL_FEATURE_NAMES)
         # Real target times (in-app, measured) per architecture.
@@ -196,7 +197,7 @@ class FeatureSelectionProblem:
         labels = dendrogram.cut(k)
         try:
             selection = select_representatives(
-                self.profiles, rows, labels, self.measurer)
+                self.profiles, rows, labels, self.ill_behaved)
         except ValueError:
             self._cache[key] = float("inf")
             return float("inf")

@@ -7,18 +7,18 @@
   (:mod:`repro.codelets.profiling`), once, whatever K is later used;
 * **Step C** — normalise features, Ward-cluster, cut at a fixed K or the
   elbow K (:mod:`repro.core.clustering`);
-* **Step D** — select well-behaved representatives
-  (:mod:`repro.core.representatives`);
+* **Step D** — judge every codelet's fidelity once, then select
+  well-behaved representatives (:mod:`repro.core.representatives`);
 * **Step E** — benchmark representatives on a target and extrapolate
   (:func:`evaluate_on_target`).
 
-Profiling is cached on the reducer, so sweeping K (Figure 3) or
-evaluating several targets re-uses Steps A-B.  The reducer records its
-stage metrics (``profiles.*``, ``features.count``, ``cluster.*``,
-``elbow.k``, ``ill_behaved.count``) into its
-:class:`~repro.obs.Observation`: the profiling and feature metrics once,
-when the memoized artifact is first computed, the cluster metrics on
-every :meth:`BenchmarkReducer.reduce`.  The
+Profiling and fidelity are cached on the reducer, so sweeping K
+(Figure 3) or evaluating several targets re-uses Steps A-B and D's
+probe.  The reducer records its stage metrics (``profiles.*``,
+``features.count``, ``cluster.*``, ``elbow.k``, ``ill_behaved.count``)
+into its :class:`~repro.obs.Observation`: the profiling and feature
+metrics once, when the memoized artifact is first computed, the cluster
+metrics on every :meth:`BenchmarkReducer.reduce`.  The
 :class:`~repro.runtime.config.RuntimeConfig` carried by
 :class:`SubsettingConfig` additionally fans Steps B and E out across
 worker processes (``jobs``) and persists per-codelet profiling outcomes
@@ -30,7 +30,7 @@ guaranteed bit-identical to a serial, cold run (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Optional, Tuple, Union
 
 import numpy as np
 
@@ -52,7 +52,7 @@ from .prediction import (ApplicationPrediction, ClusterModel,
                          CodeletPrediction, aggregate_application,
                          average_error, build_cluster_model, median_error)
 from .reduction import ReductionBreakdown, reduction_breakdown
-from .representatives import (ILL_BEHAVED_TOLERANCE, SelectionResult,
+from .representatives import (SelectionResult, ill_behaved_codelets,
                               select_representatives)
 
 
@@ -120,7 +120,8 @@ class ReducedSuite:
 
 
 class BenchmarkReducer:
-    """Runs the benchmark reduction method over a suite."""
+    """Runs the benchmark reduction method over a suite, profiling and
+    judging fidelity once whatever K is later used."""
 
     def __init__(self, suite: BenchmarkSuite,
                  measurer: Optional[Measurer] = None,
@@ -143,6 +144,7 @@ class BenchmarkReducer:
         self.resilience = config.runtime.make_resilience(self.health,
                                                          obs=self.obs)
         self._report: Optional[ProfilingReport] = None
+        self._fidelity: Optional[Tuple[FrozenSet[str], Tuple[str, ...]]] = None
         self._features: Optional[FeatureMatrix] = None
         self._normalized: Optional[np.ndarray] = None
         self._dendrogram: Optional[Dendrogram] = None
@@ -224,18 +226,24 @@ class BenchmarkReducer:
 
     # -- Steps C + D ----------------------------------------------------------
 
-    def _probe_fidelity(self, profiles) -> Tuple[str, ...]:
-        """Step D pre-flight under resilience: run every codelet's
-        standalone-fidelity probe through the retry/quarantine wrapper.
-        A codelet whose probe is quarantined cannot be trusted as a
-        representative and joins the ineligible set, flowing through
-        the existing ill-behaved destruction/re-homing machinery."""
-        ineligible = []
+    def fidelity(self) -> Tuple[FrozenSet[str], Tuple[str, ...]]:
+        """Step D's verdicts ``(ill_behaved, ineligible)``, judged once.
+        Under resilience every codelet's probe runs through the
+        retry/quarantine wrapper, and a codelet whose probe is
+        quarantined is ineligible as representative, not ill-behaved."""
+        if self._fidelity is not None:
+            return self._fidelity
+        profiles = self.profiling().profiles
+        if self.resilience is None:
+            self._fidelity = (
+                ill_behaved_codelets(profiles, self.measurer), ())
+            return self._fidelity
+        ill_behaved, ineligible = [], []
         with self.obs.span("stage:fidelity", probes=len(profiles)):
             for p in profiles:
                 result = self.resilience.run(
                     lambda p=p: self.measurer.is_ill_behaved(
-                        p.codelet, REFERENCE, ILL_BEHAVED_TOLERANCE),
+                        p.codelet, REFERENCE),
                     key=p.name, stage="fidelity", arch=REFERENCE.name)
                 self.obs.metrics.counter("tasks.fidelity").inc()
                 self.obs.event(
@@ -248,7 +256,10 @@ class BenchmarkReducer:
                     self.health.degrade(
                         f"step D: fidelity probe for {p.name!r} "
                         "quarantined — ineligible as representative")
-        return tuple(ineligible)
+                elif result:
+                    ill_behaved.append(p.name)
+        self._fidelity = frozenset(ill_behaved), tuple(ineligible)
+        return self._fidelity
 
     def reduce(self, k: Union[int, str] = "elbow") -> ReducedSuite:
         """Cluster at ``k`` (or the elbow K) and select representatives."""
@@ -267,12 +278,11 @@ class BenchmarkReducer:
         cut_k = elbow if k == "elbow" else int(k)
         cut_k = max(1, min(cut_k, features.n_codelets))
         labels = dendrogram.cut(cut_k)
-        ineligible = (self._probe_fidelity(report.profiles)
-                      if self.resilience is not None else ())
+        ill_behaved, ineligible = self.fidelity()
         with self.obs.span("stage:select", cut_k=cut_k) as span:
             selection = select_representatives(
-                report.profiles, self._normalized, labels,
-                self.measurer, ineligible=set(ineligible))
+                report.profiles, self._normalized, labels, ill_behaved,
+                frozenset(ineligible))
             span.set("final_k", selection.k)
             span.set("destroyed", selection.destroyed_clusters)
         if ineligible and selection.destroyed_clusters:
@@ -385,7 +395,7 @@ def evaluate_on_target(reduced: ReducedSuite, target: Architecture,
     it is barred and Step D reselects — possibly destroying its cluster
     and re-homing the members via the ill-behaved machinery — until
     every surviving representative measures cleanly.  The reselection
-    keeps Step D's :attr:`ReducedSuite.ineligible` codelets barred too.
+    keeps Step D's ill-behaved and ineligible codelets barred too.
     """
     if obs is None:
         obs = active_observation()
@@ -419,19 +429,13 @@ def evaluate_on_target(reduced: ReducedSuite, target: Architecture,
                 codelet = reduced.profile(rep_name).codelet
                 obs.metrics.counter("tasks.bench").inc()
                 if resilience is None:
-                    timing = measurer.benchmark_standalone(
-                        codelet, target)
-                    rep_times[rep_name] = timing.per_invocation_s
-                    obs.metrics.counter("model_seconds.bench").inc(
-                        timing.total_bench_s)
-                    obs.event(f"bench:{rep_name}",
-                              invocations=timing.invocations,
-                              model_s=timing.total_bench_s)
-                    continue
-                result = resilience.run(
-                    lambda c=codelet: measurer.benchmark_standalone(
-                        c, target),
-                    key=rep_name, stage="bench", arch=target.name)
+                    result = measurer.benchmark_standalone(codelet,
+                                                           target)
+                else:
+                    result = resilience.run(
+                        lambda c=codelet: measurer.benchmark_standalone(
+                            c, target),
+                        key=rep_name, stage="bench", arch=target.name)
                 if result is QUARANTINED:
                     obs.event(f"bench:{rep_name}", quarantined=True)
                     failed = rep_name
@@ -451,8 +455,8 @@ def evaluate_on_target(reduced: ReducedSuite, target: Architecture,
                 f"{target.name}; reselecting its cluster")
             selection = select_representatives(
                 reduced.profiles, reduced.normalized_rows,
-                reduced.labels, measurer,
-                ineligible=barred.union(reduced.ineligible))
+                reduced.labels, frozenset(reduced.selection.ill_behaved),
+                barred.union(reduced.ineligible))
             model = build_cluster_model(reduced.profiles, selection)
 
         span.set("measured", len(rep_times))

@@ -7,20 +7,21 @@ A deviation over 10% marks it ill-behaved and ineligible; selection
 retries with the next-closest codelet.  A cluster whose members are all
 ineligible is destroyed: each member is re-homed to the cluster of its
 nearest well-behaved neighbour, so the final K can drop below the
-elbow K but every representative is guaranteed faithful.
+elbow K but every representative is guaranteed faithful.  The verdicts
+do not depend on K, so they are judged once per profile set
+(:func:`ill_behaved_codelets`) and selection only reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (AbstractSet, Dict, List, Optional, Sequence,
-                    Tuple)
+from typing import AbstractSet, Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
-from ..codelets.measurement import ILL_BEHAVED_TOLERANCE, Measurer
+from ..codelets.measurement import Measurer
 from ..codelets.profiling import CodeletProfile
-from ..machine.architecture import Architecture, REFERENCE
+from ..machine.architecture import REFERENCE
 
 #: Relative tolerance under which two centroid/neighbour distances are
 #: considered tied.  Ties happen structurally — feature-identical
@@ -83,38 +84,31 @@ def _centroid_order(rows: np.ndarray, members: List[int],
     return [members[i] for i in ranked]
 
 
+def ill_behaved_codelets(profiles: Sequence[CodeletProfile],
+                         measurer: Measurer) -> FrozenSet[str]:
+    """Names of the codelets failing the Section 3.4 fidelity check."""
+    return frozenset(p.name for p in profiles
+                     if measurer.is_ill_behaved(p.codelet, REFERENCE))
+
+
 def select_representatives(profiles: Sequence[CodeletProfile],
                            normalized_rows: np.ndarray,
                            labels: Sequence[int],
-                           measurer: Measurer,
-                           reference: Architecture = REFERENCE,
-                           tolerance: float = ILL_BEHAVED_TOLERANCE,
-                           ineligible: Optional[AbstractSet[str]] = None
+                           ill_behaved: AbstractSet[str],
+                           ineligible: AbstractSet[str] = frozenset()
                            ) -> SelectionResult:
     """Run the Step D selection loop.
 
     ``normalized_rows`` must be the same matrix the clustering used
     (rows aligned with ``profiles``); ``labels`` the chosen cut.
-    ``ineligible`` names codelets barred from representing a cluster
-    for reasons beyond fidelity — chiefly quarantine by the resilient
-    runtime (its measurements cannot be trusted) — which flow through
-    the same destruction/re-homing machinery as ill-behaved codelets.
+    ``ill_behaved`` names the codelets that failed the fidelity check
+    (:func:`ill_behaved_codelets`); ``ineligible`` those barred for other
+    reasons, chiefly a quarantined fidelity probe, which flow through the
+    same destruction/re-homing but are not reported ill-behaved.
     """
     labels = np.asarray(labels)
     names = [p.name for p in profiles]
-    barred = ineligible if ineligible is not None else frozenset()
-
-    # Fidelity of every codelet on the reference machine (memoized runs
-    # keep this cheap across repeated selections).  Quarantined codelets
-    # are ineligible but *not* reported ill-behaved — their fidelity is
-    # unknown, not known-bad.
-    faithful: Dict[str, bool] = {}
-    well_behaved: Dict[str, bool] = {}
-    for p in profiles:
-        faithful[p.name] = not measurer.is_ill_behaved(
-            p.codelet, reference, tolerance)
-        well_behaved[p.name] = (p.name not in barred
-                                and faithful[p.name])
+    barred = ill_behaved | ineligible
 
     cluster_ids = list(np.unique(labels))
     members_of: Dict[int, List[int]] = {cid: [] for cid in cluster_ids}
@@ -125,12 +119,9 @@ def select_representatives(profiles: Sequence[CodeletProfile],
     orphans: List[int] = []                 # members of destroyed clusters
     destroyed = 0
     for cid in cluster_ids:
-        rep: Optional[str] = None
-        for idx in _centroid_order(normalized_rows, members_of[cid],
-                                   names):
-            if well_behaved[names[idx]]:
-                rep = names[idx]
-                break
+        order = _centroid_order(normalized_rows, members_of[cid], names)
+        rep = next((names[i] for i in order if names[i] not in barred),
+                   None)
         if rep is None:
             destroyed += 1
             orphans.extend(members_of[cid])
@@ -168,6 +159,6 @@ def select_representatives(profiles: Sequence[CodeletProfile],
         clusters=tuple(tuple(m) for m in final_members),
         representatives=tuple(rep for _, rep in kept),
         assignments=assignments,
-        ill_behaved=tuple(n for n, ok in faithful.items() if not ok),
+        ill_behaved=tuple(n for n in names if n in ill_behaved),
         destroyed_clusters=destroyed,
     )

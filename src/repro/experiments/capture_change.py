@@ -12,7 +12,9 @@ performance patterns:
 
 This driver checks all four properties on our reproduction: the pair
 members share a cluster, A is compute bound and speeds up on Core 2,
-B is memory bound and slows down.
+B is memory bound and slows down.  A pair is reported over the members
+Step B kept; one a fault plan emptied prints as quarantined and does
+not reproduce the paper.
 """
 
 from __future__ import annotations
@@ -31,12 +33,16 @@ CLUSTER_B = ("bt/rhs.f:266-311", "sp/rhs.f:275-320")
 @dataclass(frozen=True)
 class PairReport:
     label: str
-    members: Tuple[str, ...]
+    members: Tuple[str, ...]     # the pair's members Step B kept
     same_cluster: bool
     memory_fraction: float       # mean, on the reference machine
     cache_bw_mbs: float          # mean L2 bandwidth (the paper's signal)
     static_ipc: float            # mean MAQAO L1-bound IPC
     core2_speedups: Tuple[float, ...]
+
+    @property
+    def quarantined(self) -> bool:
+        return not self.members
 
     @property
     def mean_core2_speedup(self) -> float:
@@ -61,7 +67,8 @@ class CaptureChangeResult:
         alongside static IPC).
         """
         a, b = self.cluster_a, self.cluster_b
-        return (b.cache_bw_mbs > a.cache_bw_mbs
+        return (not (a.quarantined or b.quarantined)
+                and b.cache_bw_mbs > a.cache_bw_mbs
                 and a.memory_fraction < 0.5 < b.memory_fraction
                 and a.mean_core2_speedup > 1.0
                 and b.mean_core2_speedup < 1.0)
@@ -70,6 +77,7 @@ class CaptureChangeResult:
         headers = ("Cluster", "Members", "Same cluster", "Static IPC",
                    "Mem fraction", "L2 BW MB/s", "Core 2 speedup")
         rows = [
+            (r.label, "quarantined") if r.quarantined else
             (r.label, ", ".join(r.members), r.same_cluster,
              r.static_ipc, r.memory_fraction, r.cache_bw_mbs,
              r.mean_core2_speedup)
@@ -85,6 +93,10 @@ class CaptureChangeResult:
 def _pair_report(ctx: ExperimentContext, label: str,
                  members: Tuple[str, ...], reduced) -> PairReport:
     profiles = {p.name: p for p in reduced.profiles}
+    members = tuple(name for name in members if name in profiles)
+    if not members:
+        nan = float("nan")
+        return PairReport(label, members, False, nan, nan, nan, ())
     speedups = []
     mem_fracs = []
     cache_bws = []

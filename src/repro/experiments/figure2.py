@@ -5,7 +5,8 @@ mprove_8, toeplz_4}, representative toeplz_1) and cluster 2
 ({realft_4}): representatives have 0% error by construction, and the
 representative's speedup translated onto each sibling gives the
 prediction.  We report the clusters our K=14 cut builds around the same
-two anchor codelets.
+two anchor codelets; an anchor a fault plan dropped in Step B is
+skipped (the run health names it).
 """
 
 from __future__ import annotations
@@ -58,8 +59,10 @@ def run_figure2(ctx: ExperimentContext, k: int = 14) -> Figure2Result:
 
     rows = []
     for anchor in ANCHORS:
-        anchor_name = next(p.name for p in reduced.profiles
-                           if p.app == anchor)
+        anchor_name = next((p.name for p in reduced.profiles
+                            if p.app == anchor), None)
+        if anchor_name is None:
+            continue
         cluster_idx = reduced.selection.cluster_of(anchor_name)
         for member in reduced.selection.clusters[cluster_idx]:
             pred = preds[member]

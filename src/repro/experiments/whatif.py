@@ -27,7 +27,8 @@ from ..analysis.arch_independent import arch_independent_matrix
 from ..core.clustering import ward_linkage
 from ..core.features import FeatureMatrix
 from ..core.prediction import build_cluster_model, percent_error
-from ..core.representatives import select_representatives
+from ..core.representatives import (ill_behaved_codelets,
+                                    select_representatives)
 from ..machine.architecture import HASWELL, Architecture
 from .context import ExperimentContext
 from .report import format_table
@@ -66,9 +67,9 @@ class WhatIfResult:
 def _evaluate_rows(ctx: ExperimentContext, rows: np.ndarray, k: int,
                    target: Architecture) -> Tuple[float, float, int]:
     profiles = ctx.nas.profiling().profiles
-    dendrogram = ward_linkage(rows)
+    ill_behaved = ill_behaved_codelets(profiles, ctx.measurer)
     selection = select_representatives(profiles, rows,
-                                       dendrogram.cut(k), ctx.measurer)
+                                       ward_linkage(rows).cut(k), ill_behaved)
     model = build_cluster_model(profiles, selection)
     by_name = {p.name: p for p in profiles}
     rep_times = {r: ctx.measurer.benchmark_standalone(

@@ -89,7 +89,7 @@ import numpy as np
 
 from ..codelets.codelet import Codelet
 from ..codelets.finder import find_suite_codelets
-from ..codelets.measurement import Measurer
+from ..codelets.measurement import ILL_BEHAVED_TOLERANCE, Measurer
 from ..codelets.profiling import profile_codelets
 from ..core.clustering import (ELBOW_K_MAX, Dendrogram, elbow_k, linkage,
                                linkage_reference, variance_curve,
@@ -98,7 +98,7 @@ from ..core.features import FeatureMatrix
 from ..core.ga import GAConfig
 from ..core.pipeline import BenchmarkReducer, ReducedSuite, SubsettingConfig
 from ..core.prediction import build_cluster_model
-from ..core.representatives import (ILL_BEHAVED_TOLERANCE,
+from ..core.representatives import (ill_behaved_codelets,
                                     select_representatives)
 from ..machine.architecture import REFERENCE
 from ..obs import Observation
@@ -292,8 +292,9 @@ def reduce_codelets(codelets: Sequence[Codelet], measurer: Measurer,
              if k == "elbow" else int(k))
     cut_k = max(1, min(cut_k, features.n_codelets))
     labels = dendrogram.cut(cut_k)
-    selection = select_representatives(report.profiles, rows, labels,
-                                       measurer)
+    selection = select_representatives(
+        report.profiles, rows, labels,
+        ill_behaved_codelets(report.profiles, measurer))
     model = build_cluster_model(report.profiles, selection)
     return report, rows, labels, selection, model
 

@@ -83,6 +83,27 @@ class TestFeatureSelection:
         f2 = problem.evaluate_mask(mask)
         assert f1 == f2
 
+    def test_fidelity_judged_once_per_problem(self, nr_profiles):
+        """The verdicts do not depend on the mask: each profile's
+        fidelity is judged once, however many masks are evaluated."""
+        _, profiles = nr_profiles
+        measurer = Measurer()
+        judged = []
+        deviation = measurer.behavior_deviation
+
+        def counting(codelet, arch):
+            judged.append(codelet.name)
+            return deviation(codelet, arch)
+
+        measurer.behavior_deviation = counting
+        problem = FeatureSelectionProblem(profiles, measurer)
+        rng = np.random.default_rng(0)
+        masks = [np.ones(problem.n_bits, dtype=bool)] + [
+            rng.random(problem.n_bits) < 0.3 for _ in range(4)]
+        for mask in masks:
+            problem.evaluate_mask(mask)
+        assert sorted(judged) == sorted(p.name for p in profiles)
+
     def test_ga_beats_all_features(self, nr_profiles):
         """The paper's point: a selected subset out-predicts using all
         76 features (irrelevant features add noise)."""
@@ -161,13 +182,15 @@ class TestRandomBaseline:
         from repro.core.clustering import ward_linkage
         from repro.core.features import TABLE2_FEATURES, FeatureMatrix
         from repro.core.prediction import build_cluster_model, percent_error
-        from repro.core.representatives import select_representatives
+        from repro.core.representatives import (ill_behaved_codelets,
+                                                select_representatives)
 
         m, profiles = nr_profiles
         fm = FeatureMatrix.from_profiles(profiles, TABLE2_FEATURES)
         rows = fm.normalized()
         dg = ward_linkage(rows)
-        sel = select_representatives(profiles, rows, dg.cut(8), m)
+        sel = select_representatives(profiles, rows, dg.cut(8),
+                                     ill_behaved_codelets(profiles, m))
         model = build_cluster_model(profiles, sel)
         rep_times = {r: m.benchmark_standalone(
             next(p.codelet for p in profiles if p.name == r),

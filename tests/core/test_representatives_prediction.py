@@ -11,7 +11,8 @@ from repro.core.prediction import (aggregate_application,
                                    build_cluster_model,
                                    geometric_mean_speedup, median_error,
                                    percent_error)
-from repro.core.representatives import select_representatives
+from repro.core.representatives import (ill_behaved_codelets,
+                                        select_representatives)
 from repro.machine import ATOM, NEHALEM
 from repro.suites import build_nas_suite, build_nr_suite
 
@@ -41,7 +42,8 @@ def nas_setup():
 class TestSelection:
     def test_one_representative_per_cluster(self, nr_setup):
         m, profiles, rows, dg = nr_setup
-        sel = select_representatives(profiles, rows, dg.cut(14), m)
+        sel = select_representatives(profiles, rows, dg.cut(14),
+                                     ill_behaved_codelets(profiles, m))
         assert sel.k == len(sel.representatives) == 14
         for i, cluster in enumerate(sel.clusters):
             assert sel.representatives[i] in cluster
@@ -49,7 +51,8 @@ class TestSelection:
     def test_representative_is_centroid_closest(self, nr_setup):
         m, profiles, rows, dg = nr_setup
         labels = dg.cut(14)
-        sel = select_representatives(profiles, rows, dg.cut(14), m)
+        sel = select_representatives(profiles, rows, dg.cut(14),
+                                     ill_behaved_codelets(profiles, m))
         names = [p.name for p in profiles]
         for ci, rep in enumerate(sel.representatives):
             members = [i for i in range(len(profiles))
@@ -67,26 +70,30 @@ class TestSelection:
 
     def test_every_codelet_assigned(self, nas_setup):
         m, profiles, rows, dg = nas_setup
-        sel = select_representatives(profiles, rows, dg.cut(16), m)
+        sel = select_representatives(profiles, rows, dg.cut(16),
+                                     ill_behaved_codelets(profiles, m))
         assert set(sel.assignments) == {p.name for p in profiles}
 
     def test_representatives_all_well_behaved(self, nas_setup):
         m, profiles, rows, dg = nas_setup
-        sel = select_representatives(profiles, rows, dg.cut(16), m)
+        sel = select_representatives(profiles, rows, dg.cut(16),
+                                     ill_behaved_codelets(profiles, m))
         by_name = {p.name: p for p in profiles}
         for rep in sel.representatives:
             assert not m.is_ill_behaved(by_name[rep].codelet, NEHALEM)
 
     def test_ill_behaved_never_representative(self, nas_setup):
         m, profiles, rows, dg = nas_setup
-        sel = select_representatives(profiles, rows, dg.cut(16), m)
+        sel = select_representatives(profiles, rows, dg.cut(16),
+                                     ill_behaved_codelets(profiles, m))
         assert not set(sel.representatives) & set(sel.ill_behaved)
 
     def test_cluster_destruction_rehomes_orphans(self, nas_setup):
         """At high K, all-MG clusters appear; they must be destroyed and
         their codelets re-homed, shrinking the final K."""
         m, profiles, rows, dg = nas_setup
-        sel = select_representatives(profiles, rows, dg.cut(30), m)
+        sel = select_representatives(profiles, rows, dg.cut(30),
+                                     ill_behaved_codelets(profiles, m))
         assert sel.destroyed_clusters >= 1
         assert sel.k < 30
         assert set(sel.assignments) == {p.name for p in profiles}
@@ -98,13 +105,15 @@ class TestSelection:
         mg_rows = rows[mg_idx]
         with pytest.raises(ValueError):
             select_representatives(mg_profiles, mg_rows,
-                                   np.zeros(len(mg_idx), dtype=int), m)
+                                   np.zeros(len(mg_idx), dtype=int),
+                                   ill_behaved_codelets(mg_profiles, m))
 
 
 class TestPredictionModel:
     def test_matrix_shape_and_sparsity(self, nr_setup):
         m, profiles, rows, dg = nr_setup
-        sel = select_representatives(profiles, rows, dg.cut(14), m)
+        sel = select_representatives(profiles, rows, dg.cut(14),
+                                     ill_behaved_codelets(profiles, m))
         model = build_cluster_model(profiles, sel)
         mat = model.matrix()
         assert mat.shape == (28, 14)
@@ -112,7 +121,8 @@ class TestPredictionModel:
 
     def test_representative_row_is_unit(self, nr_setup):
         m, profiles, rows, dg = nr_setup
-        sel = select_representatives(profiles, rows, dg.cut(14), m)
+        sel = select_representatives(profiles, rows, dg.cut(14),
+                                     ill_behaved_codelets(profiles, m))
         model = build_cluster_model(profiles, sel)
         mat = model.matrix()
         names = list(model.codelet_names)
@@ -122,7 +132,8 @@ class TestPredictionModel:
     def test_representatives_predicted_exactly(self, nr_setup):
         """Figure 2: representatives have 0% error by construction."""
         m, profiles, rows, dg = nr_setup
-        sel = select_representatives(profiles, rows, dg.cut(14), m)
+        sel = select_representatives(profiles, rows, dg.cut(14),
+                                     ill_behaved_codelets(profiles, m))
         model = build_cluster_model(profiles, sel)
         rep_times = {r: 42.0 + i for i, r in
                      enumerate(model.representatives)}
@@ -132,7 +143,8 @@ class TestPredictionModel:
 
     def test_prediction_scales_by_ref_ratio(self, nr_setup):
         m, profiles, rows, dg = nr_setup
-        sel = select_representatives(profiles, rows, dg.cut(14), m)
+        sel = select_representatives(profiles, rows, dg.cut(14),
+                                     ill_behaved_codelets(profiles, m))
         model = build_cluster_model(profiles, sel)
         rep_times = {r: 1.0 for r in model.representatives}
         predicted = model.predict(rep_times)

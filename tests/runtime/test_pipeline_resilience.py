@@ -18,7 +18,8 @@ from repro.cli import main
 from repro.codelets import Measurer, find_suite_codelets
 from repro.core.pipeline import (BenchmarkReducer, SubsettingConfig,
                                  evaluate_on_target)
-from repro.core.representatives import select_representatives
+from repro.core.representatives import (ill_behaved_codelets,
+                                        select_representatives)
 from repro.machine import ATOM
 from repro.obs import Observation
 from repro.runtime import FaultPlan, FaultRule, crash_plan
@@ -157,6 +158,41 @@ class TestDegradation:
         assert any("step E" in m
                    for m in resilience.health.degradations)
 
+    def test_fidelity_probe_runs_once_per_reducer(self, baseline):
+        """Every K of one reducer reads the same Step D verdicts: one
+        probe per codelet, one quarantine and one degradation."""
+        victim = baseline.profiles[0].name
+        reducer, _ = _reduce(RuntimeConfig(
+            retries=1, fault_plan=crash_plan(victim, stage="fidelity")))
+        for k in (2, 3):
+            assert reducer.reduce(k).ineligible == (victim,)
+        probes = [t.task for t in reducer.health.tasks
+                  if t.stage == "fidelity"]
+        assert probes == [p.name for p in baseline.profiles]
+        assert sum("fidelity probe for" in m
+                   for m in reducer.health.degradations) == 1
+        assert len(reducer.obs.tracer.find("stage:fidelity")) == 1
+
+    def test_quarantined_probe_is_not_ill_behaved(self):
+        """A quarantined fidelity probe makes its codelet ineligible,
+        not ill-behaved: its verdict is unknown, not known-bad."""
+        from repro.suites import build_nas_suite
+
+        suite = build_nas_suite(0.3)
+        measurer = Measurer()
+        clean = BenchmarkReducer(suite, measurer)
+        ill = ill_behaved_codelets(clean.profiling().profiles, measurer)
+        victim = sorted(ill)[0]
+        reducer = BenchmarkReducer(suite, measurer, SubsettingConfig(
+            runtime=RuntimeConfig(
+                retries=1,
+                fault_plan=crash_plan(victim, stage="fidelity"))))
+        reduced = reducer.reduce("elbow")
+        assert reduced.ineligible == (victim,)
+        assert set(reduced.selection.ill_behaved) == ill - {victim}
+        assert (reduced.representatives
+                == clean.reduce("elbow").representatives)
+
     def test_target_reselection_keeps_fidelity_quarantine(self, baseline):
         """Y's target benchmark is quarantined, and X, the codelet Step E
         would pick in Y's place, had its Step D fidelity probe
@@ -165,7 +201,9 @@ class TestDegradation:
         for y in baseline.representatives:
             fallback = select_representatives(
                 baseline.profiles, baseline.normalized_rows,
-                baseline.labels, measurer, ineligible={y})
+                baseline.labels,
+                ill_behaved_codelets(baseline.profiles, measurer),
+                ineligible={y})
             fresh = (set(fallback.representatives)
                      - set(baseline.representatives))
             if fresh:
@@ -249,6 +287,19 @@ class TestResilienceCLI:
         assert main(["--strict"] + argv) == 3
         assert "run health" in capsys.readouterr().out
         assert main(argv) == 0
+        assert "run health" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("victim, experiment", [
+        ("toeplz_1*", "figure2"), ("lu/erhs.f:49-57", "capture")])
+    def test_strict_experiment_survives_dropped_named_codelet(
+            self, capsys, tmp_path, victim, experiment):
+        """Figure 2 and Section 4.4 look codelets up by name; a plan
+        that drops one in Step B degrades the run instead of crashing
+        it."""
+        plan = self._plan_file(tmp_path,
+                               crash_plan(victim, stage="profile"))
+        assert main(["--scale", "0.3", "--strict", "--fault-plan", plan,
+                     experiment]) == 3
         assert "run health" in capsys.readouterr().out
 
     def test_clean_experiment_prints_no_footer(self, capsys):
