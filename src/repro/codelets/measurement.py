@@ -15,15 +15,18 @@ Two measurement modes exist, mirroring the paper's toolchain:
 The divergence between the two is precisely the ill-behaved-codelet
 phenomenon the selection loop of Step D defends against.
 
-A :class:`Measurer` memoizes model runs, since sweeps re-measure the
-same (codelet, architecture) pairs many times.
+A :class:`Measurer` memoizes model runs and noisy measurements, since
+sweeps re-measure the same (codelet, architecture) pairs many times.
+Every noise draw is keyed by codelet, architecture and run, so a
+repeated request could only recompute the value it already returned: a
+fresh draw takes a new ``run_id``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -113,11 +116,19 @@ class MeasurerSpec:
 
 
 class Measurer:
-    """Memoizing facade over the machine model plus measurement noise."""
+    """Memoizing facade over the machine model plus measurement noise.
+
+    Model runs are memoized per (codelet, dataset variant,
+    architecture, mode), and ``measure_inapp`` / ``benchmark_standalone``
+    per (kind, codelet, architecture, run): the same key returns the
+    stored object, the value a recomputation would draw again.  Worker
+    processes carry only the model runs (:meth:`runs_snapshot`).
+    """
 
     def __init__(self, noise: Optional[NoiseModel] = None):
         self.noise = noise if noise is not None else NoiseModel()
         self._runs: Dict[Tuple, MeasuredRun] = {}
+        self._measured: Dict[Tuple, Union[float, StandaloneTiming]] = {}
 
     # -- worker transfer ------------------------------------------------------
 
@@ -184,12 +195,23 @@ class Measurer:
 
     # -- noisy measurements ---------------------------------------------------
 
+    @staticmethod
+    def _memo_key(kind: str, codelet: Codelet, arch: Architecture,
+                  run_id: int) -> Tuple:
+        """Memo key of one measurement: every input of its noise draw."""
+        return (kind, codelet.name, arch.name, run_id)
+
     def measure_inapp(self, codelet: Codelet, arch: Architecture,
                       run_id: int = 0) -> float:
         """One probed in-app measurement (per-invocation seconds)."""
-        true = self.true_inapp_seconds(codelet, arch)
-        key = f"inapp|{codelet.name}|{arch.name}|{run_id}"
-        return self.noise.measure(true, key)
+        key = self._memo_key("inapp", codelet, arch, run_id)
+        seconds = self._measured.get(key)
+        if seconds is None:
+            true = self.true_inapp_seconds(codelet, arch)
+            seconds = self.noise.measure(
+                true, f"inapp|{codelet.name}|{arch.name}|{run_id}")
+            self._measured[key] = seconds
+        return seconds
 
     def benchmark_standalone(self, codelet: Codelet, arch: Architecture,
                              run_id: int = 0) -> StandaloneTiming:
@@ -198,17 +220,22 @@ class Measurer:
         Picks the invocation count, measures each invocation with noise
         (constant probe overhead included), reports the median.
         """
-        true = self.true_standalone_seconds(codelet, arch)
-        n = choose_invocations(true)
-        key = f"standalone|{codelet.name}|{arch.name}|{run_id}"
-        samples = self.noise.measure_many(true, key, n)
-        return StandaloneTiming(
-            codelet_name=codelet.name,
-            arch_name=arch.name,
-            invocations=n,
-            per_invocation_s=float(np.median(samples)),
-            total_bench_s=float(np.sum(samples)),
-        )
+        key = self._memo_key("standalone", codelet, arch, run_id)
+        timing = self._measured.get(key)
+        if timing is None:
+            true = self.true_standalone_seconds(codelet, arch)
+            n = choose_invocations(true)
+            samples = self.noise.measure_many(
+                true, f"standalone|{codelet.name}|{arch.name}|{run_id}", n)
+            timing = StandaloneTiming(
+                codelet_name=codelet.name,
+                arch_name=arch.name,
+                invocations=n,
+                per_invocation_s=float(np.median(samples)),
+                total_bench_s=float(np.sum(samples)),
+            )
+            self._measured[key] = timing
+        return timing
 
     # -- fidelity -------------------------------------------------------------
 

@@ -5,15 +5,18 @@ update for Ward's minimum-variance criterion, a dendrogram that can be
 cut at any K, total within-cluster variance, and the Elbow method for
 automatic K selection (Thorndike 1953, as the paper cites).
 
-:func:`linkage` is a vectorized greedy loop.  Every step merges the
-pair at the full-matrix ``np.argmin`` of the distance matrix and
-updates the merged cluster's whole row at once.  Row-major first
-occurrence is the lexicographically smallest minimal pair, and the row
-update mirrors the scalar Lance-Williams formula term for term, so the
-output is merge-for-merge and bit-for-bit that of
-:func:`linkage_reference`, the scalar O(n^3) loop kept as the oracle of
-the verify harness and the property tests.  The pipeline clusters at
-most 67 codelets, where the n argmins cost a few milliseconds (see
+:func:`linkage_stack` is the one vectorized greedy loop.  It links a
+stack of P point sets with the same row count side by side (the GA
+links a generation's masks in one call), and :func:`linkage` is its
+stack of one.  Every step merges, in each matrix, the pair at its
+row-major first minimum and updates the merged cluster's whole row at
+once.  Row-major first occurrence is the lexicographically smallest
+minimal pair, and the row update mirrors the scalar Lance-Williams
+formula term for term, element by element, so each dendrogram is
+merge-for-merge and bit-for-bit that of :func:`linkage_reference` on
+its own set, the scalar O(n^3) loop kept as the oracle of the verify
+harness and the property tests.  The pipeline clusters at most 67
+codelets, where the n argmins cost a few milliseconds (see
 docs/PERFORMANCE.md).
 
 :func:`variance_curve` computes the elbow's W(1..k_max) in one pass
@@ -260,24 +263,30 @@ def linkage_reference(points: np.ndarray,
     return Dendrogram(n, tuple(merges))
 
 
-def _lw_update_rows(d: np.ndarray, size: np.ndarray, alive: np.ndarray,
-                    a: int, b: int, dist, method: str,
-                    skew: float) -> None:
-    """Vectorized Lance-Williams update: merge row ``b`` into row ``a``.
+def _lw_update_stack(d: np.ndarray, size: np.ndarray, alive: np.ndarray,
+                     rows: np.ndarray, a: np.ndarray, b: np.ndarray,
+                     dist: np.ndarray, method: str, skew: float) -> None:
+    """Vectorized Lance-Williams update of a (P, n, n) stack: in every
+    matrix ``p``, merge row ``b[p]`` into row ``a[p]``.
 
     The Ward expression mirrors :func:`_lance_williams` term for term —
-    same operations, same association — so each updated element is
-    bit-identical to the scalar reference update.  ``skew`` perturbs the
-    ``(n_a + n_k)`` coefficient; it exists solely for the verify
-    harness's ``slow-path-skew`` planted defect and is 0.0 otherwise.
+    same operations, same association — and is applied element for
+    element, so each live element is bit-identical to the scalar
+    reference update whatever the stack's size.  The other columns
+    (``a``, ``b`` and dead rows) read an ``inf`` operand; their results
+    are discarded for ``inf``, which the reference holds there too.
+    ``skew`` perturbs the ``(n_a + n_k)`` coefficient; it exists solely
+    for the verify harness's ``slow-path-skew`` planted defect and is
+    0.0 otherwise.
     """
-    mask = alive.copy()
-    mask[a] = False
-    mask[b] = False
-    dak = d[a, mask]
-    dbk = d[b, mask]
+    live = alive.copy()
+    live[rows, a] = False
+    live[rows, b] = False
+    dak = d[rows, a]
+    dbk = d[rows, b]
     if method == "ward":
-        sa, sb, sk = size[a], size[b], size[mask]
+        sa, sb = size[rows, a][:, None], size[rows, b][:, None]
+        sk, dist = size, dist[:, None]
         if skew:
             new = (((sa + sk) * (1.0 + skew)) * dak
                    + (sb + sk) * dbk - sk * dist) / (sa + sb + sk)
@@ -289,12 +298,83 @@ def _lw_update_rows(d: np.ndarray, size: np.ndarray, alive: np.ndarray,
     elif method == "complete":
         new = np.maximum(dak, dbk)
     else:                                   # average
-        sa, sb = size[a], size[b]
+        sa, sb = size[rows, a][:, None], size[rows, b][:, None]
         new = (sa * dak + sb * dbk) / (sa + sb)
-    d[a, mask] = new
-    d[mask, a] = new
-    d[b, :] = np.inf
-    d[:, b] = np.inf
+    new = np.where(live, new, np.inf)
+    d[rows, a, :] = new
+    d[rows, :, a] = new
+    d[rows, b, :] = np.inf
+    d[rows, :, b] = np.inf
+
+
+def linkage_stack(point_sets: Sequence[np.ndarray], method: str = "ward",
+                  ward_coeff_skew: float = 0.0, *,
+                  argmin_from_first: bool = False) -> List[Dendrogram]:
+    """One dendrogram per point set, agglomerated side by side.
+
+    The point sets must have the same number of rows; their column
+    counts may differ.  Each set's distance matrix is built on its own
+    (:func:`_initial_distances`, no padding, so every einsum sums in
+    the same order as for the set alone), and the matrices are stacked
+    into one (P, n, n) array.  Every step then merges, per matrix, the
+    row-major first minimum over its flattened n·n axis — the
+    reference's lexicographically smallest minimal row pair, always in
+    the upper triangle — and applies :func:`_lw_update_stack`, which
+    repeats the reference's arithmetic.  Each matrix thus sees the
+    argmin and the arithmetic it would see alone, so every dendrogram
+    is the one :func:`linkage_reference` builds for its set, bit for
+    bit, by construction.
+
+    ``argmin_from_first`` makes every matrix merge the pair of matrix
+    0 — the verify harness's ``stack-shares-argmin`` planted defect,
+    which only the ``stacked-linkage-equivalence`` invariant sets; it
+    changes nothing for a stack of one.
+    """
+    _check_method(method)
+    if ward_coeff_skew and method != "ward":
+        raise ValueError("ward_coeff_skew only applies to Ward linkage")
+    sets = [_check_points(points) for points in point_sets]
+    if not sets:
+        return []
+    n = sets[0].shape[0]
+    if any(points.shape[0] != n for points in sets):
+        raise ValueError("every point set of a linkage stack needs the "
+                         "same number of rows (observations)")
+    d = np.stack([_initial_distances(points, method) for points in sets])
+    n_sets = len(sets)
+    rows = np.arange(n_sets)
+    size = np.ones((n_sets, n), dtype=np.int64)
+    alive = np.ones((n_sets, n), dtype=bool)
+    cluster_id = np.tile(np.arange(n, dtype=np.int64), (n_sets, 1))
+    # Step i's merge per matrix; Merge objects are built once at the end.
+    ids_a = np.empty((n - 1, n_sets), dtype=np.int64)
+    ids_b = np.empty((n - 1, n_sets), dtype=np.int64)
+    merged = np.empty((n - 1, n_sets), dtype=np.int64)
+    dists = np.empty((n - 1, n_sets))
+    for i in range(n - 1):
+        first = d.reshape(n_sets, n * n).argmin(axis=1)
+        if argmin_from_first:
+            first[:] = first[0]
+        a, b = np.divmod(first, n)
+        dist = d[rows, a, b]
+        ids_a[i], ids_b[i] = cluster_id[rows, a], cluster_id[rows, b]
+        merged[i] = size[rows, a] + size[rows, b]
+        dists[i] = dist
+        _lw_update_stack(d, size, alive, rows, a, b, dist, method,
+                         ward_coeff_skew)
+        size[rows, a] = merged[i]
+        alive[rows, b] = False
+        cluster_id[rows, a] = n + i
+    # The reference's height: sqrt(max(dist, 0.0)) for Ward, where
+    # max() keeps ``dist`` unless 0.0 is strictly greater.
+    heights = np.sqrt(np.where(0.0 > dists, 0.0, dists)) \
+        if method == "ward" else dists
+    return [Dendrogram(n, tuple(
+        Merge(*step) for step in zip(ids_a[:, p].tolist(),
+                                     ids_b[:, p].tolist(),
+                                     heights[:, p].tolist(),
+                                     merged[:, p].tolist())))
+        for p in range(n_sets)]
 
 
 def linkage(points: np.ndarray, method: str = "ward",
@@ -307,39 +387,13 @@ def linkage(points: np.ndarray, method: str = "ward",
     (Ward heights match scipy's convention: the square root of the Ward
     distance).
 
-    Each step merges the pair at the full-matrix ``np.argmin``.  Its
-    row-major first occurrence is the reference's lexicographically
-    smallest minimal row pair (and always lands in the upper triangle),
-    and :func:`_lw_update_rows` repeats the reference's arithmetic, so
-    the result is bit-identical to :func:`linkage_reference` by
-    construction.  ``ward_coeff_skew`` perturbs one Lance-Williams
-    coefficient — the verify harness's ``slow-path-skew`` planted
-    defect; the reference has no such knob, so the oracle stays
-    unskewable.
+    This is :func:`linkage_stack` on a stack of one, so the result is
+    bit-identical to :func:`linkage_reference` by construction.
+    ``ward_coeff_skew`` perturbs one Lance-Williams coefficient — the
+    verify harness's ``slow-path-skew`` planted defect; the reference
+    has no such knob, so the oracle stays unskewable.
     """
-    _check_method(method)
-    if ward_coeff_skew and method != "ward":
-        raise ValueError("ward_coeff_skew only applies to Ward linkage")
-    points = _check_points(points)
-    n = points.shape[0]
-    d = _initial_distances(points, method)
-    size = np.ones(n, dtype=np.int64)
-    alive = np.ones(n, dtype=bool)
-    cluster_id = np.arange(n, dtype=np.int64)       # row -> cluster id
-    merges: List[Merge] = []
-    for i in range(n - 1):
-        a, b = divmod(int(np.argmin(d)), n)
-        dist = d[a, b]
-        height = float(np.sqrt(max(dist, 0.0))) if method == "ward" \
-            else float(dist)
-        merges.append(Merge(int(cluster_id[a]), int(cluster_id[b]),
-                            height, int(size[a] + size[b])))
-        _lw_update_rows(d, size, alive, a, b, dist, method,
-                        ward_coeff_skew)
-        size[a] += size[b]
-        alive[b] = False
-        cluster_id[a] = n + i
-    return Dendrogram(n, tuple(merges))
+    return linkage_stack([points], method, ward_coeff_skew)[0]
 
 
 def ward_linkage(points: np.ndarray) -> Dendrogram:
@@ -355,15 +409,27 @@ def ward_linkage(points: np.ndarray) -> Dendrogram:
 
 def _cluster_sse(members: np.ndarray) -> float:
     """Sum of squared deviations of ``members`` (one row each) from
-    their centroid."""
+    their centroid.
+
+    A single row is its own centroid, so the arithmetic below would
+    give exactly ``0.0`` for it (``x - x`` is ``+0.0`` for every finite
+    ``x``, and every caller rejects non-finite points); the shortcut
+    returns that value without computing it.
+    """
+    if len(members) == 1:
+        return 0.0
     centroid = members.mean(axis=0)
     return float(((members - centroid) ** 2).sum())
 
 
 def within_cluster_variance(points: np.ndarray,
                             labels: Sequence[int]) -> float:
-    """Total within-cluster sum of squared deviations from centroids."""
-    points = np.asarray(points, dtype=float)
+    """Total within-cluster sum of squared deviations from centroids.
+
+    Raises ``ValueError`` on empty, non-2-D or non-finite ``points``,
+    like :func:`linkage`.
+    """
+    points = _check_points(points)
     labels = np.asarray(labels)
     total = 0.0
     for lab in np.unique(labels):
@@ -393,8 +459,12 @@ def variance_curve(points: np.ndarray, dendrogram: Dendrogram,
     ``keep_absorbed_sse`` leaves a merged-away child's value in the
     total — the verify harness's ``stale-curve-child`` planted defect,
     which only the ``variance-curve-equivalence`` invariant sets.
+
+    Raises ``ValueError`` on empty, non-2-D or non-finite ``points``,
+    like :func:`linkage`, and on a row count other than the
+    dendrogram's.
     """
-    points = np.asarray(points, dtype=float)
+    points = _check_points(points)
     n = dendrogram.n_leaves
     if points.shape[0] != n:
         raise ValueError(f"points has {points.shape[0]} rows but the "
@@ -444,7 +514,10 @@ def elbow_k(points: np.ndarray, dendrogram: Dendrogram,
 
     Returns the smallest K whose *next* refinement would reduce the
     total within-cluster variance by less than ``threshold`` of W(1).
+    Raises ``ValueError`` on empty, non-2-D or non-finite ``points``,
+    like :func:`linkage`.
     """
+    points = _check_points(points)
     n = dendrogram.n_leaves
     if n <= 2:
         return n

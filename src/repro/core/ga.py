@@ -14,7 +14,8 @@ This module provides a generic bit-mask GA (tournament selection,
 uniform crossover, per-bit mutation, elitism) and the feature-selection
 fitness wired to the pipeline.  Everything the fitness needs per
 individual — feature matrix, reference/target times — is precomputed
-once, so a full GA run stays in seconds.
+once, and each generation's new masks are linked in one stacked call,
+so a full GA run stays in seconds.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ import numpy as np
 from ..codelets.measurement import Measurer
 from ..codelets.profiling import CodeletProfile
 from ..machine.architecture import ATOM, SANDY_BRIDGE
-from .clustering import ELBOW_K_MAX, elbow_k, ward_linkage
+from .clustering import (ELBOW_K_MAX, Dendrogram, elbow_k, linkage_stack,
+                         ward_linkage)
 from .features import ALL_FEATURE_NAMES, FeatureMatrix
 from .prediction import build_cluster_model, percent_error
 from .representatives import ill_behaved_codelets, select_representatives
@@ -74,10 +76,14 @@ class GAResult:
         return tuple(n for n, keep in zip(names, self.best_mask) if keep)
 
 
-def run_ga(n_bits: int, fitness: Callable[[np.ndarray], float],
+def run_ga(n_bits: int, fitness: Callable[[np.ndarray], np.ndarray],
            config: GAConfig = GAConfig(),
            seed_individuals: Sequence[np.ndarray] = ()) -> GAResult:
-    """Minimise ``fitness`` over boolean vectors of length ``n_bits``.
+    """Minimise a fitness over boolean vectors of length ``n_bits``.
+
+    ``fitness`` scores a whole population at once: it takes a
+    (population × ``n_bits``) bool array, one individual per row, and
+    returns one score per row.
 
     ``seed_individuals`` are injected into the initial population
     verbatim (replacing random individuals).  With elitism active the
@@ -98,10 +104,14 @@ def run_ga(n_bits: int, fitness: Callable[[np.ndarray], float],
         if not row.any():
             row[rng.integers(n_bits)] = True
 
-    def eval_pop(p: np.ndarray) -> np.ndarray:
-        return np.array([fitness(ind) for ind in p])
+    def scored(p: np.ndarray) -> np.ndarray:
+        scores = np.asarray(fitness(p), dtype=float)
+        if scores.shape != (len(p),):
+            raise ValueError(f"fitness returned shape {scores.shape} "
+                             f"for a population of {len(p)}")
+        return scores
 
-    scores = eval_pop(pop)
+    scores = scored(pop)
     history: List[float] = []
     for _ in range(config.generations):
         order = np.argsort(scores)
@@ -127,7 +137,7 @@ def run_ga(n_bits: int, fitness: Callable[[np.ndarray], float],
                 child[rng.integers(n_bits)] = True
             next_pop.append(child)
         pop = np.array(next_pop)
-        scores = eval_pop(pop)
+        scores = scored(pop)
 
     best = int(np.argmin(scores))
     history.append(float(scores[best]))
@@ -186,13 +196,40 @@ class FeatureSelectionProblem:
     def n_bits(self) -> int:
         return len(self.features.feature_names)
 
-    def evaluate_mask(self, mask: np.ndarray) -> float:
-        key = np.asarray(mask, dtype=bool).tobytes()
+    def evaluate_population(self, population: np.ndarray) -> np.ndarray:
+        """Fitness of every mask in ``population`` (one per row): the
+        population-level fitness :func:`run_ga` takes.
+
+        The distinct masks not scored yet are linked first, in one
+        :func:`~repro.core.clustering.linkage_stack` call.  Each
+        individual is then scored by :meth:`evaluate_mask`, in
+        population order, so the cache fills as if the masks were
+        scored one at a time, and every score is the same bits.
+        """
+        population = np.asarray(population, dtype=bool)
+        keys = [mask.tobytes() for mask in population]
+        unscored: Dict[bytes, np.ndarray] = {}
+        for key, mask in zip(keys, population):
+            if key not in self._cache:
+                unscored.setdefault(key, mask)
+        linked = dict(zip(unscored, linkage_stack(
+            [self._normalized_full[:, mask] for mask in unscored.values()])))
+        return np.array([self.evaluate_mask(mask, linked.get(key))
+                         for key, mask in zip(keys, population)])
+
+    def evaluate_mask(self, mask: np.ndarray,
+                      dendrogram: Optional[Dendrogram] = None) -> float:
+        """Fitness of one feature mask.  ``dendrogram`` is the Ward
+        dendrogram of the mask's rows when the caller has linked them
+        already; otherwise they are linked here."""
+        mask = np.asarray(mask, dtype=bool)
+        key = mask.tobytes()
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        rows = self._normalized_full[:, np.asarray(mask, dtype=bool)]
-        dendrogram = ward_linkage(rows)
+        rows = self._normalized_full[:, mask]
+        if dendrogram is None:
+            dendrogram = ward_linkage(rows)
         k = elbow_k(rows, dendrogram, ELBOW_K_MAX)
         labels = dendrogram.cut(k)
         try:
@@ -229,6 +266,6 @@ def select_features(profiles: Sequence[CodeletProfile],
     """
     problem = FeatureSelectionProblem(profiles, measurer)
     full = np.ones(problem.n_bits, dtype=bool)
-    result = run_ga(problem.n_bits, problem.evaluate_mask, config,
+    result = run_ga(problem.n_bits, problem.evaluate_population, config,
                     seed_individuals=[full])
     return result, problem

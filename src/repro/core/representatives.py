@@ -76,7 +76,10 @@ class SelectionResult:
 def _centroid_order(rows: np.ndarray, members: List[int],
                     names: Sequence[str]) -> List[int]:
     """Member indices ordered by distance to the cluster centroid,
-    near-ties broken by codelet name (see :data:`_TIE_RTOL`)."""
+    near-ties broken by codelet name (see :data:`_TIE_RTOL`).  A
+    one-member cluster's order is that member."""
+    if len(members) == 1:
+        return members
     pts = rows[members]
     centroid = pts.mean(axis=0)
     dists = np.linalg.norm(pts - centroid, axis=1)

@@ -9,8 +9,9 @@ under 10 ms per invocation (Section 4.4).  The model reproduces that:
 
 with ``eps ~ N(0, rel_sigma)`` and ``overhead ~ N(mu, sigma)`` clipped at
 zero.  Every draw is keyed by (seed, codelet, architecture, run), so
-measurements are reproducible yet independent across runs — re-measuring
-the same codelet gives a fresh draw, as on real hardware.
+measurements are reproducible yet independent across runs: the same key
+always draws the same value, and a fresh draw, as re-measuring on real
+hardware would give, needs a new ``run_id``.
 """
 
 from __future__ import annotations

@@ -30,6 +30,10 @@ Registered invariants (see ``repro verify --list``):
 ``cache-determinism``
     A warm-cache re-run re-profiles nothing and is bit-identical to
     the cold run.
+``measure-once``
+    A measurer that has already answered every (codelet, target, run)
+    returns exactly what a fresh measurer returns for each, in-app and
+    standalone.
 ``lint-determinism``
     The static-analysis lint passes are a pure function of the IR: two
     fresh builds of the same seeded suite serialise to byte-identical
@@ -56,6 +60,9 @@ Registered invariants (see ``repro verify --list``):
     The vectorized greedy linkage is bit-compatible with the O(n³)
     reference loop: identical merges, bit-identical heights, identical
     ``cut(k)`` labels for every k — including on exact distance ties.
+``stacked-linkage-equivalence``
+    Every dendrogram of a stack of point sets linked side by side is
+    the reference loop's dendrogram of its own set, bit for bit.
 ``variance-curve-equivalence``
     The one-pass W(k) curve is bit-identical to re-cutting the
     dendrogram at every k and summing ``within_cluster_variance``.
@@ -92,15 +99,16 @@ from ..codelets.finder import find_suite_codelets
 from ..codelets.measurement import ILL_BEHAVED_TOLERANCE, Measurer
 from ..codelets.profiling import profile_codelets
 from ..core.clustering import (ELBOW_K_MAX, Dendrogram, elbow_k, linkage,
-                               linkage_reference, variance_curve,
-                               ward_linkage, within_cluster_variance)
+                               linkage_reference, linkage_stack,
+                               variance_curve, ward_linkage,
+                               within_cluster_variance)
 from ..core.features import FeatureMatrix
 from ..core.ga import GAConfig
 from ..core.pipeline import BenchmarkReducer, ReducedSuite, SubsettingConfig
 from ..core.prediction import build_cluster_model
 from ..core.representatives import (ill_behaved_codelets,
                                     select_representatives)
-from ..machine.architecture import REFERENCE
+from ..machine.architecture import REFERENCE, TARGETS
 from ..obs import Observation
 from ..runtime.config import RuntimeConfig
 from ..runtime.faults import FaultPlan, FaultRule
@@ -145,6 +153,15 @@ class InvariantResult:
     passed: bool
     detail: str = ""
     duration_s: float = 0.0
+
+
+class _RunBlindMeasurer(Measurer):
+    """The ``memo-drops-run-id`` planted defect: a measurement memo
+    keyed without ``run_id``."""
+
+    @staticmethod
+    def _memo_key(kind, codelet, arch, run_id):
+        return (kind, codelet.name, arch.name)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +244,22 @@ class VerifyContext:
         diverging ``linkage`` from the reference loop, which the
         ``clustering-equivalence`` invariant must notice."""
         return 1e-3 if self.breakage == "slow-path-skew" else 0.0
+
+    @property
+    def stack_argmin_from_first(self) -> bool:
+        """Whether :func:`~repro.core.clustering.linkage_stack` merges
+        every matrix at matrix 0's argmin — ``False`` in a clean
+        context; the ``stack-shares-argmin`` defect sets it, which the
+        ``stacked-linkage-equivalence`` invariant must notice."""
+        return self.breakage == "stack-shares-argmin"
+
+    def memo_measurer(self) -> Measurer:
+        """A measurer for the ``measure-once`` invariant to query.  The
+        ``memo-drops-run-id`` defect returns one whose memo key omits
+        the run, so a second run replays the first run's draw."""
+        if self.breakage == "memo-drops-run-id":
+            return _RunBlindMeasurer()
+        return Measurer()
 
     @property
     def compiler_unresolved_independent(self) -> bool:
@@ -541,6 +574,32 @@ def check_cache_determinism(ctx: VerifyContext) -> None:
 
 
 @invariant(
+    "measure-once",
+    "a measurer that has already answered every (codelet, target, run) "
+    "returns exactly what a fresh measurer returns, in-app and "
+    "standalone")
+def check_measure_once(ctx: VerifyContext) -> None:
+    asks = {"inapp": Measurer.measure_inapp,
+            "standalone": Measurer.benchmark_standalone}
+    keys = [(kind, codelet, arch, run_id)
+            for kind in asks for codelet in ctx.codelets
+            for arch in TARGETS + (REFERENCE,) for run_id in (0, 1)]
+    memo = ctx.memo_measurer()
+    for i in np.random.default_rng(ctx.seed).permutation(len(keys)):
+        kind, codelet, arch, run_id = keys[i]
+        asks[kind](memo, codelet, arch, run_id)
+    for kind, codelet, arch, run_id in keys:
+        got = asks[kind](memo, codelet, arch, run_id)
+        want = asks[kind](Measurer(), codelet, arch, run_id)
+        if got != want:
+            raise InvariantViolation(
+                f"measure-once: {kind} {codelet.name} on {arch.name} "
+                f"run {run_id}: the answered measurer returns {got!r}, "
+                f"a fresh one {want!r} — the memo must return exactly "
+                "the value its key draws")
+
+
+@invariant(
     "lint-determinism",
     "lint output is a pure function of the IR: fresh same-seed suite "
     "builds serialise byte-identically and every canary kernel yields "
@@ -788,29 +847,30 @@ def check_trace_replay(ctx: VerifyContext) -> None:
             f"{sorted(reduced.quarantined)} despite the retry budget")
 
 
-def _assert_same_dendrogram(label: str, got: Dendrogram,
+def _assert_same_dendrogram(name: str, label: str, got: Dendrogram,
                             want: Dendrogram) -> None:
     """Bitwise equality of a :func:`linkage` dendrogram with the
-    reference's: merges, heights, every cut."""
+    reference's: merges, heights, every cut.  ``name`` is the invariant
+    a difference violates."""
     if len(got.merges) != len(want.merges):
         raise InvariantViolation(
-            f"clustering-equivalence: {label}: linkage produced "
+            f"{name}: {label}: linkage produced "
             f"{len(got.merges)} merges, reference {len(want.merges)}")
     for step, (mg, mw) in enumerate(zip(got.merges, want.merges)):
         if (mg.a, mg.b, mg.size) != (mw.a, mw.b, mw.size):
             raise InvariantViolation(
-                f"clustering-equivalence: {label}: merge {step} joins "
+                f"{name}: {label}: merge {step} joins "
                 f"({mg.a}, {mg.b}) in linkage but "
                 f"({mw.a}, {mw.b}) in the reference — the trees differ")
         if mg.height != mw.height:
             raise InvariantViolation(
-                f"clustering-equivalence: {label}: merge {step} height "
+                f"{name}: {label}: merge {step} height "
                 f"{mg.height!r} != reference {mw.height!r} — heights "
                 "must be bit-identical, not merely close")
     for k in range(1, got.n_leaves + 1):
         if not np.array_equal(got.cut(k), want.cut(k)):
             raise InvariantViolation(
-                f"clustering-equivalence: {label}: cut(k={k}) labels "
+                f"{name}: {label}: cut(k={k}) labels "
                 "differ between linkage and the reference")
 
 
@@ -830,7 +890,35 @@ def check_clustering_equivalence(ctx: VerifyContext) -> None:
                                                else 0.0))
                 want = linkage_reference(points, method=method)
                 _assert_same_dendrogram(
+                    "clustering-equivalence",
                     f"{variant} n={rows} method={method}", got, want)
+
+
+@invariant(
+    "stacked-linkage-equivalence",
+    "every dendrogram of a stack of point sets linked side by side is "
+    "bit-identical to the reference loop on its own set, on every "
+    "method and tie structure")
+def check_stacked_linkage_equivalence(ctx: VerifyContext) -> None:
+    shared = ctx.stack_argmin_from_first
+    for rows in (12, 26):
+        for size in (2, 7):
+            # Each set its own tie structure and column count.
+            kinds = [FEATURE_MATRIX_VARIANTS[j % len(FEATURE_MATRIX_VARIANTS)]
+                     for j in range(size)]
+            stack = [_feature_matrix(ctx.seed + 100 * rows + j, rows,
+                                     1 + j % 5, kind)
+                     for j, kind in enumerate(kinds)]
+            for method in ("ward", "single", "complete", "average"):
+                got = linkage_stack(stack, method,
+                                    argmin_from_first=shared)
+                for j, points in enumerate(stack):
+                    _assert_same_dendrogram(
+                        "stacked-linkage-equivalence",
+                        f"set {j} of {size} ({kinds[j]}, "
+                        f"{points.shape[1]} columns) n={rows} "
+                        f"method={method}",
+                        got[j], linkage_reference(points, method=method))
 
 
 @invariant(
@@ -1072,6 +1160,13 @@ BREAKAGES: Dict[str, str] = {
                          "in the one-pass W(k) total, silently "
                          "inflating the elbow curve below k_max; caught "
                          "by 'variance-curve-equivalence'",
+    "stack-shares-argmin": "merge every matrix of a linkage stack at "
+                           "matrix 0's argmin, silently giving every "
+                           "set matrix 0's merge order; caught by "
+                           "'stacked-linkage-equivalence'",
+    "memo-drops-run-id": "key the measurement memo without the run id, "
+                         "so a second run silently replays the first "
+                         "run's noise draw; caught by 'measure-once'",
     "vectorize-unresolved": "make the compiler treat a dependence pair "
                             "the solver cannot resolve as independent, "
                             "silently vectorizing the non-uniform "

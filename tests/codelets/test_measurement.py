@@ -55,6 +55,17 @@ class TestMeasurer:
         r2 = exact_measurer.model_run(c, 0, NEHALEM, standalone=True)
         assert r1 is r2
 
+    def test_measurements_return_the_stored_object(self, measurer):
+        c = _codelet(P.saxpy("s", 4096))
+        timing = measurer.benchmark_standalone(c, NEHALEM)
+        assert measurer.benchmark_standalone(c, NEHALEM) is timing
+        inapp = measurer.measure_inapp(c, ATOM, run_id=2)
+        assert measurer.measure_inapp(c, ATOM, run_id=2) is inapp
+        # Another run is another key, and a fresh noise draw.
+        assert measurer.benchmark_standalone(c, NEHALEM, run_id=1) \
+            != timing
+        assert measurer.measure_inapp(c, ATOM, run_id=3) != inapp
+
     def test_single_variant_well_behaved(self, exact_measurer):
         c = _codelet(P.saxpy("s", 4096))
         assert exact_measurer.behavior_deviation(c, NEHALEM) == \

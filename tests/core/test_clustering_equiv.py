@@ -1,6 +1,6 @@
 """Property suite: the vectorized greedy linkage is *bit-compatible*
-with the O(n³) reference loop, and the one-pass W(k) curve with
-re-cutting the dendrogram at every k.
+with the O(n³) reference loop, alone and stacked, and the one-pass W(k)
+curve with re-cutting the dendrogram at every k.
 
 These are the equivalence guarantees the clustering layer rests on (see
 docs/PERFORMANCE.md): same merges, same heights, same ``cut()`` labels,
@@ -15,11 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.clustering import (LINKAGE_METHODS, linkage,
-                                   linkage_reference, variance_curve,
-                                   ward_linkage, within_cluster_variance)
+from repro.core.clustering import (LINKAGE_METHODS, elbow_k, linkage,
+                                   linkage_reference, linkage_stack,
+                                   variance_curve, ward_linkage,
+                                   within_cluster_variance)
 from repro.core.features import (ALL_FEATURE_NAMES, TABLE2_FEATURES,
                                  FeatureMatrix)
+from repro.core.ga import INIT_DENSITY
 from repro.verify.strategies import (FEATURE_MATRIX_VARIANTS,
                                      _feature_matrix, feature_matrices)
 
@@ -69,6 +71,61 @@ class TestLinkageEquivalence:
         rows = pipeline_rows(ctx, suite, features, shape)
         assert_same_dendrogram(linkage(rows, method="ward"),
                                linkage_reference(rows, method="ward"))
+
+
+#: Column counts of the stacked sets: one feature, a few, the
+#: pipeline's 14 and all 76 (the GA's widest mask).
+STACK_COLUMNS = (1, 4, 14, 76)
+
+
+class TestStackedLinkage:
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("variant", FEATURE_MATRIX_VARIANTS)
+    @pytest.mark.parametrize("size", (1, 2, 60))
+    def test_each_matrix_matches_reference(self, size, variant, method):
+        # Widths cycle through STACK_COLUMNS within a stack, and the
+        # smaller stacks start at every offset that covers them all.
+        for start in range(0, len(STACK_COLUMNS), size):
+            stack = [_feature_matrix(
+                100 * start + j, 28,
+                STACK_COLUMNS[(start + j) % len(STACK_COLUMNS)], variant)
+                for j in range(size)]
+            got = linkage_stack(stack, method)
+            assert len(got) == size
+            for points, dendrogram in zip(stack, got):
+                assert_same_dendrogram(
+                    dendrogram, linkage_reference(points, method=method))
+
+    def test_ga_population_of_nr_masks(self, ctx):
+        # 60 masks drawn like run_ga's initial population, over the
+        # normalized NR matrix the GA really links.
+        rows = pipeline_rows(ctx, "nr", ALL_FEATURE_NAMES, (28, 76))
+        rng = np.random.default_rng(5)
+        masks = rng.random((60, rows.shape[1])) < INIT_DENSITY
+        for mask in masks:
+            if not mask.any():
+                mask[rng.integers(rows.shape[1])] = True
+        stack = [rows[:, mask] for mask in masks]
+        for points, dendrogram in zip(stack, linkage_stack(stack)):
+            assert_same_dendrogram(dendrogram, linkage_reference(points))
+
+    def test_empty_stack(self):
+        assert linkage_stack([]) == []
+
+    def test_mismatched_row_counts_rejected(self):
+        stack = [_feature_matrix(1, 12, 3, "plain"),
+                 _feature_matrix(2, 11, 3, "plain")]
+        with pytest.raises(ValueError, match="same number of rows"):
+            linkage_stack(stack)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_set_rejected(self, bad):
+        points = _feature_matrix(3, 12, 3, "plain")
+        broken = points.copy()
+        broken[4, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            linkage_stack([points, broken])
 
 
 def per_cut_curve(points, dendrogram, k_max=None):
@@ -124,6 +181,56 @@ class TestValidation:
         skewed = linkage(points, ward_coeff_skew=1e-3)
         assert any(a.height != b.height
                    for a, b in zip(plain.merges, skewed.merges))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_within_cluster_variance_rejects_non_finite(self, bad):
+        # Unchecked, a one-row cluster at inf scored nan (and the
+        # singleton shortcut would have scored it 0.0).
+        with pytest.raises(ValueError, match="non-finite"):
+            within_cluster_variance([[bad]], [0])
+        with pytest.raises(ValueError, match="non-finite"):
+            within_cluster_variance([[0.0, 1.0], [bad, 2.0]], [0, 1])
+
+    @pytest.mark.parametrize("points, match", [
+        (np.zeros((0, 3)), "zero observations"),
+        (np.arange(5.0), "2-D"),
+        (np.zeros((2, 2, 2)), "2-D"),
+    ], ids=["empty", "1-d", "3-d"])
+    def test_within_cluster_variance_rejects_malformed(self, points,
+                                                       match):
+        with pytest.raises(ValueError, match=match):
+            within_cluster_variance(points, np.zeros(len(points), int))
+
+    @staticmethod
+    def _broken_copy(bad):
+        points = _feature_matrix(7, 28, 5, "plain")
+        broken = points.copy()
+        broken[6, 2] = bad
+        return points, broken
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_variance_curve_rejects_non_finite(self, bad):
+        points, broken = self._broken_copy(bad)
+        dendrogram = ward_linkage(points)
+        with pytest.raises(ValueError, match="non-finite"):
+            variance_curve(broken, dendrogram, 24)
+        with pytest.raises(ValueError, match="2-D"):
+            variance_curve(points[:, 0], dendrogram, 24)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_elbow_k_rejects_non_finite(self, bad):
+        # Unchecked, an inf entry made the elbow 24 (21 on the finite
+        # points), with only a RuntimeWarning.
+        points, broken = self._broken_copy(bad)
+        dendrogram = ward_linkage(points)
+        with pytest.raises(ValueError, match="non-finite"):
+            elbow_k(broken, dendrogram, 24)
+        # Two leaves skip the curve but not the check.
+        with pytest.raises(ValueError, match="non-finite"):
+            elbow_k(broken[5:7], ward_linkage(points[5:7]))
 
     @pytest.mark.parametrize("impl", [linkage, linkage_reference],
                              ids=["linkage", "reference"])

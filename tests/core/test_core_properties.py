@@ -107,14 +107,15 @@ class TestGAProperties:
             observed.append(mask.sum())
             return float(mask.sum())
 
-        run_ga(n_bits, fitness,
+        run_ga(n_bits, lambda pop: np.array([fitness(x) for x in pop]),
                GAConfig(population=12, generations=4, seed=seed))
         assert min(observed) >= 1
 
     @given(st.integers(0, 1000))
     @settings(max_examples=10, deadline=None)
     def test_elitism_never_regresses(self, seed):
-        result = run_ga(16, lambda m: float(m.sum()),
+        result = run_ga(16, lambda pop: np.array([float(m.sum())
+                                                  for m in pop]),
                         GAConfig(population=16, generations=10,
                                  seed=seed))
         h = np.array(result.history)

@@ -30,7 +30,8 @@ class TestGenericGA:
     def test_minimizes_onemax(self):
         # Fitness = number of set bits; optimum is the empty-ish vector
         # (the GA keeps at least one bit set by construction).
-        result = run_ga(30, lambda mask: float(mask.sum()),
+        result = run_ga(30, lambda pop: np.array([float(mask.sum())
+                                                  for mask in pop]),
                         GAConfig(population=40, generations=25, seed=1))
         assert result.best_fitness <= 2.0
 
@@ -41,24 +42,29 @@ class TestGenericGA:
         def fitness(mask):
             return float(np.logical_xor(mask, target).sum())
 
-        result = run_ga(20, fitness,
+        result = run_ga(20, lambda pop: np.array([fitness(x)
+                                                  for x in pop]),
                         GAConfig(population=60, generations=40, seed=2))
         assert result.best_fitness <= 1.0
 
     def test_history_is_monotone_with_elitism(self):
-        result = run_ga(16, lambda m: float(m.sum()),
+        result = run_ga(16, lambda pop: np.array([float(m.sum())
+                                                  for m in pop]),
                         GAConfig(population=30, generations=15, seed=3))
         h = np.array(result.history)
         assert (np.diff(h) <= 1e-12).all()
 
     def test_deterministic_by_seed(self):
         cfg = GAConfig(population=20, generations=8, seed=9)
-        r1 = run_ga(12, lambda m: float(m.sum()), cfg)
-        r2 = run_ga(12, lambda m: float(m.sum()), cfg)
+        r1 = run_ga(12, lambda pop: np.array([float(m.sum())
+                                              for m in pop]), cfg)
+        r2 = run_ga(12, lambda pop: np.array([float(m.sum())
+                                              for m in pop]), cfg)
         assert r1.best_mask == r2.best_mask
 
     def test_selected_names(self):
-        result = run_ga(4, lambda m: -float(m.sum()),
+        result = run_ga(4, lambda pop: np.array([-float(m.sum())
+                                                 for m in pop]),
                         GAConfig(population=10, generations=5, seed=4))
         names = result.selected(("a", "b", "c", "d"))
         assert len(names) == sum(result.best_mask)
@@ -113,6 +119,27 @@ class TestFeatureSelection:
                                   seed=7))
         all_fitness = problem.evaluate_mask(np.ones(76, dtype=bool))
         assert result.best_fitness <= all_fitness
+
+    def test_stacked_generations_match_one_mask_at_a_time(self,
+                                                          nr_profiles):
+        # select_features links each generation's new masks in one
+        # stack; scoring every mask alone must give the same GA run.
+        m, profiles = nr_profiles
+        config = GAConfig(population=30, generations=10, seed=7)
+        result, problem = select_features(profiles, m, config)
+        fresh = FeatureSelectionProblem(profiles, m)
+        alone = run_ga(fresh.n_bits,
+                       lambda pop: np.array([fresh.evaluate_mask(x)
+                                             for x in pop]),
+                       config,
+                       seed_individuals=[np.ones(fresh.n_bits, dtype=bool)])
+        assert result == alone
+        assert list(problem._cache.items()) == list(fresh._cache.items())
+
+    def test_population_fitness_shape_checked(self):
+        with pytest.raises(ValueError, match="population of 10"):
+            run_ga(4, lambda pop: float(pop.sum()),
+                   GAConfig(population=10, generations=1, seed=4))
 
     def test_selected_subset_nonempty(self, nr_profiles):
         m, profiles = nr_profiles

@@ -8,7 +8,7 @@ from repro.core.pipeline import (BenchmarkReducer, SubsettingConfig,
                                  TargetEvaluation, evaluate_on_target)
 from repro.core.prediction import average_error, median_error
 from repro.core.reduction import ReductionBreakdown
-from repro.machine import ATOM, CORE2, NEHALEM, SANDY_BRIDGE
+from repro.machine import ATOM, CORE2, NEHALEM, SANDY_BRIDGE, NoiseModel
 from repro.suites import build_nas_suite, build_nr_suite
 
 
@@ -141,6 +141,28 @@ class TestErrorVsK:
                                     nas_reducer.measurer)
             factors[k] = ev.reduction.total_factor
         assert factors[20] < factors[2]
+
+
+class TestMeasureOnce:
+    def test_second_evaluation_draws_no_noise(self, nas_reducer,
+                                              monkeypatch):
+        # The first evaluation measures every codelet on the target,
+        # in-app and standalone (reduction_breakdown benchmarks them
+        # all), so a second one at another K finds every value memoized.
+        measurer = nas_reducer.measurer
+        first = evaluate_on_target(nas_reducer.reduce(6), ATOM, measurer)
+        draws = []
+        rng = NoiseModel._rng
+
+        def counting_rng(self, key):
+            draws.append(key)
+            return rng(self, key)
+
+        monkeypatch.setattr(NoiseModel, "_rng", counting_rng)
+        second = evaluate_on_target(nas_reducer.reduce(12), ATOM, measurer)
+        assert draws == []
+        assert [c.real_seconds for c in second.codelets] == \
+            [c.real_seconds for c in first.codelets]
 
 
 class TestDeterminism:

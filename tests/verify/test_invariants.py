@@ -188,6 +188,22 @@ class TestDefectInjection:
         failing = next(r for r in report.invariants if not r.passed)
         assert "bit-identical" in failing.detail
 
+    def test_stack_shares_argmin_fails_only_the_matching_invariant(self):
+        report = run_verify(seed=0, breakage="stack-shares-argmin",
+                            skip_differential=True)
+        assert not report.passed
+        assert report.failed_names() == ["stacked-linkage-equivalence"]
+        failing = next(r for r in report.invariants if not r.passed)
+        assert "set 1 of 2" in failing.detail
+
+    def test_memo_drops_run_id_fails_only_the_matching_invariant(self):
+        report = run_verify(seed=0, breakage="memo-drops-run-id",
+                            skip_differential=True)
+        assert not report.passed
+        assert report.failed_names() == ["measure-once"]
+        failing = next(r for r in report.invariants if not r.passed)
+        assert "a fresh one" in failing.detail
+
     def test_vectorize_unresolved_fails_only_the_matching_invariant(self):
         report = run_verify(seed=0, breakage="vectorize-unresolved",
                             skip_differential=True)
