@@ -21,11 +21,13 @@ original callers.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import TYPE_CHECKING, Dict
 
 from .expr import AffineIndex, BinOp, Call, Const, Expr, Load
-from .kernel import Kernel
 from .stmt import Block, Loop, Stmt, Store
+
+if TYPE_CHECKING:
+    from .kernel import Kernel
 
 
 def _affine(ix: AffineIndex, names: Dict[str, str]) -> str:
@@ -65,11 +67,19 @@ def _stmt(s: Stmt, names: Dict[str, str]) -> str:
     raise TypeError(f"unknown statement node {type(s).__name__}")
 
 
-def kernel_fingerprint(kernel: Kernel) -> str:
-    """Canonical rendering of a kernel's content (name-independent)."""
+def render_fingerprint(kernel: Kernel) -> str:
+    """Render a kernel's canonical content string.  Callers read
+    :attr:`Kernel.fingerprint <repro.ir.kernel.Kernel.fingerprint>`,
+    which renders once per kernel object."""
     arrays = ",".join(
         f"{a.name}:{a.dtype.name}:{'x'.join(map(str, a.shape))}"
         for a in kernel.arrays)
     names: Dict[str, str] = {}
     body = _stmt(kernel.body, names)
     return f"arrays[{arrays}]body{{{body}}}"
+
+
+def kernel_fingerprint(kernel: Kernel) -> str:
+    """Canonical rendering of a kernel's content (name-independent),
+    rendered on the first call for each kernel object and stored on it."""
+    return kernel.fingerprint

@@ -8,9 +8,11 @@ well-defined set of input/output arrays and no side effects.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from .expr import Array, IRError, Load
+from .fingerprint import render_fingerprint
 from .stmt import Block, Loop, Store, walk_statements
 
 
@@ -77,6 +79,14 @@ class Kernel:
                         raise IRError(
                             f"kernel {self.name!r} references undeclared "
                             f"array {arr.name!r}")
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """Canonical, name-independent rendering of the kernel's content
+        (:mod:`repro.ir.fingerprint`).  The kernel is immutable, so it is
+        rendered once per object; ``dataclasses.replace`` builds a new
+        object, which renders its own."""
+        return render_fingerprint(self)
 
     # -- structure ----------------------------------------------------------
 

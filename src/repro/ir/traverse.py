@@ -14,7 +14,7 @@ stride column of Table 3 reports (0, 1, -1, LDA, stencil...).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 from .expr import AffineIndex, Array, Load
@@ -75,6 +75,11 @@ class NestAnalysis:
     loops: Tuple[Loop, ...]          # outermost ... innermost
     avg_trips: Tuple[float, ...]     # average trip count per loop
     accesses: Tuple[Access, ...]     # body access sites, loads then stores
+    #: The cache model's capacity-free footprint of this nest, per line
+    #: size, filled on first use (:mod:`repro.machine.cache_model`).  It
+    #: lives and dies with this object and is not part of its value.
+    footprints: Dict[int, object] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def innermost(self) -> Loop:

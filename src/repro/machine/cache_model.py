@@ -15,6 +15,15 @@ closed-form model based on loop footprints:
 * accesses are misses once per execution of the loops outside that
   window — the classical capacity-miss model for affine loop nests.
 
+Only the last two steps depend on capacity.  The groups, their lines
+touched at every loop depth, the per-depth working-set sums, the
+spatial clamps and the invariance depths depend on the nest and the
+line size alone: they are computed once per :class:`NestAnalysis` and
+line size and kept on the nest (``NestAnalysis.footprints``), so every
+later run on the same nest object, at any capacity, pressure or
+architecture, only reads them.  The lowering memo hands the same nests
+to every architecture that compiles a kernel with the same options.
+
 ``pressure_bytes`` models the cache footprint of the *rest of the
 application* competing for the shared last-level cache.  It is what makes
 an extracted microbenchmark (pressure 0) run faster than the same codelet
@@ -25,7 +34,7 @@ outlier (Section 4.4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..ir.kernel import Kernel
 from ..ir.traverse import Access, NestAnalysis, analyze_nests
@@ -207,7 +216,62 @@ def _moves_with(access, var: str) -> bool:
     return any(idx.coefficient(var) != 0 for idx in access.indices)
 
 
-def _nest_group_misses(nest: NestAnalysis, groups: Sequence[AccessGroup],
+@dataclass(frozen=True)
+class NestFootprint:
+    """The capacity-free part of the model for one nest and line size.
+
+    ``lines[d][g]`` is the lines group ``g`` touches while the ``d``
+    innermost loops iterate (d = 0..depth) and ``ws_lines[d]`` their
+    working-set sum over the groups; ``clamps[g]`` is the group's
+    spatial clamp and ``invariant_depths[g]`` the number of innermost
+    loops that leave it in place.
+    """
+
+    groups: Tuple[AccessGroup, ...]
+    lines: Tuple[Tuple[float, ...], ...]
+    ws_lines: Tuple[float, ...]
+    clamps: Tuple[float, ...]
+    invariant_depths: Tuple[int, ...]
+
+
+def _measure_footprint(nest: NestAnalysis, line_bytes: int) -> NestFootprint:
+    groups = tuple(collect_groups(nest))
+    lines = tuple(
+        tuple(lines_touched(g.rep, trips, line_bytes) for g in groups)
+        for trips in map(nest.trips_for, range(nest.depth + 1)))
+    # Loop variables, innermost first, for invariance counting.
+    inner_vars = [lp.var.name for lp in reversed(nest.loops)]
+    invariant_depths = []
+    for g in groups:
+        inv_d = 0
+        for var in inner_vars:
+            if _moves_with(g.rep, var):
+                break
+            inv_d += 1
+        invariant_depths.append(inv_d)
+    return NestFootprint(
+        groups=groups,
+        lines=lines,
+        # Plain sum() in group order: another order or a compensated
+        # sum would move the working set's last bits.
+        ws_lines=tuple(sum(row) for row in lines),
+        clamps=tuple(_spatial_clamp(g, nest, line_bytes) for g in groups),
+        invariant_depths=tuple(invariant_depths))
+
+
+def _footprint(nest: NestAnalysis, line_bytes: int) -> NestFootprint:
+    """The nest's footprint at ``line_bytes``, computed on first use and
+    kept in the nest's own table, so every later model run on the same
+    nest object — any capacity, pressure or architecture with these
+    lines — only reads it."""
+    footprint = nest.footprints.get(line_bytes)
+    if footprint is None:
+        footprint = _measure_footprint(nest, line_bytes)
+        nest.footprints[line_bytes] = footprint
+    return footprint
+
+
+def _nest_group_misses(nest: NestAnalysis, footprint: NestFootprint,
                        capacity: float, warm: bool,
                        line_bytes: int) -> List[float]:
     """Misses per group for one capacity, per kernel invocation.
@@ -222,46 +286,30 @@ def _nest_group_misses(nest: NestAnalysis, groups: Sequence[AccessGroup],
     an accumulator touched every iteration never leaves the MRU position.
     """
     depth = nest.depth
-    # Working-set lines when the d innermost loops iterate, d = 0..depth.
-    ws_lines = []
-    for d in range(depth + 1):
-        trips = nest.trips_for(d)
-        ws_lines.append(sum(lines_touched(g.rep, trips, line_bytes)
-                            for g in groups))
     fit = 0
-    for d in range(depth + 1):
-        if ws_lines[d] * line_bytes <= capacity:
+    for d, ws in enumerate(footprint.ws_lines):
+        if ws * line_bytes <= capacity:
             fit = d
         else:
             break
 
-    # Loop variables, innermost first, for invariance counting.
-    inner_vars = [lp.var.name for lp in reversed(nest.loops)]
-
     misses: List[float] = []
-    full_trips = nest.trips_for(depth)
-    for g in groups:
-        clamp = _spatial_clamp(g, nest, line_bytes)
+    for g, group in enumerate(footprint.groups):
+        clamp = footprint.clamps[g]
         if fit == depth:
-            cold = 0.0 if warm else lines_touched(g.rep, full_trips,
-                                                  line_bytes)
-            misses.append(min(cold, clamp, g.count))
+            cold = 0.0 if warm else footprint.lines[depth][g]
+            misses.append(min(cold, clamp, group.count))
             continue
-        inv_d = 0
-        for var in inner_vars:
-            if _moves_with(g.rep, var):
-                break
-            inv_d += 1
+        inv_d = footprint.invariant_depths[g]
         if inv_d == depth:
-            misses.append(min(1.0, g.count))     # hot invariant line
+            misses.append(min(1.0, group.count))     # hot invariant line
             continue
         window = min(max(fit, inv_d) + 1, depth)
         refetch = 1.0
         for t in nest.avg_trips[:depth - window]:
             refetch *= t
-        window_lines = lines_touched(g.rep, nest.trips_for(window),
-                                     line_bytes)
-        misses.append(min(refetch * window_lines, clamp, g.count))
+        misses.append(min(refetch * footprint.lines[window][g], clamp,
+                          group.count))
     return misses
 
 
@@ -285,14 +333,15 @@ def analyze_cache(kernel_or_nests, arch: Architecture,
     store_misses_llc = 0.0
 
     for nest in nests:
-        groups = collect_groups(nest)
+        groups = _footprint(nest, arch.caches[0].line_bytes).groups
         total_accesses += sum(g.count for g in groups)
         prev = [g.count for g in groups]
         for li, cache in enumerate(arch.caches):
             capacity = _effective_capacity(cache, li == nlevels - 1,
                                            pressure_bytes)
-            level_misses = _nest_group_misses(nest, groups, capacity,
-                                              warm, cache.line_bytes)
+            level_misses = _nest_group_misses(
+                nest, _footprint(nest, cache.line_bytes), capacity, warm,
+                cache.line_bytes)
             # An access cannot miss deeper without missing shallower.
             level_misses = [min(m, p) for m, p in zip(level_misses, prev)]
             misses_at[li] += sum(level_misses)

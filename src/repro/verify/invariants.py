@@ -34,6 +34,10 @@ Registered invariants (see ``repro verify --list``):
     A measurer that has already answered every (codelet, target, run)
     returns exactly what a fresh measurer returns for each, in-app and
     standalone.
+``footprint-once``
+    A cache-model run on loop nests whose footprint tables are already
+    filled, at several line sizes, returns bit for bit what a run on
+    freshly analyzed nests returns.
 ``lint-determinism``
     The static-analysis lint passes are a pure function of the IR: two
     fresh builds of the same seeded suite serialise to byte-identical
@@ -89,7 +93,7 @@ from __future__ import annotations
 import json
 import tempfile
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -108,7 +112,11 @@ from ..core.pipeline import BenchmarkReducer, ReducedSuite, SubsettingConfig
 from ..core.prediction import build_cluster_model
 from ..core.representatives import (ill_behaved_codelets,
                                     select_representatives)
-from ..machine.architecture import REFERENCE, TARGETS
+from ..ir.traverse import NestAnalysis, analyze_nests
+from ..isa.compiler import CompiledKernel, compile_kernel
+from ..machine.architecture import NEHALEM, REFERENCE, TARGETS
+from ..machine.cache_model import CacheProfile, analyze_cache
+from ..machine.platform import default_options
 from ..obs import Observation
 from ..runtime.config import RuntimeConfig
 from ..runtime.faults import FaultPlan, FaultRule
@@ -162,6 +170,30 @@ class _RunBlindMeasurer(Measurer):
     @staticmethod
     def _memo_key(kind, codelet, arch, run_id):
         return (kind, codelet.name, arch.name)
+
+
+class _LineBlindTable(dict):
+    """The ``footprint-drops-line-size`` planted defect: a footprint
+    table whose lookup ignores the line size."""
+
+    def get(self, line_bytes, default=None):
+        return next(iter(self.values()), default)
+
+
+@dataclass(frozen=True)
+class _LineBlindNest(NestAnalysis):
+    """A loop nest whose footprint table is a :class:`_LineBlindTable`."""
+
+    footprints: Dict[int, object] = field(
+        default_factory=_LineBlindTable, init=False, compare=False,
+        repr=False)
+
+
+#: A hierarchy with another line size at every level (32/64/128 bytes),
+#: so one cache-model run reads a nest's footprint at three line sizes.
+MIXED_LINES = replace(NEHALEM, name="mixed-lines", caches=tuple(
+    replace(cache, line_bytes=line)
+    for cache, line in zip(NEHALEM.caches, (32, 64, 128))))
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +292,19 @@ class VerifyContext:
         if self.breakage == "memo-drops-run-id":
             return _RunBlindMeasurer()
         return Measurer()
+
+    def footprint_nests(self, compiled: CompiledKernel
+                        ) -> Tuple[NestAnalysis, ...]:
+        """The loop nests the ``footprint-once`` invariant queries: the
+        compiled kernel's own, whose footprint tables every model run
+        on that lowering fills and reads.  The
+        ``footprint-drops-line-size`` defect returns copies whose table
+        answers every line size with the first footprint it stored."""
+        nests = tuple(n.nest for n in compiled.nests)
+        if self.breakage == "footprint-drops-line-size":
+            return tuple(_LineBlindNest(n.loops, n.avg_trips, n.accesses)
+                         for n in nests)
+        return nests
 
     @property
     def compiler_unresolved_independent(self) -> bool:
@@ -597,6 +642,54 @@ def check_measure_once(ctx: VerifyContext) -> None:
                 f"run {run_id}: the answered measurer returns {got!r}, "
                 f"a fresh one {want!r} — the memo must return exactly "
                 "the value its key draws")
+
+
+@invariant(
+    "footprint-once",
+    "a cache-model run on loop nests whose footprint tables are already "
+    "filled, at several line sizes, returns bit for bit what a run on "
+    "freshly analyzed nests returns")
+def check_footprint_once(ctx: VerifyContext) -> None:
+    # Architectures with the same compiler options share one lowering,
+    # so its nests are queried at every line size those machines use.
+    nests: Dict[Tuple, Tuple[NestAnalysis, ...]] = {}
+    queries = []
+    for codelet in ctx.codelets:
+        for v, kernel in enumerate(codelet.variants):
+            for arch in TARGETS + (REFERENCE, MIXED_LINES):
+                options = default_options(arch)
+                key = (codelet.name, v, options)
+                if key not in nests:
+                    nests[key] = ctx.footprint_nests(
+                        compile_kernel(kernel, options))
+                queries += [(kernel, nests[key], arch, pressure, warm)
+                            for pressure in (0.0, codelet.pressure_bytes)
+                            for warm in (True, False)]
+    for i in np.random.default_rng(ctx.seed).permutation(len(queries)):
+        _kernel, shared, arch, pressure, warm = queries[i]
+        analyze_cache(shared, arch, pressure, warm)
+    for kernel, shared, arch, pressure, warm in queries:
+        got = analyze_cache(shared, arch, pressure, warm)
+        want = analyze_cache(analyze_nests(kernel), arch, pressure, warm)
+        for (label, a), (_, b) in zip(_cache_floats(got),
+                                      _cache_floats(want)):
+            if a.hex() != b.hex():
+                raise InvariantViolation(
+                    f"footprint-once: {kernel.name} on {arch.name} "
+                    f"(pressure {pressure!r}, warm={warm}): {label} is "
+                    f"{a!r} on nests with filled footprint tables, "
+                    f"{b!r} on fresh nests — a table entry must hold "
+                    "exactly what its line size computes")
+
+
+def _cache_floats(profile: CacheProfile) -> List[Tuple[str, float]]:
+    """Every float of a cache profile, labelled."""
+    out = [("accesses", profile.accesses)]
+    for lv in profile.levels:
+        out += [(f"{lv.name} {name}", getattr(lv, name))
+                for name in ("hits", "misses", "bytes_in")]
+    return out + [(name, getattr(profile, name)) for name in
+                  ("mem_accesses", "mem_bytes", "writeback_bytes")]
 
 
 @invariant(
@@ -1167,6 +1260,11 @@ BREAKAGES: Dict[str, str] = {
     "memo-drops-run-id": "key the measurement memo without the run id, "
                          "so a second run silently replays the first "
                          "run's noise draw; caught by 'measure-once'",
+    "footprint-drops-line-size": "look a loop nest's footprint up without "
+                                 "the line size, so a level with other "
+                                 "lines silently reads another level's "
+                                 "working set; caught by "
+                                 "'footprint-once'",
     "vectorize-unresolved": "make the compiler treat a dependence pair "
                             "the solver cannot resolve as independent, "
                             "silently vectorizing the non-uniform "

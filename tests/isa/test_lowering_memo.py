@@ -3,12 +3,17 @@
 ``compile_kernel`` memoizes on ``(kernel_fingerprint, options)``, so
 structurally identical kernels — the same loop nest rebuilt per dataset
 variant or per K-sweep round — lower once per process while different
-options or structure always miss (docs/PERFORMANCE.md).
+options or structure always miss (docs/PERFORMANCE.md).  The
+fingerprint itself is rendered once per kernel object.
 """
+
+import dataclasses
+import pickle
 
 import pytest
 
 from repro.ir import DP, KernelBuilder
+from repro.ir import fingerprint as fingerprint_module
 from repro.isa import (CompilerOptions, clear_lowering_memo,
                        compile_kernel, lowering_memo_stats)
 from repro.isa.compiler import _LOWERING_MEMO_LIMIT
@@ -88,6 +93,50 @@ class TestMemoHits:
             assert nm.body == nf.body
             assert nm.nest.avg_trips == nf.nest.avg_trips
             assert nm.deps == nf.deps
+
+
+@pytest.fixture
+def renders(monkeypatch):
+    """Count full fingerprint renders (top-level statement walks)."""
+    calls = []
+    original = fingerprint_module._stmt
+
+    def counted(stmt, names):
+        if not calls or calls[-1] is not names:
+            calls.append(names)
+        return original(stmt, names)
+
+    monkeypatch.setattr(fingerprint_module, "_stmt", counted)
+    return calls
+
+
+class TestFingerprintOncePerKernel:
+    def test_second_options_render_nothing(self, renders):
+        kernel = _stream("once")
+        compile_kernel(kernel)
+        assert len(renders) == 1
+        compile_kernel(kernel, CompilerOptions(force_scalar=True))
+        assert lowering_memo_stats()["misses"] == 2
+        assert len(renders) == 1
+
+    def test_replaced_kernel_gets_its_own_fingerprint(self):
+        kernel = _stream("orig", 4096)
+        shorter = _stream("orig", 2048)
+        rendered = kernel.fingerprint
+        rebuilt = dataclasses.replace(kernel, body=shorter.body)
+        assert rebuilt.fingerprint != rendered
+        assert rebuilt.fingerprint == fingerprint_module.render_fingerprint(
+            rebuilt)
+        assert kernel.fingerprint == rendered
+
+    def test_read_fingerprint_survives_pickle(self, renders):
+        kernel = _stream("pickled")
+        rendered = kernel.fingerprint
+        shipped = pickle.loads(pickle.dumps(kernel))
+        assert len(renders) == 1
+        assert shipped.fingerprint == rendered
+        assert len(renders) == 1
+        assert rendered == fingerprint_module.render_fingerprint(shipped)
 
 
 class TestMemoLifecycle:

@@ -1,13 +1,16 @@
 """Tests for the analytical cache model."""
 
-from dataclasses import replace
-
 import pytest
 
+from repro.codelets import find_suite_codelets
 from repro.ir import DP, SP, KernelBuilder, analyze_nests
-from repro.machine import (ATOM, CORE2, NEHALEM, SANDY_BRIDGE,
+from repro.isa import compile_kernel
+from repro.machine import (ATOM, CORE2, HASWELL, NEHALEM, SANDY_BRIDGE,
                            analyze_cache, collect_groups, lines_touched,
                            simulate_cache)
+from repro.machine import cache_model
+from repro.machine.platform import default_options
+from repro.verify.invariants import MIXED_LINES
 from repro.verify.strategies import stream_kernel
 
 
@@ -185,11 +188,8 @@ class TestAnalyzeCache:
         # Each level counts misses and bytes in its own lines: on a cold
         # stream a 32/64/128-byte hierarchy fetches half as many lines
         # at each deeper level, as the simulator does.
-        arch = replace(NEHALEM, name="mixed-lines", caches=(
-            replace(NEHALEM.caches[0], line_bytes=32),
-            replace(NEHALEM.caches[1], line_bytes=64),
-            replace(NEHALEM.caches[2], line_bytes=128),
-        ))
+        arch = MIXED_LINES
+        assert [c.line_bytes for c in arch.caches] == [32, 64, 128]
         kernel = stream_kernel("mixed", 8192)
         model = analyze_cache(kernel, arch, warm=False)
         for stats, spec in zip(model.levels, arch.caches):
@@ -199,3 +199,66 @@ class TestAnalyzeCache:
         trace = simulate_cache(kernel, arch, warmup_invocations=0)
         for got, want in zip(model.levels, trace.levels):
             assert got.misses == pytest.approx(want.misses, rel=0.01)
+
+
+class TestFootprintTable:
+    """Each nest's capacity-free footprint is computed once per line
+    size and read by every later model run on that nest."""
+
+    def _count(self, monkeypatch, name):
+        calls = []
+        original = getattr(cache_model, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cache_model, name, counted)
+        return calls
+
+    def test_second_architecture_with_same_lines_reads_the_table(
+            self, monkeypatch, stencil_kernel):
+        nests = [n.nest for n in compile_kernel(stencil_kernel).nests]
+        touched = self._count(monkeypatch, "lines_touched")
+        grouped = self._count(monkeypatch, "collect_groups")
+        analyze_cache(nests, NEHALEM)
+        assert touched and grouped
+        touched.clear()
+        grouped.clear()
+        analyze_cache(nests, SANDY_BRIDGE, pressure_bytes=1.0e6,
+                      warm=False)
+        assert touched == [] and grouped == []
+
+    def test_table_is_not_part_of_the_nest_value(self, stencil_kernel):
+        nest, = analyze_nests(stencil_kernel)
+        twin, = analyze_nests(stencil_kernel)
+        before = (hash(nest), repr(nest))
+        analyze_cache([nest], MIXED_LINES)
+        assert sorted(nest.footprints) == [32, 64, 128]
+        assert (hash(nest), repr(nest)) == before
+        assert nest == twin and not twin.footprints
+
+    def test_table_warm_runs_equal_fresh_runs_on_every_codelet(
+            self, nas_suite, nr_suite):
+        archs = (NEHALEM, ATOM, CORE2, SANDY_BRIDGE, HASWELL, MIXED_LINES)
+        queries = []
+        for suite in (nas_suite, nr_suite):
+            for codelet in find_suite_codelets(suite):
+                for kernel in codelet.variants:
+                    for arch in archs:
+                        compiled = compile_kernel(kernel,
+                                                  default_options(arch))
+                        nests = [n.nest for n in compiled.nests]
+                        queries += [
+                            (kernel, nests, arch, pressure, warm)
+                            for pressure in (0.0, codelet.pressure_bytes)
+                            for warm in (True, False)]
+        for _kernel, nests, arch, pressure, warm in queries:
+            analyze_cache(nests, arch, pressure, warm)
+        for kernel, nests, arch, pressure, warm in queries:
+            table_warm = analyze_cache(nests, arch, pressure, warm)
+            fresh = analyze_cache(analyze_nests(kernel), arch, pressure,
+                                  warm)
+            # A float's repr round-trips, so equal reprs are equal bits.
+            assert repr(table_warm) == repr(fresh), (
+                kernel.name, arch.name, pressure, warm)

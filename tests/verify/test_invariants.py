@@ -21,6 +21,7 @@ EXPECTED_INVARIANTS = {
     "representative-membership",
     "ill-behaved-never-representative",
     "cache-determinism",
+    "footprint-once",
     "lint-determinism",
     "ga-selection",
     "manifest-round-trip",
@@ -203,6 +204,15 @@ class TestDefectInjection:
         assert report.failed_names() == ["measure-once"]
         failing = next(r for r in report.invariants if not r.passed)
         assert "a fresh one" in failing.detail
+
+    def test_footprint_drops_line_size_fails_only_the_matching_invariant(
+            self):
+        report = run_verify(seed=0, breakage="footprint-drops-line-size",
+                            skip_differential=True)
+        assert not report.passed
+        assert report.failed_names() == ["footprint-once"]
+        failing = next(r for r in report.invariants if not r.passed)
+        assert "on fresh nests" in failing.detail
 
     def test_vectorize_unresolved_fails_only_the_matching_invariant(self):
         report = run_verify(seed=0, breakage="vectorize-unresolved",
