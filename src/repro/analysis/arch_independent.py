@@ -28,7 +28,7 @@ from dataclasses import dataclass, fields
 from typing import Dict, List, Tuple
 
 from ..ir.dependence import AnalysisContext
-from ..ir.expr import BinOp, Call, Expr, Load, walk_expr
+from ..ir.expr import BinOp, Call, Expr, walk_expr
 from ..ir.kernel import Kernel
 from ..ir.stmt import Store, walk_statements
 from ..ir.traverse import analyze_nests

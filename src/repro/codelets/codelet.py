@@ -19,8 +19,8 @@ runtime observations provide:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 from ..ir.kernel import Kernel, SourceLoc
 

@@ -25,7 +25,7 @@ fresh draw takes a new ``run_id``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np

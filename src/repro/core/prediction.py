@@ -15,11 +15,10 @@ to scale like the covered part — Section 4.4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from ..codelets.codelet import Application
 from ..codelets.profiling import CodeletProfile
 from .representatives import SelectionResult
 

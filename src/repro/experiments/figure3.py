@@ -13,7 +13,7 @@ from typing import Sequence, Tuple
 
 from ..machine.architecture import ATOM, CORE2, SANDY_BRIDGE
 from .context import ExperimentContext
-from .report import format_series, format_table
+from .report import format_series
 
 #: Paper's headline point (at the elbow, K=18).
 PAPER_ELBOW = {

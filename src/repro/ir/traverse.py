@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
-from .expr import AffineIndex, Array, Load
+from .expr import AffineIndex, Array
 from .kernel import Kernel
 from .stmt import Loop, Store, walk_statements
 

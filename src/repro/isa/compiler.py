@@ -21,7 +21,7 @@ analyzer and the machine execution model consume.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from ..ir.dependence import AnalysisContext
@@ -30,7 +30,7 @@ from ..ir.fingerprint import kernel_fingerprint
 from ..ir.kernel import Kernel
 from ..ir.stmt import Store, walk_statements
 from ..ir.traverse import Access, NestAnalysis, analyze_nests
-from ..ir.types import DP, DType, INT32, SP
+from ..ir.types import DType, INT32
 from .deps import DepInfo, analyze_dependences
 from .instructions import (BINOP_CLASS, INTRINSIC_EXPANSION, Instr, OpClass,
                            merge_instrs, sse_width, summarize)

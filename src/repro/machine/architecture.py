@@ -20,7 +20,7 @@ Table 1 plus public microarchitectural data:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from ..ir.types import DType

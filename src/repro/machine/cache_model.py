@@ -34,7 +34,7 @@ outlier (Section 4.4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..ir.kernel import Kernel
 from ..ir.traverse import Access, NestAnalysis, analyze_nests

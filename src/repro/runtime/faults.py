@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fnmatch import fnmatchcase
-from typing import Optional, Sequence, Tuple
+from typing import Tuple
 
 #: The failure taxonomy (docs/RESILIENCE.md).
 FAULT_KINDS = ("crash", "timeout", "corrupt", "cache-poison")

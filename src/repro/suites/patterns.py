@@ -14,7 +14,7 @@ mix (add/mul balance, divisions, transcendentals).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..ir.builder import KernelBuilder
 from ..ir.expr import exp as ir_exp

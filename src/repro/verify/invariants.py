@@ -120,7 +120,6 @@ from ..machine.platform import default_options
 from ..obs import Observation
 from ..runtime.config import RuntimeConfig
 from ..runtime.faults import FaultPlan, FaultRule
-from .oracle import diff_reduced
 from .strategies import (FEATURE_MATRIX_VARIANTS, _feature_matrix,
                          random_codelets, synthetic_suite)
 

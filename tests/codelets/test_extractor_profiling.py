@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.codelets import (Codelet, Measurer, capture_memory, extract,
+from repro.codelets import (Codelet, capture_memory, extract,
                             find_suite_codelets, profile_codelet,
                             profile_codelets)
-from repro.ir import DP, run_kernel
-from repro.machine import NEHALEM
+from repro.ir import run_kernel
 from repro.suites import patterns as P
 
 

@@ -8,7 +8,6 @@ import pytest
 from repro.codelets import (Codelet, Measurer, choose_invocations,
                             find_suite_codelets)
 from repro.codelets.measurement import MAX_INVOCATIONS
-from repro.ir import DP, SourceLoc
 from repro.machine import ATOM, NEHALEM
 from repro.suites import patterns as P
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.codelets import Measurer, find_suite_codelets, profile_codelets
 from repro.core.clustering import ward_linkage
-from repro.core.reduction import ReductionBreakdown, reduction_breakdown
+from repro.core.reduction import reduction_breakdown
 from repro.machine import ATOM, CORE2
 from repro.suites import build_nr_suite
 

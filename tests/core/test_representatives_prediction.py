@@ -7,13 +7,11 @@ import pytest
 from repro.codelets import Measurer, find_suite_codelets, profile_codelets
 from repro.core.clustering import ward_linkage
 from repro.core.features import TABLE2_FEATURES, FeatureMatrix
-from repro.core.prediction import (aggregate_application,
-                                   build_cluster_model,
-                                   geometric_mean_speedup, median_error,
-                                   percent_error)
+from repro.core.prediction import (aggregate_application, build_cluster_model,
+                                   geometric_mean_speedup, percent_error)
 from repro.core.representatives import (ill_behaved_codelets,
                                         select_representatives)
-from repro.machine import ATOM, NEHALEM
+from repro.machine import NEHALEM
 from repro.suites import build_nas_suite, build_nr_suite
 
 
@@ -55,9 +53,6 @@ class TestSelection:
                                      ill_behaved_codelets(profiles, m))
         names = [p.name for p in profiles]
         for ci, rep in enumerate(sel.representatives):
-            members = [i for i in range(len(profiles))
-                       if sel.assignments[names[i]] == ci
-                       and names[i] in sel.clusters[ci]]
             # NR codelets are all well-behaved, so the rep must be the
             # actual centroid-closest member of its original cluster.
             orig = [i for i in range(len(profiles))

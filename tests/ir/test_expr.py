@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.ir import (DP, SP, AffineIndex, Array, BinOp, Call, Const,
-                      IndexVar, IRError, Load, as_affine, exp, fabs, fmax,
-                      fmin, sqrt, walk_expr)
+from repro.ir import (DP, SP, Array, BinOp, Call, Const, IndexVar, IRError,
+                      Load, as_affine, exp, fabs, fmax, fmin, sqrt, walk_expr)
 
 
 class TestAffineIndex:

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ir import DP, AffineIndex, IndexVar, KernelBuilder, as_affine
+from repro.ir import DP, AffineIndex, KernelBuilder, as_affine
 from repro.ir.interp import run_kernel
 
 _VARS = ("i", "j", "k")

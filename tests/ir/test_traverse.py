@@ -3,7 +3,7 @@
 import pytest
 
 from repro.ir import (DP, SP, KernelBuilder, analyze_nests,
-                      average_trip_counts, kernel_stride_summary)
+                      kernel_stride_summary)
 
 
 class TestTripCounts:
@@ -86,7 +86,7 @@ class TestFootprints:
     def test_footprint_clamped_by_shape(self):
         b = KernelBuilder("clamp")
         x = b.array("x", (8,), DP)
-        with b.loop(0, 100) as i:
+        with b.loop(0, 100):
             b.assign(x[0], x[0] + 1.0)
         nest, = analyze_nests(b.build())
         acc = nest.accesses[0]

@@ -4,7 +4,6 @@ Section 5 extension)."""
 import math
 
 import numpy as np
-import pytest
 
 from repro.analysis import (ARCH_INDEPENDENT_FEATURE_NAMES,
                             analyze_arch_independent,

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.analysis import STATIC_FEATURE_NAMES, analyze_static
-from repro.ir import DP, SP, KernelBuilder
+from repro.ir import DP, SP
 from repro.isa import CompilerOptions, compile_kernel, recompile_scalar
 from repro.machine import ATOM, NEHALEM
 from repro.suites import patterns as P

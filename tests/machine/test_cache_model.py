@@ -27,7 +27,7 @@ def _repeated_sweep(n, repeats):
     b = KernelBuilder("sweep")
     x = b.array("x", (n,), DP)
     s = b.scalar("s", DP)
-    with b.loop(0, repeats) as t:
+    with b.loop(0, repeats):
         with b.loop(0, n) as i:
             b.assign(s.value(), s.value() + x[i])
     return b.build()

@@ -5,7 +5,7 @@ import pytest
 from repro.codelets import Measurer, find_suite_codelets
 from repro.ir import validate_kernel
 from repro.machine import ATOM, NEHALEM
-from repro.suites import NR_SPECS, build_nas_suite, build_nr_suite
+from repro.suites import NR_SPECS
 from repro.suites.nas import NAS_APP_ORDER
 from repro.suites.nr import NR_SPEC_BY_NAME
 

@@ -4,13 +4,12 @@ gracefully on hostile inputs, not silently mispredict."""
 import numpy as np
 import pytest
 
-from repro.codelets import (Application, BenchmarkSuite, Codelet,
-                            CodeletRegion, Measurer, Routine,
-                            find_codelets)
+from repro.codelets import (Application, BenchmarkSuite, CodeletRegion,
+                            Measurer, Routine, find_codelets)
 from repro.core.pipeline import BenchmarkReducer, SubsettingConfig
 from repro.core.clustering import ward_linkage
 from repro.ir import DP, SourceLoc
-from repro.machine import NEHALEM, NoiseModel
+from repro.machine import NoiseModel
 from repro.suites import patterns as P
 
 
