@@ -19,17 +19,22 @@ harness and the property tests.  The pipeline clusters at most 67
 codelets, where the n argmins cost a few milliseconds (see
 docs/PERFORMANCE.md).
 
-:func:`variance_curve` computes the elbow's W(1..k_max) in one pass
-over the merge sequence, re-meaning only the clusters that are live at
-``k_max`` or created after it.  It repeats the floating-point work of
-re-cutting the dendrogram at every k and calling
-:func:`within_cluster_variance`, so each W(k) is the same bits.
+:func:`elbow_stack` is, in the same way, the one elbow pass: it cuts a
+stack of point sets at their elbows side by side (the GA cuts a
+generation's masks in one call), and :func:`variance_curve` and
+:func:`elbow_k` are its stack of one.  Each merge sequence is walked
+once, re-meaning only the clusters that are live at ``k_max`` or
+created after it, and :func:`cluster_spreads` computes every such
+cluster's sum of squares and centroid distances in one chain of numpy
+calls per (member count, column count) group.  It repeats the
+floating-point work of re-cutting each dendrogram at every k and
+calling :func:`within_cluster_variance`, so each W(k) is the same bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -409,7 +414,9 @@ def ward_linkage(points: np.ndarray) -> Dendrogram:
 
 def _cluster_sse(members: np.ndarray) -> float:
     """Sum of squared deviations of ``members`` (one row each) from
-    their centroid.
+    their centroid — the per-cluster reference that
+    :func:`within_cluster_variance` sums and :func:`cluster_spreads`
+    repeats for whole groups of clusters.
 
     A single row is its own centroid, so the arithmetic below would
     give exactly ``0.0`` for it (``x - x`` is ``+0.0`` for every finite
@@ -437,65 +444,65 @@ def within_cluster_variance(points: np.ndarray,
     return total
 
 
-def variance_curve(points: np.ndarray, dendrogram: Dendrogram,
-                   k_max: Optional[int] = None, *,
-                   keep_absorbed_sse: bool = False) -> np.ndarray:
-    """W(k) for k = 1..k_max (within-cluster variance after each cut).
+#: A one-member cluster's distances to its centroid (itself).
+_LONE_DISTANCE = np.zeros(1)
+_LONE_DISTANCE.setflags(write=False)
 
-    One pass over the merge sequence: the first ``n - k_max`` merges
-    only join member lists, then each of the ``k_max`` live clusters,
-    and each cluster a later merge creates, has its sum of squares
-    computed once.  W(k) is the sum, from ``0.0``, of the live
-    clusters' values in ascending order of each cluster's smallest
-    leaf.
 
-    That repeats ``within_cluster_variance(points, dendrogram.cut(k))``
-    bit for bit.  ``cut(k)`` numbers clusters in order of their
-    smallest leaf and ``np.unique`` visits the labels in that order;
-    ``points[labels == lab]`` is the same ascending-row array as
-    ``points[leaves]``.  So every per-cluster value and every addition
-    is the same floating-point operation on the same operands.
+def cluster_spreads(point_sets: Sequence[np.ndarray],
+                    clusters: Sequence[Tuple[int, Sequence[int]]]
+                    ) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """Each cluster's sum of squared deviations from its centroid, and
+    each member's Euclidean distance to that centroid.
 
-    ``keep_absorbed_sse`` leaves a merged-away child's value in the
-    total — the verify harness's ``stale-curve-child`` planted defect,
-    which only the ``variance-curve-equivalence`` invariant sets.
+    A cluster is ``(set index, ascending member rows)`` into
+    ``point_sets``, float matrices with the same row count.  Clusters
+    with the same member count m and column count f form one group of
+    C, handled by one chain of numpy calls on a (C, m, f) gather: the
+    members' column sums divided by m (the reduction and division
+    ``mean(axis=0)`` performs), the squared deviations, their sum over
+    each cluster's contiguous m·f block (the reduction ``.sum()`` runs
+    on one cluster) and the square root of their sum over each
+    member's f columns (``np.linalg.norm(..., axis=1)``'s expression
+    for real input).  numpy reduces each contiguous run of a stacked
+    array with the inner loop it uses for that run alone, so every
+    value is the one :func:`_cluster_sse` and a per-cluster norm give,
+    bit for bit.  The width belongs to the key because the reduction
+    order depends on it: a one-column cluster sums its members
+    pairwise, a wider one row after row.
 
-    Raises ``ValueError`` on empty, non-2-D or non-finite ``points``,
-    like :func:`linkage`, and on a row count other than the
-    dendrogram's.
+    A one-member cluster is its own centroid: its sum of squares and
+    its distance are ``0.0``, what the arithmetic would give.
     """
-    points = _check_points(points)
-    n = dendrogram.n_leaves
-    if points.shape[0] != n:
-        raise ValueError(f"points has {points.shape[0]} rows but the "
-                         f"dendrogram has {n} leaves")
-    k_max = min(k_max or n, n)
-    merges = dendrogram.merges
-    leaves: Dict[int, List[int]] = {leaf: [leaf] for leaf in range(n)}
-    for i, merge in enumerate(merges[:n - k_max]):
-        leaves[n + i] = sorted(leaves.pop(merge.a) + leaves.pop(merge.b))
-    # Live clusters' sums of squares, keyed by their smallest leaf.
-    sse = {idx[0]: _cluster_sse(points[idx]) for idx in leaves.values()}
-
-    def total() -> float:
-        # One add at a time, like within_cluster_variance: sum()
-        # compensates rounding on Python >= 3.12.
-        w = 0.0
-        for first in sorted(sse):
-            w += sse[first]
-        return w
-
-    curve = np.empty(k_max)
-    curve[k_max - 1] = total()
-    for i in range(n - k_max, n - 1):
-        a, b = leaves.pop(merges[i].a), leaves.pop(merges[i].b)
-        idx = sorted(a + b)
-        leaves[n + i] = idx
-        if not keep_absorbed_sse:
-            del sse[max(a[0], b[0])]
-        sse[idx[0]] = _cluster_sse(points[idx])
-        curve[n - i - 2] = total()
-    return curve
+    widths = [points.shape[1] for points in point_sets]
+    distances: List[np.ndarray] = [_LONE_DISTANCE] * len(clusters)
+    groups: Dict[Tuple[int, int], List[int]] = {}
+    for c, (p, members) in enumerate(clusters):
+        if len(members) > 1:
+            groups.setdefault((len(members), widths[p]), []).append(c)
+    # Per width: each set's slot in the stack of that width's sets.
+    stacks: Dict[int, Tuple[Dict[int, int], np.ndarray]] = {}
+    sums: List[np.ndarray] = []
+    for (m, f), group in groups.items():
+        if f not in stacks:
+            sets = [p for p, width in enumerate(widths) if width == f]
+            stacks[f] = ({p: slot for slot, p in enumerate(sets)},
+                         np.stack([point_sets[p] for p in sets]))
+        slot, stacked = stacks[f]
+        slots = np.array([slot[clusters[c][0]] for c in group])
+        rows = np.array([clusters[c][1] for c in group])
+        x = stacked[slots[:, None], rows]                   # (C, m, f)
+        centroid = np.add.reduce(x, axis=1) / m
+        dev = x - centroid[:, None]
+        sq = dev * dev
+        sums.append(np.add.reduce(sq.reshape(len(group), m * f), axis=1))
+        for c, dist in zip(group, np.sqrt(np.add.reduce(sq, axis=2))):
+            distances[c] = dist
+    sse = np.zeros(len(clusters))
+    if sums:
+        sse[[c for group in groups.values() for c in group]] = \
+            np.concatenate(sums)
+    return sse, distances
 
 
 #: A cut stops improving "significantly" when one more cluster removes
@@ -506,6 +513,157 @@ ELBOW_THRESHOLD = 0.01
 ELBOW_K_MAX = 24
 
 
+@dataclass(frozen=True, eq=False)
+class ElbowCut:
+    """One point set's elbow: W(k) for k = 1..k_max, the elbow ``k``,
+    and ``distances[i]``, the distances of the members of label ``i``
+    of ``dendrogram.cut(k)`` to their centroid, in ascending row order
+    (what :func:`~repro.core.representatives.select_representatives`
+    takes)."""
+
+    curve: np.ndarray
+    k: int
+    distances: Tuple[np.ndarray, ...]
+
+
+def elbow_stack(point_sets: Sequence[np.ndarray],
+                dendrograms: Sequence[Dendrogram],
+                k_max: Optional[int] = None,
+                threshold: float = ELBOW_THRESHOLD, *,
+                keep_absorbed_sse: bool = False) -> List[ElbowCut]:
+    """The elbow of every point set of a stack, in one pass.
+
+    The point sets must have the same number of rows, as in
+    :func:`linkage_stack`, and ``dendrograms[i]`` must describe
+    ``point_sets[i]``.  Each merge sequence is walked once: its first
+    ``n - k_max`` merges only join member lists, then the clusters
+    live at ``k_max`` and each cluster a later merge creates are
+    collected, from every set, into one :func:`cluster_spreads` call.
+
+    W(k) adds the values of the clusters live at cut k from ``0.0``,
+    one at a time, in ascending order of each cluster's smallest leaf.
+    That repeats ``within_cluster_variance(points, dendrogram.cut(k))``
+    bit for bit: ``cut(k)`` numbers clusters in order of their smallest
+    leaf, ``np.unique`` visits the labels in that order, and
+    ``points[labels == lab]`` is the same ascending-row array the
+    cluster's value came from.  The additions are on Python floats,
+    which add as float64 does.
+
+    K is then chosen by the rule :func:`elbow_k` documents, and the
+    result holds each cluster of ``cut(K)`` with its members'
+    distances to its centroid.
+
+    ``keep_absorbed_sse`` leaves a merged-away child's value in W(k) —
+    the verify harness's ``stale-curve-child`` planted defect, which
+    only the ``variance-curve-equivalence`` invariant sets.
+
+    Raises ``ValueError`` on a ``k_max`` below 1, on empty, non-2-D or
+    non-finite points, like :func:`linkage`, and on a row count other
+    than a dendrogram's or the stack's.
+    """
+    if k_max is not None and k_max < 1:
+        raise ValueError("k_max must be at least 1 (or None for no "
+                         f"cap), got {k_max}")
+    sets = [_check_points(points) for points in point_sets]
+    if len(sets) != len(dendrograms):
+        raise ValueError(f"{len(sets)} point sets but "
+                         f"{len(dendrograms)} dendrograms")
+    for points, dendrogram in zip(sets, dendrograms):
+        if points.shape[0] != dendrogram.n_leaves:
+            raise ValueError(f"points has {points.shape[0]} rows but the "
+                             f"dendrogram has {dendrogram.n_leaves} "
+                             "leaves")
+    if not sets:
+        return []
+    n = sets[0].shape[0]
+    if any(points.shape[0] != n for points in sets):
+        raise ValueError("every point set of an elbow stack needs the "
+                         "same number of rows (observations)")
+    k_max = n if k_max is None else min(k_max, n)
+
+    # Every cluster live at some cut k <= k_max, from every set: its set
+    # and ascending members, and the cuts [live_from, live_to] it is
+    # live at.  Merge i joins its clusters at every cut k <= n - 1 - i.
+    # Set p's clusters are clusters[starts[p]:starts[p + 1]].
+    clusters: List[Tuple[int, List[int]]] = []
+    live_to: List[int] = []
+    live_from: List[int] = []
+    starts: List[int] = []
+    stale: Set[int] = set()         # absorbed children kept in W(k)
+    for p, dendrogram in enumerate(dendrograms):
+        starts.append(len(clusters))
+        merges = dendrogram.merges
+        leaves: Dict[int, List[int]] = {leaf: [leaf] for leaf in range(n)}
+        for i, merge in enumerate(merges[:n - k_max]):
+            leaves[n + i] = sorted(leaves.pop(merge.a)
+                                   + leaves.pop(merge.b))
+        position: Dict[int, int] = {}   # cluster id -> index in clusters
+        for cluster_id, members in leaves.items():
+            position[cluster_id] = len(clusters)
+            clusters.append((p, members))
+            live_to.append(k_max)
+            live_from.append(1)
+        for i in range(n - k_max, n - 1):
+            a = position.pop(merges[i].a)
+            b = position.pop(merges[i].b)
+            live_from[a] = live_from[b] = n - i
+            if keep_absorbed_sse:
+                stale.add(max(a, b, key=lambda c: clusters[c][1][0]))
+            position[n + i] = len(clusters)
+            clusters.append((p, sorted(clusters[a][1] + clusters[b][1])))
+            live_to.append(n - 1 - i)
+            live_from.append(1)
+    starts.append(len(clusters))
+
+    sse, distances = cluster_spreads(sets, clusters)
+    values = sse.tolist()
+    cuts: List[ElbowCut] = []
+    for p in range(len(sets)):
+        order = sorted(range(starts[p], starts[p + 1]),
+                       key=lambda c: clusters[c][1][0])
+        curve = [0.0] * k_max
+        for c in order:
+            for k in range(1 if c in stale else live_from[c],
+                           live_to[c] + 1):
+                curve[k - 1] += values[c]
+        k = k_max if n <= 2 else _elbow_of(curve, threshold)
+        cuts.append(ElbowCut(np.array(curve), k, tuple(
+            distances[c] for c in order
+            if live_from[c] <= k <= live_to[c])))
+    return cuts
+
+
+def _elbow_of(curve: List[float], threshold: float) -> int:
+    """The first k whose next refinement removes less than
+    ``threshold`` of W(1) = ``curve[0]``, or ``len(curve)`` if none
+    does; 1 when every observation is the same."""
+    if curve[0] <= 1e-12:
+        return 1
+    for k in range(1, len(curve)):
+        if curve[k - 1] - curve[k] < threshold * curve[0]:
+            return k
+    return len(curve)
+
+
+def variance_curve(points: np.ndarray, dendrogram: Dendrogram,
+                   k_max: Optional[int] = None, *,
+                   keep_absorbed_sse: bool = False) -> np.ndarray:
+    """W(k) for k = 1..k_max (within-cluster variance after each cut):
+    :func:`elbow_stack`'s curve for a stack of one, so each W(k) is
+    ``within_cluster_variance(points, dendrogram.cut(k))`` bit for bit.
+
+    ``keep_absorbed_sse`` leaves a merged-away child's value in the
+    total — the verify harness's ``stale-curve-child`` planted defect,
+    which only the ``variance-curve-equivalence`` invariant sets.
+
+    Raises ``ValueError`` on a ``k_max`` below 1, on empty, non-2-D or
+    non-finite ``points``, like :func:`linkage`, and on a row count
+    other than the dendrogram's.
+    """
+    return elbow_stack([points], [dendrogram], k_max,
+                       keep_absorbed_sse=keep_absorbed_sse)[0].curve
+
+
 def elbow_k(points: np.ndarray, dendrogram: Dendrogram,
             k_max: Optional[int] = None,
             threshold: float = ELBOW_THRESHOLD) -> int:
@@ -513,20 +671,11 @@ def elbow_k(points: np.ndarray, dendrogram: Dendrogram,
     improving significantly (Section 3.3, Thorndike's criterion).
 
     Returns the smallest K whose *next* refinement would reduce the
-    total within-cluster variance by less than ``threshold`` of W(1).
-    Raises ``ValueError`` on empty, non-2-D or non-finite ``points``,
-    like :func:`linkage`.
+    total within-cluster variance by less than ``threshold`` of W(1),
+    and ``k_max`` if none does; 1 when every observation is the same;
+    and ``min(n, k_max)`` for n <= 2 observations.  This is
+    :func:`elbow_stack`'s K for a stack of one.  Raises ``ValueError``
+    on a ``k_max`` below 1 and on empty, non-2-D or non-finite
+    ``points``, like :func:`linkage`.
     """
-    points = _check_points(points)
-    n = dendrogram.n_leaves
-    if n <= 2:
-        return n
-    k_max = min(k_max or n, n)
-    w = variance_curve(points, dendrogram, k_max)
-    if w[0] <= 1e-12:                   # all observations identical
-        return 1
-    improvements = w[:-1] - w[1:]       # improvement of k -> k+1
-    for k in range(1, len(w) + 1):
-        if k == len(w) or improvements[k - 1] < threshold * w[0]:
-            return k
-    return k_max                        # pragma: no cover - unreachable
+    return elbow_stack([points], [dendrogram], k_max, threshold)[0].k

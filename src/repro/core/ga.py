@@ -14,8 +14,8 @@ This module provides a generic bit-mask GA (tournament selection,
 uniform crossover, per-bit mutation, elitism) and the feature-selection
 fitness wired to the pipeline.  Everything the fitness needs per
 individual — feature matrix, reference/target times — is precomputed
-once, and each generation's new masks are linked in one stacked call,
-so a full GA run stays in seconds.
+once, and each generation's new masks are linked in one stacked call
+and cut at their elbows in another, so a full GA run stays in seconds.
 """
 
 from __future__ import annotations
@@ -28,11 +28,12 @@ import numpy as np
 from ..codelets.measurement import Measurer
 from ..codelets.profiling import CodeletProfile
 from ..machine.architecture import ATOM, SANDY_BRIDGE
-from .clustering import (ELBOW_K_MAX, Dendrogram, elbow_k, linkage_stack,
-                         ward_linkage)
+from .clustering import (ELBOW_K_MAX, Dendrogram, ElbowCut, elbow_stack,
+                         linkage_stack, ward_linkage)
 from .features import ALL_FEATURE_NAMES, FeatureMatrix
 from .prediction import build_cluster_model, percent_error
-from .representatives import ill_behaved_codelets, select_representatives
+from .representatives import (NoRepresentativeError, ill_behaved_codelets,
+                              select_representatives)
 
 
 #: The GA's operators, which the paper fixes (R ``genalg``, mutation
@@ -201,9 +202,10 @@ class FeatureSelectionProblem:
         population-level fitness :func:`run_ga` takes.
 
         The distinct masks not scored yet are linked first, in one
-        :func:`~repro.core.clustering.linkage_stack` call.  Each
-        individual is then scored by :meth:`evaluate_mask`, in
-        population order, so the cache fills as if the masks were
+        :func:`~repro.core.clustering.linkage_stack` call, and cut at
+        their elbows in one :func:`~repro.core.clustering.elbow_stack`
+        call.  Each individual is then scored by :meth:`evaluate_mask`,
+        in population order, so the cache fills as if the masks were
         scored one at a time, and every score is the same bits.
         """
         population = np.asarray(population, dtype=bool)
@@ -212,16 +214,21 @@ class FeatureSelectionProblem:
         for key, mask in zip(keys, population):
             if key not in self._cache:
                 unscored.setdefault(key, mask)
-        linked = dict(zip(unscored, linkage_stack(
-            [self._normalized_full[:, mask] for mask in unscored.values()])))
-        return np.array([self.evaluate_mask(mask, linked.get(key))
-                         for key, mask in zip(keys, population)])
+        sets = [self._normalized_full[:, mask] for mask in unscored.values()]
+        dendrograms = linkage_stack(sets)
+        cuts = elbow_stack(sets, dendrograms, ELBOW_K_MAX)
+        done = dict(zip(unscored, zip(dendrograms, cuts)))
+        return np.array([
+            self.evaluate_mask(mask, *done.get(key, (None, None)))
+            for key, mask in zip(keys, population)])
 
     def evaluate_mask(self, mask: np.ndarray,
-                      dendrogram: Optional[Dendrogram] = None) -> float:
+                      dendrogram: Optional[Dendrogram] = None,
+                      cut: Optional[ElbowCut] = None) -> float:
         """Fitness of one feature mask.  ``dendrogram`` is the Ward
-        dendrogram of the mask's rows when the caller has linked them
-        already; otherwise they are linked here."""
+        dendrogram of the mask's rows and ``cut`` its elbow when the
+        caller has computed them already; otherwise they are computed
+        here."""
         mask = np.asarray(mask, dtype=bool)
         key = mask.tobytes()
         hit = self._cache.get(key)
@@ -230,12 +237,14 @@ class FeatureSelectionProblem:
         rows = self._normalized_full[:, mask]
         if dendrogram is None:
             dendrogram = ward_linkage(rows)
-        k = elbow_k(rows, dendrogram, ELBOW_K_MAX)
-        labels = dendrogram.cut(k)
+        if cut is None:
+            cut = elbow_stack([rows], [dendrogram], ELBOW_K_MAX)[0]
+        labels = dendrogram.cut(cut.k)
         try:
             selection = select_representatives(
-                self.profiles, rows, labels, self.ill_behaved)
-        except ValueError:
+                self.profiles, rows, labels, self.ill_behaved,
+                centroid_distances=cut.distances)
+        except NoRepresentativeError:
             self._cache[key] = float("inf")
             return float("inf")
         model = build_cluster_model(self.profiles, selection)

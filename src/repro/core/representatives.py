@@ -15,13 +15,15 @@ do not depend on K, so they are judged once per profile set
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, FrozenSet, List, Sequence, Tuple
+from typing import (AbstractSet, Dict, FrozenSet, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
 from ..codelets.measurement import Measurer
 from ..codelets.profiling import CodeletProfile
 from ..machine.architecture import REFERENCE
+from .clustering import cluster_spreads
 
 #: Relative tolerance under which two centroid/neighbour distances are
 #: considered tied.  Ties happen structurally — feature-identical
@@ -73,17 +75,24 @@ class SelectionResult:
         return self.assignments[codelet_name]
 
 
-def _centroid_order(rows: np.ndarray, members: List[int],
+class NoRepresentativeError(ValueError):
+    """Step D destroyed every cluster: each codelet is ill-behaved or
+    ineligible, so none can represent the suite."""
+
+
+def _centroid_order(members: List[int], dists: np.ndarray,
                     names: Sequence[str]) -> List[int]:
-    """Member indices ordered by distance to the cluster centroid,
-    near-ties broken by codelet name (see :data:`_TIE_RTOL`).  A
-    one-member cluster's order is that member."""
+    """Member indices ordered by ``dists``, their distances to the
+    cluster centroid, near-ties broken by codelet name (see
+    :data:`_TIE_RTOL`).  A one-member cluster's order is that member."""
+    if len(dists) != len(members):
+        raise ValueError(f"{len(dists)} centroid distances for a "
+                         f"cluster of {len(members)}")
     if len(members) == 1:
         return members
-    pts = rows[members]
-    centroid = pts.mean(axis=0)
-    dists = np.linalg.norm(pts - centroid, axis=1)
-    ranked = _tie_ranked(dists, [names[m] for m in members])
+    # Python floats compare and subtract as the float64 values do,
+    # without a numpy scalar per lookup.
+    ranked = _tie_ranked(dists.tolist(), [names[m] for m in members])
     return [members[i] for i in ranked]
 
 
@@ -98,7 +107,9 @@ def select_representatives(profiles: Sequence[CodeletProfile],
                            normalized_rows: np.ndarray,
                            labels: Sequence[int],
                            ill_behaved: AbstractSet[str],
-                           ineligible: AbstractSet[str] = frozenset()
+                           ineligible: AbstractSet[str] = frozenset(),
+                           centroid_distances: Optional[
+                               Sequence[np.ndarray]] = None
                            ) -> SelectionResult:
     """Run the Step D selection loop.
 
@@ -108,21 +119,41 @@ def select_representatives(profiles: Sequence[CodeletProfile],
     (:func:`ill_behaved_codelets`); ``ineligible`` those barred for other
     reasons, chiefly a quarantined fidelity probe, which flow through the
     same destruction/re-homing but are not reported ill-behaved.
+
+    ``centroid_distances[i]`` holds the distances of the members of the
+    i-th smallest label to their centroid, in ascending row order, when
+    the caller has them (the GA's
+    :func:`~repro.core.clustering.elbow_stack` computes them for
+    ``dendrogram.cut(k)``); otherwise they are computed here, with the
+    same :func:`~repro.core.clustering.cluster_spreads`.
+
+    Raises :class:`NoRepresentativeError` when every cluster is
+    destroyed, and ``ValueError`` when ``centroid_distances`` does not
+    match the clusters of ``labels``.
     """
-    labels = np.asarray(labels)
+    labels = np.asarray(labels).tolist()
     names = [p.name for p in profiles]
     barred = ill_behaved | ineligible
 
-    cluster_ids = list(np.unique(labels))
+    # Not np.unique: its first call imports numpy.ma, ~20 ms a command.
+    cluster_ids = sorted(set(labels))
     members_of: Dict[int, List[int]] = {cid: [] for cid in cluster_ids}
-    for i, cid in enumerate(labels.tolist()):
+    for i, cid in enumerate(labels):
         members_of[cid].append(i)
+
+    if centroid_distances is None:
+        _, centroid_distances = cluster_spreads(
+            [np.asarray(normalized_rows, dtype=float)],
+            [(0, members_of[cid]) for cid in cluster_ids])
+    elif len(centroid_distances) != len(cluster_ids):
+        raise ValueError(f"{len(centroid_distances)} clusters' centroid "
+                         f"distances for {len(cluster_ids)} labels")
 
     kept: List[Tuple[int, str]] = []        # (original cluster id, rep)
     orphans: List[int] = []                 # members of destroyed clusters
     destroyed = 0
-    for cid in cluster_ids:
-        order = _centroid_order(normalized_rows, members_of[cid], names)
+    for cid, dists in zip(cluster_ids, centroid_distances):
+        order = _centroid_order(members_of[cid], dists, names)
         rep = next((names[i] for i in order if names[i] not in barred),
                    None)
         if rep is None:
@@ -132,7 +163,7 @@ def select_representatives(profiles: Sequence[CodeletProfile],
             kept.append((cid, rep))
 
     if not kept:
-        raise ValueError(
+        raise NoRepresentativeError(
             "representative selection failed: every codelet is "
             "ill-behaved or quarantined, no cluster can be kept")
 

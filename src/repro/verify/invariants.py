@@ -70,6 +70,10 @@ Registered invariants (see ``repro verify --list``):
 ``variance-curve-equivalence``
     The one-pass W(k) curve is bit-identical to re-cutting the
     dendrogram at every k and summing ``within_cluster_variance``.
+``stacked-elbow-equivalence``
+    Every elbow of a stack of point sets cut side by side is its own
+    set's reference, bit for bit: W(k) at every cut, and each
+    cluster's centroid distances at the elbow K.
 ``transform-equivalence``
     Every legally-applied loop rewrite is semantics-preserving: the
     interpreter output of each transformed canary kernel is
@@ -102,12 +106,12 @@ from ..codelets.codelet import Codelet
 from ..codelets.finder import find_suite_codelets
 from ..codelets.measurement import ILL_BEHAVED_TOLERANCE, Measurer
 from ..codelets.profiling import profile_codelets
-from ..core.clustering import (ELBOW_K_MAX, Dendrogram, elbow_k, linkage,
-                               linkage_reference, linkage_stack,
-                               variance_curve, ward_linkage,
+from ..core.clustering import (ELBOW_K_MAX, Dendrogram, elbow_k,
+                               elbow_stack, linkage, linkage_reference,
+                               linkage_stack, variance_curve, ward_linkage,
                                within_cluster_variance)
-from ..core.features import FeatureMatrix
-from ..core.ga import GAConfig
+from ..core.features import ALL_FEATURE_NAMES, FeatureMatrix
+from ..core.ga import INIT_DENSITY, GAConfig
 from ..core.pipeline import BenchmarkReducer, ReducedSuite, SubsettingConfig
 from ..core.prediction import build_cluster_model
 from ..core.representatives import (ill_behaved_codelets,
@@ -283,6 +287,16 @@ class VerifyContext:
         context; the ``stack-shares-argmin`` defect sets it, which the
         ``stacked-linkage-equivalence`` invariant must notice."""
         return self.breakage == "stack-shares-argmin"
+
+    @property
+    def stack_pads_columns(self) -> bool:
+        """Whether the ``stacked-elbow-equivalence`` invariant zero-pads
+        every set of a stack to the widest before
+        :func:`~repro.core.clustering.elbow_stack`, so its clusters
+        group by member count alone — ``False`` in a clean context; the
+        ``stack-pads-columns`` defect sets it, and the references, on
+        the unpadded sets, must notice."""
+        return self.breakage == "stack-pads-columns"
 
     def memo_measurer(self) -> Measurer:
         """A measurer for the ``measure-once`` invariant to query.  The
@@ -1043,6 +1057,85 @@ def check_variance_curve_equivalence(ctx: VerifyContext) -> None:
                 "be bit-identical, not merely close")
 
 
+#: Column counts of the ``stacked-elbow-equivalence`` sets: none, one
+#: (whose members numpy sums pairwise), a few, and each side of the
+#: 8-wide block of numpy's pairwise summation.
+ELBOW_STACK_COLUMNS = (0, 1, 2, 7, 8, 9, 17)
+
+
+def _hex(values) -> List[str]:
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+@invariant(
+    "stacked-elbow-equivalence",
+    "every elbow of a stack of point sets cut side by side is its own "
+    "set's reference bit for bit: W(k) is within_cluster_variance at "
+    "every cut, and each cluster's centroid distances at the elbow K "
+    "are np.linalg.norm on that cluster alone")
+def check_stacked_elbow_equivalence(ctx: VerifyContext) -> None:
+    from ..suites import build_nr_suite
+
+    stacks = []
+    for rows in (12, 28):
+        for size in (1, 2, 7):
+            stacks.append((f"n={rows}", [_feature_matrix(
+                ctx.seed + 100 * rows + 10 * size + j, rows,
+                ELBOW_STACK_COLUMNS[(size + j) % len(ELBOW_STACK_COLUMNS)],
+                FEATURE_MATRIX_VARIANTS[j % len(FEATURE_MATRIX_VARIANTS)])
+                for j in range(size)]))
+    # 60 masks drawn like run_ga's initial population, over the
+    # normalized NR matrix the GA really cuts.
+    nr = profile_codelets(find_suite_codelets(build_nr_suite()),
+                          Measurer()).profiles
+    full = FeatureMatrix.from_profiles(nr, ALL_FEATURE_NAMES).normalized()
+    rng = np.random.default_rng(ctx.seed)
+    masks = rng.random((60, full.shape[1])) < INIT_DENSITY
+    for mask in masks:
+        if not mask.any():
+            mask[rng.integers(full.shape[1])] = True
+    stacks.append(("NR GA masks", [full[:, mask] for mask in masks]))
+
+    for label, stack in stacks:
+        dendrograms = linkage_stack(stack)
+        cut_sets = stack
+        if ctx.stack_pads_columns:
+            widest = max(points.shape[1] for points in stack)
+            cut_sets = [np.pad(points,
+                               ((0, 0), (0, widest - points.shape[1])))
+                        for points in stack]
+        cuts = elbow_stack(cut_sets, dendrograms, ELBOW_K_MAX)
+        for j, (points, dendrogram, cut) in enumerate(
+                zip(stack, dendrograms, cuts)):
+            where = (f"stacked-elbow-equivalence: {label}: set {j} of "
+                     f"{len(stack)} ({points.shape[1]} columns)")
+            want = [within_cluster_variance(points, dendrogram.cut(k))
+                    for k in range(1, len(cut.curve) + 1)]
+            for k, (got_w, want_w) in enumerate(
+                    zip(_hex(cut.curve), _hex(want)), start=1):
+                if got_w != want_w:
+                    raise InvariantViolation(
+                        f"{where}: W({k}) is {got_w} stacked but "
+                        f"{want_w} from cut({k}) — the curve must be "
+                        "bit-identical, not merely close")
+            labels = dendrogram.cut(cut.k)
+            clusters = np.unique(labels)
+            if len(cut.distances) != len(clusters):
+                raise InvariantViolation(
+                    f"{where}: {len(cut.distances)} clusters' distances "
+                    f"for the {len(clusters)} clusters of cut({cut.k})")
+            for lab, got in zip(clusters, cut.distances):
+                pts = points[labels == lab]
+                ref = np.linalg.norm(pts - pts.mean(axis=0), axis=1)
+                if _hex(got) != _hex(ref):
+                    raise InvariantViolation(
+                        f"{where}: the centroid distances of cluster "
+                        f"{int(lab)} of cut({cut.k}) are {_hex(got)} "
+                        f"stacked but {_hex(ref)} on the cluster alone "
+                        "— they must be bit-identical, not merely "
+                        "close")
+
+
 @invariant(
     "transform-equivalence",
     "every legally-applied loop rewrite is semantics-preserving: "
@@ -1256,6 +1349,11 @@ BREAKAGES: Dict[str, str] = {
                            "matrix 0's argmin, silently giving every "
                            "set matrix 0's merge order; caught by "
                            "'stacked-linkage-equivalence'",
+    "stack-pads-columns": "group an elbow stack's clusters by member "
+                          "count alone and zero-pad every set to the "
+                          "widest, silently moving sums of squares and "
+                          "centroid distances within rounding; caught "
+                          "by 'stacked-elbow-equivalence'",
     "memo-drops-run-id": "key the measurement memo without the run id, "
                          "so a second run silently replays the first "
                          "run's noise draw; caught by 'measure-once'",

@@ -139,9 +139,11 @@ class TestVarianceAndElbow:
         assert elbow_k(pts, dg) == 1
 
     def test_elbow_respects_k_max(self):
-        pts = _random_points(30, 3, 9)
-        dg = ward_linkage(pts)
-        assert elbow_k(pts, dg, k_max=5) <= 5
+        # Two points skip the curve, but not the cap.
+        for n, k_max in ((30, 5), (2, 1)):
+            pts = _random_points(n, 3, 9)
+            dg = ward_linkage(pts)
+            assert elbow_k(pts, dg, k_max=k_max) <= k_max
 
     def test_threshold_controls_k(self):
         pts = _random_points(40, 5, 10)

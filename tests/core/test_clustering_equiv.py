@@ -1,6 +1,8 @@
 """Property suite: the vectorized greedy linkage is *bit-compatible*
-with the O(n³) reference loop, alone and stacked, and the one-pass W(k)
-curve with re-cutting the dendrogram at every k.
+with the O(n³) reference loop, alone and stacked, the one-pass W(k)
+curve with re-cutting the dendrogram at every k, and the stacked
+elbow's sums of squares and centroid distances with each cluster
+computed alone.
 
 These are the equivalence guarantees the clustering layer rests on (see
 docs/PERFORMANCE.md): same merges, same heights, same ``cut()`` labels,
@@ -15,10 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.clustering import (LINKAGE_METHODS, elbow_k, linkage,
-                                   linkage_reference, linkage_stack,
-                                   variance_curve, ward_linkage,
-                                   within_cluster_variance)
+from repro.core.clustering import (ELBOW_K_MAX, LINKAGE_METHODS,
+                                   cluster_spreads, elbow_k, elbow_stack,
+                                   linkage, linkage_reference,
+                                   linkage_stack, variance_curve,
+                                   ward_linkage, within_cluster_variance)
 from repro.core.features import (ALL_FEATURE_NAMES, TABLE2_FEATURES,
                                  FeatureMatrix)
 from repro.core.ga import INIT_DENSITY
@@ -167,6 +170,126 @@ class TestVarianceCurveEquivalence:
                 variance_curve(rows, dendrogram)
 
 
+#: Column counts of the elbow stacks: none (an all-false mask), one
+#: (whose members numpy sums pairwise), a few, each side of the 8-wide
+#: block of numpy's pairwise summation, and all 76.
+SPREAD_COLUMNS = (0, 1, 2, 7, 8, 9, 17, 76)
+
+
+def spread_alone(points, members):
+    """A cluster's sum of squares and centroid distances computed on
+    that cluster alone, the way the per-cluster code does."""
+    pts = points[members]
+    sse = within_cluster_variance(pts, np.zeros(len(members), dtype=int))
+    return sse, np.linalg.norm(pts - pts.mean(axis=0), axis=1)
+
+
+def spread_stack(size, rows=28):
+    return [_feature_matrix(
+        100 * size + j, rows, SPREAD_COLUMNS[j % len(SPREAD_COLUMNS)],
+        FEATURE_MATRIX_VARIANTS[j % len(FEATURE_MATRIX_VARIANTS)])
+        for j in range(size)]
+
+
+def assert_elbows_match_alone(stack, cuts, dendrograms, k_max):
+    """Each set's curve is the per-cut reference and its distances at
+    K are each cluster's own norm, bit for bit."""
+    assert len(cuts) == len(stack)
+    for points, dendrogram, cut in zip(stack, dendrograms, cuts):
+        assert cut.curve.tobytes() == per_cut_curve(
+            points, dendrogram, k_max).tobytes()
+        labels = dendrogram.cut(cut.k)
+        clusters = np.unique(labels)
+        assert len(cut.distances) == len(clusters)
+        for lab, got in zip(clusters, cut.distances):
+            members = np.flatnonzero(labels == lab)
+            assert got.tobytes() == spread_alone(points,
+                                                 members)[1].tobytes()
+
+
+class TestClusterSpreads:
+    @pytest.mark.parametrize("size", (1, 2, 60))
+    def test_stack_matches_each_cluster_alone(self, size):
+        # Member counts from one to all 28 rows: one-column clusters of
+        # 8 or more sum pairwise, and m·f reaches past 128, where the
+        # pairwise summation splits into blocks.
+        stack = spread_stack(size)
+        rng = np.random.default_rng(size)
+        clusters = [(p, sorted(rng.choice(28, m, replace=False).tolist()))
+                    for p in range(size)
+                    for m in (1, 2, 3, 7, 8, 9, 15, 16, 17, 28)]
+        sse, distances = cluster_spreads(stack, clusters)
+        assert sse.shape == (len(clusters),)
+        for (p, members), got_sse, got in zip(clusters, sse, distances):
+            want_sse, want = spread_alone(stack[p], members)
+            assert float(got_sse).hex() == want_sse.hex(), (p, members)
+            assert got.tobytes() == want.tobytes(), (p, members)
+
+    @PIPELINE_MATRICES
+    def test_pipeline_matrices_match_each_cluster_alone(
+            self, ctx, suite, features, shape):
+        rows = pipeline_rows(ctx, suite, features, shape)
+        dendrogram = ward_linkage(rows)
+        clusters = [(0, np.flatnonzero(labels == lab).tolist())
+                    for labels in (dendrogram.cut(k) for k in (1, 2, 5, 14))
+                    for lab in np.unique(labels)]
+        sse, distances = cluster_spreads([rows], clusters)
+        for (_, members), got_sse, got in zip(clusters, sse, distances):
+            want_sse, want = spread_alone(rows, members)
+            assert float(got_sse).hex() == want_sse.hex()
+            assert got.tobytes() == want.tobytes()
+
+
+class TestElbowStack:
+    @pytest.mark.parametrize("size", (1, 2, 60))
+    @pytest.mark.parametrize("rows", (2, 12, 28))
+    def test_each_set_matches_per_cut_reference(self, rows, size):
+        stack = spread_stack(size, rows)
+        dendrograms = linkage_stack(stack)
+        for k_max in (None, 1, ELBOW_K_MAX):
+            cuts = elbow_stack(stack, dendrograms, k_max)
+            assert_elbows_match_alone(stack, cuts, dendrograms, k_max)
+            # Each K is the one the set gets in a stack of its own.
+            assert [cut.k for cut in cuts] == [
+                elbow_stack([points], [dendrogram], k_max)[0].k
+                for points, dendrogram in zip(stack, dendrograms)]
+
+    def test_ga_population_of_nr_masks(self, ctx):
+        # 60 masks drawn like run_ga's initial population, plus an
+        # all-false one, over the normalized NR matrix the GA cuts.
+        rows = pipeline_rows(ctx, "nr", ALL_FEATURE_NAMES, (28, 76))
+        rng = np.random.default_rng(7)
+        masks = rng.random((60, rows.shape[1])) < INIT_DENSITY
+        masks[0] = False
+        stack = [rows[:, mask] for mask in masks]
+        dendrograms = linkage_stack(stack)
+        cuts = elbow_stack(stack, dendrograms, ELBOW_K_MAX)
+        assert_elbows_match_alone(stack, cuts, dendrograms, ELBOW_K_MAX)
+        assert [cut.k for cut in cuts] == [
+            elbow_k(points, dendrogram, ELBOW_K_MAX)
+            for points, dendrogram in zip(stack, dendrograms)]
+
+    @PIPELINE_MATRICES
+    def test_pipeline_matrices_match_per_cut(self, ctx, suite, features,
+                                             shape):
+        rows = pipeline_rows(ctx, suite, features, shape)
+        dendrogram = ward_linkage(rows)
+        cuts = elbow_stack([rows], [dendrogram], ELBOW_K_MAX)
+        assert_elbows_match_alone([rows], cuts, [dendrogram], ELBOW_K_MAX)
+
+    def test_empty_stack(self):
+        assert elbow_stack([], []) == []
+
+    def test_mismatched_stack_rejected(self):
+        points = [_feature_matrix(1, 12, 3, "plain"),
+                  _feature_matrix(2, 11, 3, "plain")]
+        dendrograms = [ward_linkage(p) for p in points]
+        with pytest.raises(ValueError, match="same number of rows"):
+            elbow_stack(points, dendrograms)
+        with pytest.raises(ValueError, match="dendrograms"):
+            elbow_stack(points, dendrograms[:1])
+
+
 class TestValidation:
     def test_skew_requires_ward(self):
         with pytest.raises(ValueError, match="ward"):
@@ -218,6 +341,18 @@ class TestValidation:
             variance_curve(broken, dendrogram, 24)
         with pytest.raises(ValueError, match="2-D"):
             variance_curve(points[:, 0], dendrogram, 24)
+
+    @pytest.mark.parametrize("k_max", [0, -1, -24])
+    def test_k_max_below_one_rejected(self, k_max):
+        # 0 used to mean "no cap" and a negative value failed inside
+        # numpy with "negative dimensions are not allowed".
+        points = _feature_matrix(7, 28, 5, "plain")
+        dendrogram = ward_linkage(points)
+        for call in (elbow_k, variance_curve):
+            with pytest.raises(ValueError, match="k_max"):
+                call(points, dendrogram, k_max)
+        with pytest.raises(ValueError, match="k_max"):
+            elbow_stack([points], [dendrogram], k_max)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
                              ids=["nan", "inf", "-inf"])

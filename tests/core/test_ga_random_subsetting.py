@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from repro.codelets import Measurer, find_suite_codelets, profile_codelets
+from repro.core import clustering, ga
 from repro.core.features import ALL_FEATURE_NAMES
-from repro.core.ga import (FeatureSelectionProblem, GAConfig, run_ga,
-                           select_features)
+from repro.core.ga import (INIT_DENSITY, FeatureSelectionProblem, GAConfig,
+                           run_ga, select_features)
 from repro.core.prediction import percent_error
 from repro.core.random_baseline import (RandomClusteringStats,
                                         random_clustering_errors,
@@ -135,6 +136,63 @@ class TestFeatureSelection:
                        seed_individuals=[np.ones(fresh.n_bits, dtype=bool)])
         assert result == alone
         assert list(problem._cache.items()) == list(fresh._cache.items())
+
+    def test_generation_cut_without_elbow_k(self, nr_profiles,
+                                            monkeypatch):
+        # A generation's new masks are cut at their elbows in one
+        # elbow_stack call, not one elbow_k call per mask, and every
+        # score is the one the mask gets alone.
+        m, profiles = nr_profiles
+        real = clustering.elbow_k
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for module in (clustering, ga):
+            if getattr(module, "elbow_k", None) is real:
+                monkeypatch.setattr(module, "elbow_k", counting)
+        problem = FeatureSelectionProblem(profiles, m)
+        rng = np.random.default_rng(11)
+        population = rng.random((60, problem.n_bits)) < INIT_DENSITY
+        population[~population.any(axis=1), 0] = True
+        scores = problem.evaluate_population(population)
+        assert len(problem._cache) == 60
+        assert calls == []
+        monkeypatch.undo()
+        fresh = FeatureSelectionProblem(profiles, m)
+        alone = np.array([fresh.evaluate_mask(mask) for mask in population])
+        assert scores.tobytes() == alone.tobytes()
+
+    def test_mismatched_cut_raises_instead_of_scoring_inf(self,
+                                                          nr_profiles):
+        # A cut whose distances do not match the mask's clusters is the
+        # caller's mistake: it must fail loudly, not be cached as an
+        # infeasible mask.
+        m, profiles = nr_profiles
+        problem = FeatureSelectionProblem(profiles, m)
+        mask = np.zeros(problem.n_bits, dtype=bool)
+        mask[:6] = True
+        rows = problem._normalized_full[:, mask]
+        dendrogram = clustering.ward_linkage(rows)
+        cut = clustering.elbow_stack([rows], [dendrogram], 24)[0]
+        dists = cut.distances
+        for bad in (dists[:-1], (dists[0][:-1],) + dists[1:]):
+            with pytest.raises(ValueError, match="centroid distances"):
+                problem.evaluate_mask(mask, dendrogram,
+                                      clustering.ElbowCut(cut.curve, cut.k,
+                                                          bad))
+        assert problem._cache == {}
+        assert np.isfinite(problem.evaluate_mask(mask, dendrogram, cut))
+
+    def test_all_ill_behaved_scores_inf(self, nr_profiles):
+        m, profiles = nr_profiles
+        problem = FeatureSelectionProblem(profiles, m)
+        problem.ill_behaved = frozenset(p.name for p in profiles)
+        mask = np.ones(problem.n_bits, dtype=bool)
+        assert problem.evaluate_mask(mask) == float("inf")
+        assert problem._cache == {mask.tobytes(): float("inf")}
 
     def test_population_fitness_shape_checked(self):
         with pytest.raises(ValueError, match="population of 10"):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.codelets import Measurer, find_suite_codelets, profile_codelets
-from repro.core.clustering import ward_linkage
+from repro.core.clustering import ELBOW_K_MAX, elbow_stack, ward_linkage
 from repro.core.features import TABLE2_FEATURES, FeatureMatrix
 from repro.core.prediction import (aggregate_application, build_cluster_model,
                                    geometric_mean_speedup, percent_error)
@@ -45,6 +45,22 @@ class TestSelection:
         assert sel.k == len(sel.representatives) == 14
         for i, cluster in enumerate(sel.clusters):
             assert sel.representatives[i] in cluster
+
+    def test_given_centroid_distances_select_the_same(self, nr_setup):
+        # The GA hands over the distances its elbow stack computed for
+        # the clusters of cut(K); the selection is the one computed
+        # from the rows, and a count that does not fit is refused.
+        m, profiles, rows, dg = nr_setup
+        ill = ill_behaved_codelets(profiles, m)
+        cut = elbow_stack([rows], [dg], ELBOW_K_MAX)[0]
+        labels = dg.cut(cut.k)
+        assert select_representatives(
+            profiles, rows, labels, ill,
+            centroid_distances=cut.distances) \
+            == select_representatives(profiles, rows, labels, ill)
+        with pytest.raises(ValueError, match="centroid distances"):
+            select_representatives(profiles, rows, labels, ill,
+                                   centroid_distances=cut.distances[1:])
 
     def test_representative_is_centroid_closest(self, nr_setup):
         m, profiles, rows, dg = nr_setup

@@ -82,4 +82,3 @@ def test_parallel_evaluation_bit_identical(serial_reduced, target):
 def test_cache_stats_none_without_cache(suite):
     reducer = BenchmarkReducer(suite, Measurer())
     assert reducer.cache_stats is None
-

@@ -29,6 +29,7 @@ EXPECTED_INVARIANTS = {
     "trace-replay",
     "clustering-equivalence",
     "variance-curve-equivalence",
+    "stacked-elbow-equivalence",
     "transform-equivalence",
     "transform-legality",
     "compiler-dependence-agreement",
@@ -196,6 +197,14 @@ class TestDefectInjection:
         assert report.failed_names() == ["stacked-linkage-equivalence"]
         failing = next(r for r in report.invariants if not r.passed)
         assert "set 1 of 2" in failing.detail
+
+    def test_stack_pads_columns_fails_only_the_matching_invariant(self):
+        report = run_verify(seed=0, breakage="stack-pads-columns",
+                            skip_differential=True)
+        assert not report.passed
+        assert report.failed_names() == ["stacked-elbow-equivalence"]
+        failing = next(r for r in report.invariants if not r.passed)
+        assert "bit-identical" in failing.detail
 
     def test_memo_drops_run_id_fails_only_the_matching_invariant(self):
         report = run_verify(seed=0, breakage="memo-drops-run-id",
