@@ -32,7 +32,7 @@ import numpy as np
 
 from ..machine.architecture import Architecture
 from ..machine.counters import DynamicMetrics
-from ..machine.noise import NoiseModel
+from ..machine.noise import NoiseModel, median
 from ..machine.platform import MeasuredRun, run_kernel_model
 from .codelet import Codelet
 
@@ -231,7 +231,7 @@ class Measurer:
                 codelet_name=codelet.name,
                 arch_name=arch.name,
                 invocations=n,
-                per_invocation_s=float(np.median(samples)),
+                per_invocation_s=float(median(samples)),
                 total_bench_s=float(np.sum(samples)),
             )
             self._measured[key] = timing

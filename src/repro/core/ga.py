@@ -28,6 +28,7 @@ import numpy as np
 from ..codelets.measurement import Measurer
 from ..codelets.profiling import CodeletProfile
 from ..machine.architecture import ATOM, SANDY_BRIDGE
+from ..machine.noise import median
 from .clustering import (ELBOW_K_MAX, Dendrogram, ElbowCut, elbow_stack,
                          linkage_stack, ward_linkage)
 from .features import ALL_FEATURE_NAMES, FeatureMatrix
@@ -256,7 +257,7 @@ class FeatureSelectionProblem:
             real = self.real_times[arch.name]
             errors = [percent_error(predicted[n], real[n])
                       for n in predicted]
-            worst = max(worst, float(np.median(errors)))
+            worst = max(worst, float(median(errors)))
         fitness = worst * selection.k
         self._cache[key] = fitness
         return fitness

@@ -20,6 +20,7 @@ from typing import Dict, Mapping, Sequence, Tuple
 import numpy as np
 
 from ..codelets.profiling import CodeletProfile
+from ..machine.noise import median
 from .representatives import SelectionResult
 
 
@@ -123,7 +124,7 @@ def median_error(predictions: Sequence[CodeletPrediction]) -> float:
             "median_error: no codelet predictions to aggregate — the "
             "evaluation kept zero codelets (did quarantine drop them "
             "all?)")
-    return float(np.median([p.error_pct for p in predictions]))
+    return float(median([p.error_pct for p in predictions]))
 
 
 def average_error(predictions: Sequence[CodeletPrediction]) -> float:

@@ -8,22 +8,24 @@ are drawn uniformly from each cluster.
 
 The samples are drawn one at a time, in the order and from the random
 stream of a per-cluster ``rng.choice`` loop, and scored together: one
-(samples × n) matrix of representative indices, elementwise prediction
-errors in :func:`~repro.core.prediction.percent_error`'s operation
-order, and one row-wise median.  Every statistic is bit-identical to
-scoring each sample on its own (see docs/PERFORMANCE.md).
+(samples × n) matrix of representative indices, which every target
+scores with elementwise prediction errors in
+:func:`~repro.core.prediction.percent_error`'s operation order and one
+row-wise median.  Every statistic is bit-identical to scoring each
+sample on each target on its own (see docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from ..codelets.measurement import Measurer
 from ..codelets.profiling import CodeletProfile
 from ..machine.architecture import Architecture
+from ..machine.noise import median
 
 
 def random_partition(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -52,22 +54,17 @@ class RandomClusteringStats:
 
 def random_clustering_errors(profiles: Sequence[CodeletProfile],
                              measurer: Measurer,
-                             target: Architecture,
+                             targets: Sequence[Architecture],
                              k: int,
                              samples: int = 1000,
-                             seed: int = 7) -> RandomClusteringStats:
+                             seed: int = 7
+                             ) -> Tuple[RandomClusteringStats, ...]:
     """Figure 7 statistics: worst/median/best median-error over
-    ``samples`` random K-partitionings on one target."""
+    ``samples`` random K-partitionings, one record per target.  Every
+    target scores the same partitions and representatives."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed + 1000 * k)
-    real = np.array([measurer.measure_inapp(p.codelet, target)
-                     for p in profiles])
-    bench = np.array([measurer.benchmark_standalone(
-        p.codelet, target).per_invocation_s for p in profiles])
-    ref = np.array([p.ref_seconds for p in profiles])
-    if (real <= 0).any():
-        raise ValueError("real time must be positive")
     n = len(profiles)
     rep_of = np.empty((samples, n), dtype=np.intp)
     for s in range(samples):
@@ -79,14 +76,25 @@ def random_clustering_errors(profiles: Sequence[CodeletProfile],
         by_cluster = np.argsort(labels, kind="stable")
         reps_idx = by_cluster[starts + rng.integers(0, counts)]
         rep_of[s] = reps_idx[labels]
-    predicted = ref * bench[rep_of] / ref[rep_of]
-    errors = 100.0 * np.abs(predicted - real) / real
-    medians = np.median(errors, axis=1)
-    return RandomClusteringStats(
-        k=k,
-        arch_name=target.name,
-        worst=float(medians.max()),
-        median=float(np.median(medians)),
-        best=float(medians.min()),
-        samples=samples,
-    )
+    ref = np.array([p.ref_seconds for p in profiles])
+    ref_rep = ref[rep_of]
+    stats = []
+    for target in targets:
+        real = np.array([measurer.measure_inapp(p.codelet, target)
+                         for p in profiles])
+        if (real <= 0).any():
+            raise ValueError("real time must be positive")
+        bench = np.array([measurer.benchmark_standalone(
+            p.codelet, target).per_invocation_s for p in profiles])
+        predicted = ref * bench[rep_of] / ref_rep
+        errors = 100.0 * np.abs(predicted - real) / real
+        medians = median(errors, axis=1)
+        stats.append(RandomClusteringStats(
+            k=k,
+            arch_name=target.name,
+            worst=float(medians.max()),
+            median=float(median(medians)),
+            best=float(medians.min()),
+            samples=samples,
+        ))
+    return tuple(stats)

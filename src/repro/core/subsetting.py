@@ -22,9 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-import numpy as np
-
 from ..machine.architecture import Architecture
+from ..machine.noise import median
 from .prediction import CodeletPrediction
 
 
@@ -80,11 +79,11 @@ def per_application_subsetting(ctx, target: Architecture,
         all_predictions.extend(ctx.evaluation(name, k, target).codelets)
     if not all_predictions:
         raise ValueError("no application could be predicted")
-    median = float(np.median([p.error_pct for p in all_predictions]))
     return SubsettingComparison(
         arch_name=target.name,
         total_representatives=total_reps,
-        median_error_pct=median,
+        median_error_pct=float(median(
+            [p.error_pct for p in all_predictions])),
         codelets=tuple(all_predictions),
         unpredictable=tuple(unpredictable),
     )

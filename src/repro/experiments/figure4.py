@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-import numpy as np
-
 from ..machine.architecture import SANDY_BRIDGE
+from ..machine.noise import median
 from ..suites.nas import NAS_APP_ORDER
 from .context import ExperimentContext
 from .report import format_table
@@ -36,7 +35,7 @@ class Figure4Result:
 
     @property
     def median_error_pct(self) -> float:
-        return float(np.median([r.error_pct for r in self.rows]))
+        return float(median([r.error_pct for r in self.rows]))
 
     def app_rows(self, app: str) -> Tuple[Figure4Row, ...]:
         return tuple(r for r in self.rows if r.app == app)
@@ -45,13 +44,13 @@ class Figure4Result:
                                  ) -> float:
         short = [r.error_pct for r in self.rows
                  if r.real_ms < threshold_ms]
-        return float(np.median(short)) if short else 0.0
+        return float(median(short)) if short else 0.0
 
     def median_error_long_lived(self, threshold_ms: float = 10.0
                                 ) -> float:
         long_ = [r.error_pct for r in self.rows
                  if r.real_ms >= threshold_ms]
-        return float(np.median(long_)) if long_ else 0.0
+        return float(median(long_)) if long_ else 0.0
 
     def format(self) -> str:
         headers = ("App", "Codelet", "Ref ms", "SB real ms",

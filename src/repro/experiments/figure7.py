@@ -70,11 +70,12 @@ def run_figure7(ctx: ExperimentContext,
                 ks: Sequence[int] = (2, 4, 8, 12, 16, 20, 24),
                 samples: int = 200) -> Figure7Result:
     profiles = ctx.nas.profiling().profiles
+    targets = (ATOM, CORE2, SANDY_BRIDGE)
     points = []
     for k in ks:
-        for arch in (ATOM, CORE2, SANDY_BRIDGE):
+        randoms = random_clustering_errors(profiles, ctx.measurer,
+                                           targets, k, samples)
+        for arch, rand in zip(targets, randoms):
             guided = ctx.evaluation("nas", k, arch).median_error_pct
-            rand = random_clustering_errors(profiles, ctx.measurer,
-                                            arch, k, samples)
             points.append(Figure7Point(arch.name, k, guided, rand))
     return Figure7Result(tuple(points), samples)

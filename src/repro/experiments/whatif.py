@@ -29,6 +29,7 @@ from ..core.prediction import build_cluster_model, percent_error
 from ..core.representatives import (ill_behaved_codelets,
                                     select_representatives)
 from ..machine.architecture import HASWELL, Architecture
+from ..machine.noise import median
 from .context import ExperimentContext
 from .report import format_table
 
@@ -78,7 +79,7 @@ def _evaluate_rows(ctx: ExperimentContext, rows: np.ndarray, k: int,
     real = {p.name: ctx.measurer.measure_inapp(p.codelet, target)
             for p in profiles}
     errors = [percent_error(predicted[n], real[n]) for n in predicted]
-    return (float(np.median(errors)), float(np.mean(errors)),
+    return (float(median(errors)), float(np.mean(errors)),
             selection.k)
 
 

@@ -2,13 +2,14 @@
 
 Everything upstream (codelet profiling, representative benchmarking,
 target measurement) funnels through :func:`run_kernel_model`, which wires
-together compiler → cache model → execution model → counters and returns
-a single :class:`MeasuredRun` record.
+together compiler → cache model → execution model and returns a single
+:class:`MeasuredRun` record, whose counters are derived when first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 from ..ir.kernel import Kernel
@@ -21,13 +22,23 @@ from .exec_model import ExecutionEstimate, estimate_execution
 
 @dataclass(frozen=True)
 class MeasuredRun:
-    """Complete model output for one kernel on one architecture."""
+    """Complete model output for one kernel on one architecture.
+
+    The four fields determine the run; equality compares them alone.
+    """
 
     arch: Architecture
     compiled: CompiledKernel
     cache: CacheProfile
     execution: ExecutionEstimate
-    metrics: DynamicMetrics
+
+    @cached_property
+    def metrics(self) -> DynamicMetrics:
+        """Likwid-style counters, derived on first read: only Step B's
+        profiling reads them, so a run that is only timed (Steps D-E)
+        never derives any."""
+        return derive_metrics(self.compiled, self.arch, self.cache,
+                              self.execution)
 
     @property
     def seconds_per_invocation(self) -> float:
@@ -65,5 +76,4 @@ def run_kernel_model(kernel: Kernel, arch: Architecture, *,
     profile = analyze_cache([n.nest for n in compiled.nests], arch,
                             pressure_bytes=pressure_bytes)
     est = estimate_execution(compiled, arch, profile)
-    metrics = derive_metrics(compiled, arch, profile, est)
-    return MeasuredRun(arch, compiled, profile, est, metrics)
+    return MeasuredRun(arch, compiled, profile, est)

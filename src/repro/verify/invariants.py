@@ -90,6 +90,11 @@ Registered invariants (see ``repro verify --list``):
     store/load edge that may be a flow dependence carried on that loop
     (reduction accumulations excepted, but not a running prefix that
     reads the accumulator elsewhere).
+``median-equivalence``
+    The shared :func:`~repro.machine.noise.median` equals
+    ``np.median`` bit for bit: on lists and arrays of odd and even
+    length with ties, on measured samples, row by row on matrices, and
+    where a NaN is present.
 """
 
 from __future__ import annotations
@@ -120,6 +125,7 @@ from ..ir.traverse import NestAnalysis, analyze_nests
 from ..isa.compiler import CompiledKernel, compile_kernel
 from ..machine.architecture import NEHALEM, REFERENCE, TARGETS
 from ..machine.cache_model import CacheProfile, analyze_cache
+from ..machine.noise import NoiseModel, median
 from ..machine.platform import default_options
 from ..obs import Observation
 from ..runtime.config import RuntimeConfig
@@ -297,6 +303,15 @@ class VerifyContext:
         ``stack-pads-columns`` defect sets it, and the references, on
         the unpadded sets, must notice."""
         return self.breakage == "stack-pads-columns"
+
+    @property
+    def median_drops_last(self) -> bool:
+        """Whether the ``median-equivalence`` invariant hands
+        :func:`~repro.machine.noise.median` each input without its last
+        element, as an off-by-one slice would — ``False`` in a clean
+        context; the ``median-drops-last`` defect sets it, and the
+        ``np.median`` references, on the whole inputs, must notice."""
+        return self.breakage == "median-drops-last"
 
     def memo_measurer(self) -> Measurer:
         """A measurer for the ``measure-once`` invariant to query.  The
@@ -1314,6 +1329,40 @@ def check_compiler_dependence_agreement(ctx: VerifyContext) -> None:
                         "treat unresolved dependences as independent?)")
 
 
+@invariant(
+    "median-equivalence",
+    "the shared median equals np.median bit for bit on lists and "
+    "arrays of odd and even length with ties, on measured samples, row "
+    "by row on matrices, and where a NaN is present")
+def check_median_equivalence(ctx: VerifyContext) -> None:
+    rng = np.random.default_rng(ctx.seed)
+    noise = NoiseModel(seed=ctx.seed)
+    cases = [(f"measure_many n={n}",
+              noise.measure_many(1e-6, f"verify|median|{n}", n), None)
+             for n in (10, 1000)]
+    matrices = [rng.lognormal(size=(200, 67)), rng.lognormal(size=(60, 28))]
+    matrices[1][7, 3] = np.nan
+    cases += [(f"{m.shape} along axis 1", m, 1) for m in matrices]
+    for n in (1, 2, 27, 28, 67, 68):
+        values = rng.normal(size=n)
+        values[rng.integers(n, size=n // 2)] = values[n // 2]   # ties
+        cases += [(f"array n={n}", values, None),
+                  (f"list n={n}", values.tolist(), None)]
+    with_nan = rng.normal(size=28)
+    with_nan[3] = np.nan
+    cases.append(("n=28 with a NaN", with_nan, None))
+    for label, values, axis in cases:
+        given = values
+        if ctx.median_drops_last:
+            given = np.asarray(values)[..., :-1]
+        got, want = _hex(median(given, axis)), _hex(np.median(values, axis))
+        if got != want:
+            raise InvariantViolation(
+                f"median-equivalence: {label}: median gives "
+                f"{got[:4]} but np.median {want[:4]} — they must be "
+                "bit-identical, not merely close")
+
+
 # ---------------------------------------------------------------------------
 # Deliberate defects and registry execution
 # ---------------------------------------------------------------------------
@@ -1354,6 +1403,10 @@ BREAKAGES: Dict[str, str] = {
                           "widest, silently moving sums of squares and "
                           "centroid distances within rounding; caught "
                           "by 'stacked-elbow-equivalence'",
+    "median-drops-last": "hand the shared median each input without its "
+                         "last element, as an off-by-one slice would, "
+                         "silently moving the middle order statistics; "
+                         "caught by 'median-equivalence'",
     "memo-drops-run-id": "key the measurement memo without the run id, "
                          "so a second run silently replays the first "
                          "run's noise draw; caught by 'measure-once'",

@@ -15,7 +15,7 @@ from repro.core.random_baseline import (RandomClusteringStats,
                                         random_partition)
 from repro.core.subsetting import (cross_application_subsetting,
                                    per_application_subsetting)
-from repro.machine import ATOM, CORE2
+from repro.machine import ATOM, CORE2, SANDY_BRIDGE
 from repro.suites import build_nr_suite
 
 
@@ -222,24 +222,27 @@ class TestRandomBaseline:
 
     def test_stats_ordering(self, nr_profiles):
         m, profiles = nr_profiles
-        stats = random_clustering_errors(profiles, m, ATOM, k=6,
-                                         samples=40, seed=1)
+        stats, = random_clustering_errors(profiles, m, (ATOM,), k=6,
+                                          samples=40, seed=1)
         assert stats.best <= stats.median <= stats.worst
         assert stats.samples == 40
 
     def test_no_samples_rejected(self, nr_profiles):
         m, profiles = nr_profiles
         with pytest.raises(ValueError, match="samples"):
-            random_clustering_errors(profiles, m, ATOM, k=6, samples=0)
+            random_clustering_errors(profiles, m, (ATOM,), k=6,
+                                     samples=0)
 
     @pytest.mark.parametrize("seed", [7, 31])
     @pytest.mark.parametrize("k", [1, 2, 8, 24, 28])
     def test_matches_scalar_reference(self, nr_profiles, k, seed):
         m, profiles = nr_profiles
-        got = random_clustering_errors(profiles, m, ATOM, k, samples=50,
+        targets = (ATOM, CORE2, SANDY_BRIDGE)
+        got = random_clustering_errors(profiles, m, targets, k, samples=50,
                                        seed=seed)
-        assert got == scalar_random_clustering_errors(
-            profiles, m, ATOM, k, samples=50, seed=seed)
+        assert got == tuple(scalar_random_clustering_errors(
+            profiles, m, target, k, samples=50, seed=seed)
+            for target in targets)
 
     @pytest.mark.parametrize("k", [1, 2, 5, 24, 67])
     def test_draws_match_sequential_choice(self, k):
@@ -285,8 +288,8 @@ class TestRandomBaseline:
                 for p in profiles}
         guided = float(np.median([percent_error(predicted[n], real[n])
                                   for n in predicted]))
-        rand = random_clustering_errors(profiles, m, ATOM, k=8,
-                                        samples=60, seed=2)
+        rand, = random_clustering_errors(profiles, m, (ATOM,), k=8,
+                                         samples=60, seed=2)
         assert guided <= rand.median
 
 

@@ -1,9 +1,17 @@
-"""Tests for the hardware-counter substitute and the noise model."""
+"""Tests for the hardware-counter substitute, the noise model and the
+shared median."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.machine import EXACT, NEHALEM, ATOM, NoiseModel, run_kernel_model
+from repro.machine.noise import median
 from repro.suites import patterns as P
 
 
@@ -81,3 +89,27 @@ class TestNoiseModel:
         n = NoiseModel(seed=5, rel_sigma=0.5)
         samples = n.measure_many(1e-9, "n", 500)
         assert (samples > 0).all()
+
+
+class TestMedian:
+    def test_other_axes_rejected(self):
+        with pytest.raises(ValueError, match="axis"):
+            median(np.ones((2, 2)), axis=0)
+
+    @pytest.mark.parametrize("argv", [["predict", "--suite", "nr"],
+                                      ["figure7"]])
+    def test_commands_leave_numpy_ma_unloaded(self, argv):
+        def run(code):
+            env = dict(os.environ, PYTHONPATH=str(
+                Path(repro.__file__).resolve().parents[1]))
+            return subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True,
+                                  check=True).stdout.split()[-1]
+
+        if run("import sys, numpy; print('numpy.ma' in sys.modules)") \
+                == "True":
+            pytest.skip("a bare `import numpy` loads numpy.ma here")
+        assert run("import sys\n"
+                   "from repro.cli import main\n"
+                   f"assert main({argv!r}) == 0\n"
+                   "print('numpy.ma' in sys.modules)") == "False"

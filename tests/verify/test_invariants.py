@@ -33,6 +33,7 @@ EXPECTED_INVARIANTS = {
     "transform-equivalence",
     "transform-legality",
     "compiler-dependence-agreement",
+    "median-equivalence",
 }
 
 
@@ -222,6 +223,14 @@ class TestDefectInjection:
         assert report.failed_names() == ["footprint-once"]
         failing = next(r for r in report.invariants if not r.passed)
         assert "on fresh nests" in failing.detail
+
+    def test_median_drops_last_fails_only_the_matching_invariant(self):
+        report = run_verify(seed=0, breakage="median-drops-last",
+                            skip_differential=True)
+        assert not report.passed
+        assert report.failed_names() == ["median-equivalence"]
+        failing = next(r for r in report.invariants if not r.passed)
+        assert "bit-identical" in failing.detail
 
     def test_vectorize_unresolved_fails_only_the_matching_invariant(self):
         report = run_verify(seed=0, breakage="vectorize-unresolved",
