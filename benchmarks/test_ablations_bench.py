@@ -6,28 +6,28 @@ import numpy as np
 import pytest
 from conftest import report
 
-from repro.core.clustering import LINKAGE_METHODS, elbow_k, linkage
+from repro.core.clustering import LINKAGE_METHODS, linkage
 from repro.core.features import TABLE2_FEATURES, FeatureMatrix
-from repro.core.prediction import build_cluster_model, percent_error
-from repro.core.representatives import (ill_behaved_codelets,
-                                        select_representatives)
+from repro.core.pipeline import cluster_and_select
+from repro.core.representatives import ill_behaved_codelets
 from repro.experiments.report import format_table
 from repro.machine import ATOM, NEHALEM, analyze_cache, simulate_cache
 from repro.suites import build_nas_suite
 
 
-def _median_error(profiles, rows, labels, ill_behaved, measurer, target):
-    selection = select_representatives(profiles, rows, labels, ill_behaved)
-    model = build_cluster_model(profiles, selection)
+def _median_error(profiles, rows, dendrogram, ill_behaved, measurer,
+                  target):
+    """Median codelet error on ``target`` with ``dendrogram`` cut at
+    K = 16."""
+    _, selection, model = cluster_and_select(
+        profiles, rows, 16, ill_behaved, dendrogram=dendrogram)
     by_name = {p.name: p for p in profiles}
     rep_times = {r: measurer.benchmark_standalone(
         by_name[r].codelet, target).per_invocation_s
         for r in selection.representatives}
-    predicted = model.predict(rep_times)
     real = {p.name: measurer.measure_inapp(p.codelet, target)
             for p in profiles}
-    return float(np.median([percent_error(predicted[n], real[n])
-                            for n in predicted]))
+    return float(np.median(model.errors(rep_times, real)))
 
 
 def test_ablation_linkage_methods(benchmark, ctx):
@@ -40,9 +40,8 @@ def test_ablation_linkage_methods(benchmark, ctx):
     def run():
         out = {}
         for method in LINKAGE_METHODS:
-            dg = linkage(rows, method)
-            labels = dg.cut(16)
-            out[method] = _median_error(profiles, rows, labels,
+            out[method] = _median_error(profiles, rows,
+                                        linkage(rows, method),
                                         ill_behaved, ctx.measurer, ATOM)
         return out
 
@@ -66,8 +65,8 @@ def test_ablation_feature_normalization(benchmark, ctx):
         out = {}
         for label, rows in (("normalized", fm.normalized()),
                             ("raw", fm.values)):
-            dg = linkage(rows, "ward")
-            out[label] = _median_error(profiles, rows, dg.cut(16),
+            out[label] = _median_error(profiles, rows,
+                                       linkage(rows, "ward"),
                                        ill_behaved, ctx.measurer, ATOM)
         return out
 
@@ -86,17 +85,14 @@ def test_ablation_ill_behaved_filter(benchmark, ctx):
     fm = FeatureMatrix.from_profiles(profiles, TABLE2_FEATURES)
     rows = fm.normalized()
     dg = linkage(rows, "ward")
-    labels = dg.cut(16)
     ill_behaved = ill_behaved_codelets(profiles, ctx.measurer)
 
     def run():
         return {
             "filter on (10%)": _median_error(
-                profiles, rows, labels, ill_behaved, ctx.measurer,
-                NEHALEM),
+                profiles, rows, dg, ill_behaved, ctx.measurer, NEHALEM),
             "filter off": _median_error(
-                profiles, rows, labels, frozenset(), ctx.measurer,
-                NEHALEM),
+                profiles, rows, dg, frozenset(), ctx.measurer, NEHALEM),
         }
 
     errors = benchmark.pedantic(run, rounds=1, iterations=1)

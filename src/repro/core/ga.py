@@ -30,11 +30,10 @@ from ..codelets.profiling import CodeletProfile
 from ..machine.architecture import ATOM, SANDY_BRIDGE
 from ..machine.noise import median
 from .clustering import (ELBOW_K_MAX, Dendrogram, ElbowCut, elbow_stack,
-                         linkage_stack, ward_linkage)
+                         linkage_stack)
 from .features import ALL_FEATURE_NAMES, FeatureMatrix
-from .prediction import build_cluster_model, percent_error
-from .representatives import (NoRepresentativeError, ill_behaved_codelets,
-                              select_representatives)
+from .pipeline import cluster_and_select
+from .representatives import NoRepresentativeError, ill_behaved_codelets
 
 
 #: The GA's operators, which the paper fixes (R ``genalg``, mutation
@@ -235,28 +234,17 @@ class FeatureSelectionProblem:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        rows = self._normalized_full[:, mask]
-        if dendrogram is None:
-            dendrogram = ward_linkage(rows)
-        if cut is None:
-            cut = elbow_stack([rows], [dendrogram], ELBOW_K_MAX)[0]
-        labels = dendrogram.cut(cut.k)
         try:
-            selection = select_representatives(
-                self.profiles, rows, labels, self.ill_behaved,
-                centroid_distances=cut.distances)
+            _, selection, model = cluster_and_select(
+                self.profiles, self._normalized_full[:, mask], "elbow",
+                self.ill_behaved, dendrogram=dendrogram, elbow=cut)
         except NoRepresentativeError:
             self._cache[key] = float("inf")
             return float("inf")
-        model = build_cluster_model(self.profiles, selection)
         worst = 0.0
         for arch in TRAIN_TARGETS:
-            rep_times = {r: self.rep_bench[arch.name][r]
-                         for r in selection.representatives}
-            predicted = model.predict(rep_times)
-            real = self.real_times[arch.name]
-            errors = [percent_error(predicted[n], real[n])
-                      for n in predicted]
+            errors = model.errors(self.rep_bench[arch.name],
+                                  self.real_times[arch.name])
             worst = max(worst, float(median(errors)))
         fitness = worst * selection.k
         self._cache[key] = fitness

@@ -30,7 +30,7 @@ guaranteed bit-identical to a serial, cold run (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -46,7 +46,8 @@ from ..runtime.config import RuntimeConfig
 from ..runtime.executor import Executor
 from ..runtime.resilience import (QUARANTINED, ResilientExecutor,
                                   RunHealth)
-from .clustering import ELBOW_K_MAX, Dendrogram, elbow_k, ward_linkage
+from .clustering import (ELBOW_K_MAX, Dendrogram, ElbowCut, elbow_stack,
+                         ward_linkage)
 from .features import TABLE2_FEATURES, FeatureMatrix
 from .prediction import (ApplicationPrediction, ClusterModel,
                          CodeletPrediction, aggregate_application,
@@ -75,6 +76,40 @@ class SubsettingConfig:
     feature_names: Tuple[str, ...] = TABLE2_FEATURES
     runtime: RuntimeConfig = RuntimeConfig()
     normalize_features: bool = True
+
+    def rows(self, features: FeatureMatrix) -> np.ndarray:
+        """Step C's rows: z-scored unless ``normalize_features`` is off."""
+        if self.normalize_features:
+            return features.normalized()
+        return np.array(features.values, dtype=float)
+
+
+def cluster_and_select(profiles: Sequence[CodeletProfile], rows: np.ndarray,
+                       k: Union[int, str], ill_behaved: FrozenSet[str],
+                       ineligible: FrozenSet[str] = frozenset(), *,
+                       dendrogram: Optional[Dendrogram] = None,
+                       elbow: Optional[ElbowCut] = None
+                       ) -> Tuple[np.ndarray, SelectionResult, ClusterModel]:
+    """Steps C-D: cut the Ward dendrogram of ``rows`` at ``k`` (clamped
+    to ``[1, n]``) or at its elbow K, select the well-behaved
+    representatives and build the model; returns ``(labels, selection,
+    model)``.  ``dendrogram`` and ``elbow`` are computed unless given,
+    the elbow only for ``k == "elbow"``.  A cut at the elbow K takes the
+    elbow's centroid distances, bit for bit the ones
+    :func:`select_representatives` computes (``stacked-elbow-equivalence``
+    checks it)."""
+    if dendrogram is None:
+        dendrogram = ward_linkage(rows)
+    if k == "elbow" and elbow is None:
+        elbow = elbow_stack([rows], [dendrogram], ELBOW_K_MAX)[0]
+    cut_k = (elbow.k if k == "elbow"
+             else max(1, min(int(k), dendrogram.n_leaves)))
+    labels = dendrogram.cut(cut_k)
+    selection = select_representatives(
+        profiles, rows, labels, ill_behaved, ineligible,
+        centroid_distances=(elbow.distances if elbow is not None
+                            and elbow.k == cut_k else None))
+    return labels, selection, build_cluster_model(profiles, selection)
 
 
 @dataclass(frozen=True)
@@ -148,6 +183,7 @@ class BenchmarkReducer:
         self._features: Optional[FeatureMatrix] = None
         self._normalized: Optional[np.ndarray] = None
         self._dendrogram: Optional[Dendrogram] = None
+        self._elbow: Optional[ElbowCut] = None
 
     @property
     def cache_stats(self) -> Optional[CacheStats]:
@@ -203,11 +239,7 @@ class BenchmarkReducer:
             with self.obs.span("stage:features"):
                 self._features = FeatureMatrix.from_profiles(
                     report.profiles, self.config.feature_names)
-                if self.config.normalize_features:
-                    self._normalized = self._features.normalized()
-                else:
-                    self._normalized = np.array(self._features.values,
-                                                dtype=float)
+                self._normalized = self.config.rows(self._features)
             self.obs.metrics.gauge("features.count").set(
                 len(self._features.feature_names))
         return self._features
@@ -221,8 +253,11 @@ class BenchmarkReducer:
         return self._dendrogram
 
     def elbow(self) -> int:
-        self.feature_matrix()
-        return elbow_k(self._normalized, self.dendrogram(), ELBOW_K_MAX)
+        if self._elbow is None:
+            dendrogram = self.dendrogram()
+            self._elbow = elbow_stack([self._normalized], [dendrogram],
+                                      ELBOW_K_MAX)[0]
+        return self._elbow.k
 
     # -- Steps C + D ----------------------------------------------------------
 
@@ -277,12 +312,12 @@ class BenchmarkReducer:
         elbow = self.elbow()
         cut_k = elbow if k == "elbow" else int(k)
         cut_k = max(1, min(cut_k, features.n_codelets))
-        labels = dendrogram.cut(cut_k)
         ill_behaved, ineligible = self.fidelity()
         with self.obs.span("stage:select", cut_k=cut_k) as span:
-            selection = select_representatives(
-                report.profiles, self._normalized, labels, ill_behaved,
-                frozenset(ineligible))
+            labels, selection, model = cluster_and_select(
+                report.profiles, self._normalized, cut_k, ill_behaved,
+                frozenset(ineligible), dendrogram=dendrogram,
+                elbow=self._elbow)
             span.set("final_k", selection.k)
             span.set("destroyed", selection.destroyed_clusters)
         if ineligible and selection.destroyed_clusters:
@@ -290,7 +325,6 @@ class BenchmarkReducer:
                 f"step D: {selection.destroyed_clusters} cluster(s) "
                 "destroyed (no trustworthy representative); members "
                 "re-homed to their nearest surviving neighbours")
-        model = build_cluster_model(report.profiles, selection)
         reduced = ReducedSuite(
             suite=self.suite,
             profiles=report.profiles,
@@ -461,8 +495,7 @@ def evaluate_on_target(reduced: ReducedSuite, target: Architecture,
 
         span.set("measured", len(rep_times))
         span.set("quarantined", len(barred))
-        predicted = model.predict(
-            {r: rep_times[r] for r in selection.representatives})
+        predicted = model.predict(rep_times)
 
         # "Real" target measurements: the original codelets in-app.
         real: Dict[str, float] = {}

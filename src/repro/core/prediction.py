@@ -15,7 +15,7 @@ to scale like the covered part — Section 4.4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -57,6 +57,12 @@ class ClusterModel:
         rep_of = {name: reps[self.selection.cluster_of(name)]
                   for name in self.codelet_names}
         return extrapolate(rep_of, self.ref_times, rep_target_times)
+
+    def errors(self, rep_target_times: Mapping[str, float],
+               real_times: Mapping[str, float]) -> List[float]:
+        """Each codelet's :func:`percent_error` given ``rep_target_times``."""
+        return [percent_error(t, real_times[n])
+                for n, t in self.predict(rep_target_times).items()]
 
 
 def extrapolate(rep_of: Mapping[str, str], ref_times: Mapping[str, float],

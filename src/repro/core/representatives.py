@@ -122,10 +122,10 @@ def select_representatives(profiles: Sequence[CodeletProfile],
 
     ``centroid_distances[i]`` holds the distances of the members of the
     i-th smallest label to their centroid, in ascending row order, when
-    the caller has them (the GA's
-    :func:`~repro.core.clustering.elbow_stack` computes them for
-    ``dendrogram.cut(k)``); otherwise they are computed here, with the
-    same :func:`~repro.core.clustering.cluster_spreads`.
+    the caller has them (:func:`~repro.core.pipeline.cluster_and_select`
+    passes an :class:`~repro.core.clustering.ElbowCut`'s for a cut at
+    its K); otherwise they are computed here, with the same
+    :func:`~repro.core.clustering.cluster_spreads`.
 
     Raises :class:`NoRepresentativeError` when every cluster is
     destroyed, and ``ValueError`` when ``centroid_distances`` does not

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from ..machine.architecture import Architecture
-from ..machine.noise import median
-from .prediction import CodeletPrediction
+from .prediction import CodeletPrediction, median_error
 
 
 @dataclass(frozen=True)
@@ -82,8 +81,7 @@ def per_application_subsetting(ctx, target: Architecture,
     return SubsettingComparison(
         arch_name=target.name,
         total_representatives=total_reps,
-        median_error_pct=float(median(
-            [p.error_pct for p in all_predictions])),
+        median_error_pct=median_error(all_predictions),
         codelets=tuple(all_predictions),
         unpredictable=tuple(unpredictable),
     )

@@ -24,10 +24,8 @@ from typing import Tuple
 import numpy as np
 
 from ..analysis.arch_independent import arch_independent_matrix
-from ..core.clustering import ward_linkage
-from ..core.prediction import build_cluster_model, percent_error
-from ..core.representatives import (ill_behaved_codelets,
-                                    select_representatives)
+from ..core.pipeline import cluster_and_select
+from ..core.representatives import ill_behaved_codelets
 from ..machine.architecture import HASWELL, Architecture
 from ..machine.noise import median
 from .context import ExperimentContext
@@ -64,37 +62,23 @@ class WhatIfResult:
                         "usable on an unseen vector ISA (Section 5).")
 
 
-def _evaluate_rows(ctx: ExperimentContext, rows: np.ndarray, k: int,
-                   target: Architecture) -> Tuple[float, float, int]:
-    profiles = ctx.nas.profiling().profiles
-    ill_behaved = ill_behaved_codelets(profiles, ctx.measurer)
-    selection = select_representatives(profiles, rows,
-                                       ward_linkage(rows).cut(k), ill_behaved)
-    model = build_cluster_model(profiles, selection)
-    by_name = {p.name: p for p in profiles}
-    rep_times = {r: ctx.measurer.benchmark_standalone(
-        by_name[r].codelet, target).per_invocation_s
-        for r in selection.representatives}
-    predicted = model.predict(rep_times)
-    real = {p.name: ctx.measurer.measure_inapp(p.codelet, target)
-            for p in profiles}
-    errors = [percent_error(predicted[n], real[n]) for n in predicted]
-    return (float(median(errors)), float(np.mean(errors)),
-            selection.k)
-
-
 def run_whatif(ctx: ExperimentContext, k: int = 16,
                target: Architecture = HASWELL) -> WhatIfResult:
     profiles = ctx.nas.profiling().profiles
-
-    reference_rows = ctx.nas.feature_matrix().normalized()
-    med, avg, final_k = _evaluate_rows(ctx, reference_rows, k, target)
-    rows = [WhatIfRow("reference-trained (Table 2)", final_k, med, avg)]
-
-    ai_matrix = arch_independent_matrix(profiles)
-    ai_rows = ai_matrix.normalized()
-    med, avg, final_k = _evaluate_rows(ctx, ai_rows, k, target)
-    rows.append(WhatIfRow("architecture-independent", final_k, med,
-                          avg))
-
+    by_name = {p.name: p for p in profiles}
+    ill_behaved = ill_behaved_codelets(profiles, ctx.measurer)
+    real = {p.name: ctx.measurer.measure_inapp(p.codelet, target)
+            for p in profiles}
+    rows = []
+    for feature_set, features in (
+            ("reference-trained (Table 2)", ctx.nas.feature_matrix()),
+            ("architecture-independent", arch_independent_matrix(profiles))):
+        _, selection, model = cluster_and_select(
+            profiles, features.normalized(), k, ill_behaved)
+        rep_times = {r: ctx.measurer.benchmark_standalone(
+            by_name[r].codelet, target).per_invocation_s
+            for r in selection.representatives}
+        errors = model.errors(rep_times, real)
+        rows.append(WhatIfRow(feature_set, selection.k,
+                              float(median(errors)), float(np.mean(errors))))
     return WhatIfResult(target.name, tuple(rows))

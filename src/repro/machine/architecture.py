@@ -78,6 +78,10 @@ class Architecture:
     # overlapped; 0 for an ideal OOO engine, large for in-order cores.
     overlap_penalty: float = 0.0
 
+    def __hash__(self) -> int:
+        # Dict fields do not hash; equal architectures have equal names.
+        return hash(self.name)
+
     @property
     def llc(self) -> CacheLevel:
         return self.caches[-1]

@@ -111,16 +111,15 @@ from ..codelets.codelet import Codelet
 from ..codelets.finder import find_suite_codelets
 from ..codelets.measurement import ILL_BEHAVED_TOLERANCE, Measurer
 from ..codelets.profiling import profile_codelets
-from ..core.clustering import (ELBOW_K_MAX, Dendrogram, elbow_k,
-                               elbow_stack, linkage, linkage_reference,
-                               linkage_stack, variance_curve, ward_linkage,
+from ..core.clustering import (ELBOW_K_MAX, Dendrogram, elbow_stack,
+                               linkage, linkage_reference, linkage_stack,
+                               variance_curve, ward_linkage,
                                within_cluster_variance)
 from ..core.features import ALL_FEATURE_NAMES, FeatureMatrix
 from ..core.ga import INIT_DENSITY, GAConfig
-from ..core.pipeline import BenchmarkReducer, ReducedSuite, SubsettingConfig
-from ..core.prediction import build_cluster_model
-from ..core.representatives import (ill_behaved_codelets,
-                                    select_representatives)
+from ..core.pipeline import (BenchmarkReducer, ReducedSuite,
+                             SubsettingConfig, cluster_and_select)
+from ..core.representatives import ill_behaved_codelets
 from ..ir.traverse import NestAnalysis, analyze_nests
 from ..isa.compiler import CompiledKernel, compile_kernel
 from ..machine.architecture import NEHALEM, REFERENCE, TARGETS
@@ -371,37 +370,23 @@ class VerifyContext:
                                 config if config is not None
                                 else self.config)
 
-    def cluster_rows(self, features: FeatureMatrix) -> np.ndarray:
-        """The rows clustering would consume under this context's
-        configuration (honours an injected no-normalize defect)."""
-        if self.config.normalize_features:
-            return features.normalized()
-        return np.array(features.values, dtype=float)
-
 
 def reduce_codelets(codelets: Sequence[Codelet], measurer: Measurer,
                     config: SubsettingConfig, k="elbow"):
-    """Steps B-D over a bare codelet list (no suite wrapper).
+    """Steps B-D over a bare codelet list (no suite wrapper): Step B,
+    then the pipeline's own Steps C-D (:func:`cluster_and_select`).
 
-    Mirrors :meth:`BenchmarkReducer.reduce` stage for stage; invariants
-    use it to re-run the pipeline on transformed codelet sets
-    (permutations, well-behaved subsets) without re-wrapping them into
-    applications.  Returns ``(report, rows, labels, selection, model)``.
+    Invariants use it to re-run the pipeline on transformed codelet
+    sets (permutations, well-behaved subsets) without re-wrapping them
+    into applications.  Returns ``(report, rows, labels, selection,
+    model)``.
     """
     report = profile_codelets(codelets, measurer)
-    features = FeatureMatrix.from_profiles(report.profiles,
-                                           config.feature_names)
-    rows = (features.normalized() if config.normalize_features
-            else np.array(features.values, dtype=float))
-    dendrogram = ward_linkage(rows)
-    cut_k = (elbow_k(rows, dendrogram, ELBOW_K_MAX)
-             if k == "elbow" else int(k))
-    cut_k = max(1, min(cut_k, features.n_codelets))
-    labels = dendrogram.cut(cut_k)
-    selection = select_representatives(
-        report.profiles, rows, labels,
+    rows = config.rows(FeatureMatrix.from_profiles(report.profiles,
+                                                   config.feature_names))
+    labels, selection, model = cluster_and_select(
+        report.profiles, rows, k,
         ill_behaved_codelets(report.profiles, measurer))
-    model = build_cluster_model(report.profiles, selection)
     return report, rows, labels, selection, model
 
 
@@ -445,7 +430,7 @@ def check_normalized_features(ctx: VerifyContext) -> None:
     scaled[:, j] *= 2.0 ** 20
     scaled_matrix = FeatureMatrix(reduced.features.codelet_names,
                                   reduced.features.feature_names, scaled)
-    rows_b = ctx.cluster_rows(scaled_matrix)
+    rows_b = ctx.config.rows(scaled_matrix)
     k = len(np.unique(reduced.labels))
     labels_b = ward_linkage(rows_b).cut(k)
     names = reduced.features.codelet_names

@@ -1,15 +1,19 @@
 """Tests for the end-to-end pipeline (Steps A-E)."""
 
+import sys
+
 import numpy as np
 import pytest
 
-from repro.codelets import Measurer
+from repro.codelets import Measurer, find_suite_codelets
+from repro.core import clustering
 from repro.core.pipeline import (BenchmarkReducer, SubsettingConfig,
                                  TargetEvaluation, evaluate_on_target)
 from repro.core.prediction import average_error, median_error
 from repro.core.reduction import ReductionBreakdown
 from repro.machine import ATOM, CORE2, SANDY_BRIDGE, NoiseModel
 from repro.suites import build_nas_suite, build_nr_suite
+from repro.verify import reduce_codelets
 
 
 @pytest.fixture(scope="module")
@@ -172,3 +176,49 @@ class TestDeterminism:
         assert a.representatives == b.representatives
         np.testing.assert_array_equal(a.labels, b.labels)
         assert a.model.ref_times == b.model.ref_times
+
+
+class TestOneStepsCDPath:
+    """The verify harness's ``reduce_codelets`` and the reducer run the
+    same Steps C-D, so the invariants that call it check the pipeline."""
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("k", ["elbow", 1, 8, 28])
+    def test_reduce_codelets_agrees_with_reducer(self, nr_suite, k,
+                                                 normalize):
+        config = SubsettingConfig(normalize_features=normalize)
+        _, _, labels, selection, model = reduce_codelets(
+            find_suite_codelets(nr_suite), Measurer(), config, k)
+        reduced = BenchmarkReducer(nr_suite, Measurer(), config).reduce(k)
+        assert labels.tolist() == reduced.labels.tolist()
+        assert selection == reduced.selection
+        rep_times = {r: 1e-6 * (i + 1)
+                     for i, r in enumerate(selection.representatives)}
+        assert model.predict(rep_times) == reduced.model.predict(rep_times)
+
+
+def count_elbow_stacks(monkeypatch):
+    """Wrap ``elbow_stack`` in every module that holds it; returns the
+    list each call appends its point sets to."""
+    real = clustering.elbow_stack
+    calls = []
+
+    def counting(point_sets, *args, **kwargs):
+        calls.append(point_sets)
+        return real(point_sets, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("repro") and module is not None
+                and getattr(module, "elbow_stack", None) is real):
+            monkeypatch.setattr(module, "elbow_stack", counting)
+    return calls
+
+
+class TestOneElbowPerReducer:
+    def test_reduce_and_elbow_compute_it_once(self, nr_suite, monkeypatch):
+        calls = count_elbow_stacks(monkeypatch)
+        reducer = BenchmarkReducer(nr_suite, Measurer())
+        at_elbow = reducer.reduce("elbow")
+        at_eight = reducer.reduce(8)
+        assert reducer.elbow() == at_elbow.elbow == at_eight.elbow
+        assert len(calls) == 1

@@ -31,6 +31,13 @@ class TestRunKernelModel:
         assert run.seconds_per_invocation == run.execution.seconds
         assert run.cycles_per_invocation == run.execution.cycles
 
+    def test_runs_and_architectures_hash(self, saxpy_kernel):
+        run = run_kernel_model(saxpy_kernel, ATOM)
+        twin = run_kernel_model(saxpy_kernel, ATOM)
+        assert run == twin
+        assert hash(run) == hash(twin)
+        assert len({ATOM, ATOM}) == 1
+
 
 class TestMeasurementHelpers:
     def test_average_metrics_weighting(self):

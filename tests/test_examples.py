@@ -65,7 +65,14 @@ class TestExamples:
         target = tmp_path / "report.txt"
         monkeypatch.setattr(sys, "argv",
                             ["reproduce_paper.py", "-o", str(target)])
-        _load("reproduce_paper").main()
+        status = _load("reproduce_paper").main()
+        printed = capsys.readouterr().out
         text = target.read_text()
         for anchor in ("Table 1", "Figure 6", "What-if"):
             assert anchor in text or anchor.lower() in text.lower()
+        # The file holds exactly what the CLI's report prints.
+        from repro.cli import main
+        assert main(["report"]) == 0
+        assert capsys.readouterr().out == text
+        assert printed == text
+        assert status == 0
