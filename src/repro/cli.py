@@ -123,6 +123,17 @@ def _target(value: str) -> Architecture:
         raise argparse.ArgumentTypeError(exc.args[0]) from None
 
 
+def _defect(value: str) -> str:
+    """``verify --break``: a row of the defect table."""
+    from .verify import BREAKAGES
+
+    if value not in BREAKAGES:
+        raise argparse.ArgumentTypeError(
+            f"unknown defect {value!r}: choose from "
+            f"{', '.join(sorted(BREAKAGES))} (see 'repro verify --list')")
+    return value
+
+
 #: Every flag an experiment reads; ``report`` takes them all.
 _FLAGS = {
     "--samples": dict(type=_positive_int, default=200,
@@ -288,15 +299,11 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .verify import BREAKAGES, describe_registry, run_verify
+    from .verify import describe_registry, run_verify
 
     if args.list:
         print(describe_registry())
         return 0
-    if args.breakage and args.breakage not in BREAKAGES:
-        raise SystemExit(
-            f"unknown defect {args.breakage!r}: choose from "
-            f"{', '.join(sorted(BREAKAGES))} (see 'repro verify --list')")
     report = run_verify(seed=args.seed, n_apps=args.n_apps,
                         codelets_per_app=args.codelets_per_app,
                         breakage=args.breakage,
@@ -524,13 +531,13 @@ def build_parser() -> argparse.ArgumentParser:
         "verify",
         help="run the pipeline correctness harness (invariant registry "
              "+ differential oracle)")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_non_negative_int, default=0,
                    help="synthetic-suite seed")
-    p.add_argument("--n-apps", type=int, default=3,
+    p.add_argument("--n-apps", type=_positive_int, default=3,
                    help="applications in the synthetic suite")
-    p.add_argument("--codelets-per-app", type=int, default=4,
+    p.add_argument("--codelets-per-app", type=_positive_int, default=4,
                    help="codelets per synthetic application")
-    p.add_argument("--break", dest="breakage", default=None,
+    p.add_argument("--break", dest="breakage", type=_defect, default=None,
                    metavar="DEFECT",
                    help="inject a named defect to prove the matching "
                         "invariant catches it (see --list)")

@@ -18,6 +18,7 @@ from ..codelets.measurement import Measurer
 from ..core.pipeline import (BenchmarkReducer, ReducedSuite,
                              SubsettingConfig, TargetEvaluation,
                              evaluate_on_target)
+from ..core.representatives import NoRepresentativeError
 from ..machine.architecture import Architecture
 from ..runtime.resilience import RunHealth
 from ..suites import build_nas_suite, build_nr_suite
@@ -63,11 +64,20 @@ class ExperimentContext:
         return self.reducer("nas")
 
     def reduced(self, name: str, k) -> ReducedSuite:
-        """Cached Steps C-D result for (reducer name, k)."""
+        """Cached Steps C-D result for (reducer name, k).  A
+        :class:`NoRepresentativeError` is cached too and raised again,
+        so Figure 8 reduces an application none of whose codelets can
+        represent it once per K, not once per K and target."""
         key = (name, k)
         if key not in self._reduced:
-            self._reduced[key] = self.reducer(name).reduce(k)
-        return self._reduced[key]
+            try:
+                self._reduced[key] = self.reducer(name).reduce(k)
+            except NoRepresentativeError as exc:
+                self._reduced[key] = exc
+        reduced = self._reduced[key]
+        if isinstance(reduced, NoRepresentativeError):
+            raise reduced
+        return reduced
 
     def evaluation(self, name: str, k,
                    target: Architecture) -> TargetEvaluation:

@@ -101,7 +101,6 @@ from __future__ import annotations
 
 import json
 import tempfile
-import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -121,7 +120,7 @@ from ..core.pipeline import (BenchmarkReducer, ReducedSuite,
                              SubsettingConfig, cluster_and_select)
 from ..core.representatives import ill_behaved_codelets
 from ..ir.traverse import NestAnalysis, analyze_nests
-from ..isa.compiler import CompiledKernel, compile_kernel
+from ..isa.compiler import compile_kernel
 from ..machine.architecture import NEHALEM, REFERENCE, TARGETS
 from ..machine.cache_model import CacheProfile, analyze_cache
 from ..machine.noise import NoiseModel, median
@@ -168,7 +167,6 @@ class InvariantResult:
     description: str
     passed: bool
     detail: str = ""
-    duration_s: float = 0.0
 
 
 class _RunBlindMeasurer(Measurer):
@@ -212,143 +210,33 @@ MIXED_LINES = replace(NEHALEM, name="mixed-lines", caches=tuple(
 class VerifyContext:
     """One seeded synthetic suite plus everything invariants need.
 
-    ``breakage`` injects a named, deliberate defect (see
-    :data:`BREAKAGES`) so the harness can demonstrate that exactly the
-    matching invariant catches it.
+    ``breakage`` plants a named, deliberate defect, a row of
+    :data:`BREAKAGES`; each plant site asks :meth:`broken` whether its
+    defect is the planted one, so the harness can show that exactly
+    the row's invariants catch it.
     """
 
     def __init__(self, seed: int = 0, n_apps: int = 3,
                  codelets_per_app: int = 4,
                  breakage: Optional[str] = None,
                  config: Optional[SubsettingConfig] = None):
-        if breakage is not None and breakage not in BREAKAGES:
-            raise ValueError(
-                f"unknown breakage {breakage!r}: "
-                f"choose from {sorted(BREAKAGES)}")
         self.seed = seed
         self.n_apps = n_apps
         self.codelets_per_app = codelets_per_app
-        self.breakage = breakage
+        self.breakage = None if breakage is None else _known(breakage)
         self.suite = synthetic_suite(seed, n_apps, codelets_per_app)
         self.codelets = find_suite_codelets(self.suite)
         base = config if config is not None else SubsettingConfig()
-        if breakage == "no-normalize":
+        if self.broken("no-normalize"):
             base = replace(base, normalize_features=False)
         self.config = base
         self.measurer = Measurer()
         self._reduced: Optional[ReducedSuite] = None
 
-    @property
-    def lint_disabled(self):
-        """Lint passes disabled by the injected defect (if any)."""
-        return ("bounds",) if self.breakage == "drop-oob-check" else ()
-
-    def ga_config(self) -> GAConfig:
-        """A small, fast GA configuration for the ``ga-selection``
-        invariant.  The injected ``ga-unseeded`` defect drops the seed
-        (OS entropy), so every run explores a different trajectory."""
-        seed = None if self.breakage == "ga-unseeded" \
-            else self.seed + 0x6A
-        return GAConfig(population=16, generations=6, seed=seed)
-
-    def observation(self) -> Observation:
-        """A fresh observability sink for one traced pipeline run.  The
-        injected ``trace-wall-clock`` defect stamps every span with
-        ``time.perf_counter`` values, so replays stop being
-        byte-identical — the ``trace-replay`` invariant must notice."""
-        return Observation(
-            wall_clock=(self.breakage == "trace-wall-clock"))
-
-    @property
-    def manifest_float_digits(self) -> Optional[int]:
-        """Float rounding applied when serialising manifests — ``None``
-        in a clean context; the ``round-manifest-floats`` defect sets
-        it, losing precision the round-trip invariant must notice."""
-        return 5 if self.breakage == "round-manifest-floats" else None
-
-    @property
-    def transform_ignore_directions(self) -> bool:
-        """Whether the interchange legality analysis skips its
-        dependence-direction check (``--break
-        interchange-ignores-direction``): the pinned illegal
-        skewed-stencil interchange is then applied as if legal, which
-        the ``transform-legality`` and ``transform-equivalence``
-        invariants must both notice."""
-        return self.breakage == "interchange-ignores-direction"
-
-    @property
-    def clustering_skew(self) -> float:
-        """Perturbation of one Lance–Williams update coefficient in
-        :func:`~repro.core.clustering.linkage` — ``0.0`` in a clean
-        context; the ``slow-path-skew`` defect sets it, silently
-        diverging ``linkage`` from the reference loop, which the
-        ``clustering-equivalence`` invariant must notice."""
-        return 1e-3 if self.breakage == "slow-path-skew" else 0.0
-
-    @property
-    def stack_argmin_from_first(self) -> bool:
-        """Whether :func:`~repro.core.clustering.linkage_stack` merges
-        every matrix at matrix 0's argmin — ``False`` in a clean
-        context; the ``stack-shares-argmin`` defect sets it, which the
-        ``stacked-linkage-equivalence`` invariant must notice."""
-        return self.breakage == "stack-shares-argmin"
-
-    @property
-    def stack_pads_columns(self) -> bool:
-        """Whether the ``stacked-elbow-equivalence`` invariant zero-pads
-        every set of a stack to the widest before
-        :func:`~repro.core.clustering.elbow_stack`, so its clusters
-        group by member count alone — ``False`` in a clean context; the
-        ``stack-pads-columns`` defect sets it, and the references, on
-        the unpadded sets, must notice."""
-        return self.breakage == "stack-pads-columns"
-
-    @property
-    def median_drops_last(self) -> bool:
-        """Whether the ``median-equivalence`` invariant hands
-        :func:`~repro.machine.noise.median` each input without its last
-        element, as an off-by-one slice would — ``False`` in a clean
-        context; the ``median-drops-last`` defect sets it, and the
-        ``np.median`` references, on the whole inputs, must notice."""
-        return self.breakage == "median-drops-last"
-
-    def memo_measurer(self) -> Measurer:
-        """A measurer for the ``measure-once`` invariant to query.  The
-        ``memo-drops-run-id`` defect returns one whose memo key omits
-        the run, so a second run replays the first run's draw."""
-        if self.breakage == "memo-drops-run-id":
-            return _RunBlindMeasurer()
-        return Measurer()
-
-    def footprint_nests(self, compiled: CompiledKernel
-                        ) -> Tuple[NestAnalysis, ...]:
-        """The loop nests the ``footprint-once`` invariant queries: the
-        compiled kernel's own, whose footprint tables every model run
-        on that lowering fills and reads.  The
-        ``footprint-drops-line-size`` defect returns copies whose table
-        answers every line size with the first footprint it stored."""
-        nests = tuple(n.nest for n in compiled.nests)
-        if self.breakage == "footprint-drops-line-size":
-            return tuple(_LineBlindNest(n.loops, n.avg_trips, n.accesses)
-                         for n in nests)
-        return nests
-
-    @property
-    def compiler_unresolved_independent(self) -> bool:
-        """Whether the compiler treats a dependence pair the solver
-        cannot resolve as independent — ``False`` in a clean context;
-        the ``vectorize-unresolved`` defect sets it, vectorizing loops
-        that may carry a flow dependence, which the
-        ``compiler-dependence-agreement`` invariant must notice."""
-        return self.breakage == "vectorize-unresolved"
-
-    @property
-    def curve_keeps_absorbed_sse(self) -> bool:
-        """Whether :func:`~repro.core.clustering.variance_curve` leaves
-        a merged-away child's sum of squares in W(k) — ``False`` in a
-        clean context; the ``stale-curve-child`` defect sets it, which
-        the ``variance-curve-equivalence`` invariant must notice."""
-        return self.breakage == "stale-curve-child"
+    def broken(self, name: str) -> bool:
+        """Whether the defect ``name`` of :data:`BREAKAGES` is planted;
+        a name the table lacks raises ``ValueError``."""
+        return self.breakage == _known(name)
 
     # -- pipeline runs --------------------------------------------------------
 
@@ -642,7 +530,8 @@ def check_measure_once(ctx: VerifyContext) -> None:
     keys = [(kind, codelet, arch, run_id)
             for kind in asks for codelet in ctx.codelets
             for arch in TARGETS + (REFERENCE,) for run_id in (0, 1)]
-    memo = ctx.memo_measurer()
+    memo = (_RunBlindMeasurer() if ctx.broken("memo-drops-run-id")
+            else Measurer())
     for i in np.random.default_rng(ctx.seed).permutation(len(keys)):
         kind, codelet, arch, run_id = keys[i]
         asks[kind](memo, codelet, arch, run_id)
@@ -664,7 +553,10 @@ def check_measure_once(ctx: VerifyContext) -> None:
     "freshly analyzed nests returns")
 def check_footprint_once(ctx: VerifyContext) -> None:
     # Architectures with the same compiler options share one lowering,
-    # so its nests are queried at every line size those machines use.
+    # so its nests, whose footprint tables every model run on that
+    # lowering fills and reads, are queried at every line size those
+    # machines use.
+    line_blind = ctx.broken("footprint-drops-line-size")
     nests: Dict[Tuple, Tuple[NestAnalysis, ...]] = {}
     queries = []
     for codelet in ctx.codelets:
@@ -673,8 +565,12 @@ def check_footprint_once(ctx: VerifyContext) -> None:
                 options = default_options(arch)
                 key = (codelet.name, v, options)
                 if key not in nests:
-                    nests[key] = ctx.footprint_nests(
-                        compile_kernel(kernel, options))
+                    own = tuple(n.nest for n in
+                                compile_kernel(kernel, options).nests)
+                    if line_blind:
+                        own = tuple(_LineBlindNest(n.loops, n.avg_trips,
+                                                   n.accesses) for n in own)
+                    nests[key] = own
                 queries += [(kernel, nests[key], arch, pressure, warm)
                             for pressure in (0.0, codelet.pressure_bytes)
                             for warm in (True, False)]
@@ -713,7 +609,7 @@ def _cache_floats(profile: CacheProfile) -> List[Tuple[str, float]]:
 def check_lint_determinism(ctx: VerifyContext) -> None:
     from ..analysis.lint import check_canaries, make_suite_report
 
-    disabled = ctx.lint_disabled
+    disabled = ("bounds",) if ctx.broken("drop-oob-check") else ()
     problems = check_canaries(disabled=disabled)
     if problems:
         raise InvariantViolation(
@@ -745,7 +641,10 @@ def check_ga_selection(ctx: VerifyContext) -> None:
     from ..core.ga import select_features
 
     profiles = ctx.reduced.profiles
-    config = ctx.ga_config()
+    # A small, fast GA; unseeded, it draws OS entropy.
+    config = GAConfig(population=16, generations=6,
+                      seed=(None if ctx.broken("ga-unseeded")
+                            else ctx.seed + 0x6A))
     result_a, problem = select_features(profiles, ctx.measurer, config)
     result_b, _ = select_features(profiles, ctx.measurer, config)
     if (result_a.best_mask != result_b.best_mask
@@ -773,8 +672,9 @@ def check_ga_selection(ctx: VerifyContext) -> None:
 def check_manifest_round_trip(ctx: VerifyContext) -> None:
     from ..core.persist import ReducedSuiteManifest, export_manifest
 
+    digits = 5 if ctx.broken("round-manifest-floats") else None
     manifest = export_manifest(ctx.reduced)
-    text = manifest.to_json(float_digits=ctx.manifest_float_digits)
+    text = manifest.to_json(float_digits=digits)
     loaded = ReducedSuiteManifest.from_json(text)
     if loaded != manifest:
         fields = [name for name in ("ref_seconds", "coverage",
@@ -785,7 +685,7 @@ def check_manifest_round_trip(ctx: VerifyContext) -> None:
             "manifest-round-trip: the imported manifest differs from "
             f"the exported one in {fields or ['metadata']} — "
             "serialisation is lossy (are floats being rounded?)")
-    again = loaded.to_json(float_digits=ctx.manifest_float_digits)
+    again = loaded.to_json(float_digits=digits)
     if again != text:
         raise InvariantViolation(
             "manifest-round-trip: re-serialising the imported manifest "
@@ -890,7 +790,7 @@ def check_resilience_replay(ctx: VerifyContext) -> None:
     "no span carries a wall-clock attribute")
 def check_trace_replay(ctx: VerifyContext) -> None:
     def traced_run(runtime: RuntimeConfig):
-        obs = ctx.observation()
+        obs = Observation(wall_clock=ctx.broken("trace-wall-clock"))
         reducer = BenchmarkReducer(ctx.suite, Measurer(),
                                    replace(ctx.config, runtime=runtime),
                                    obs=obs)
@@ -986,7 +886,7 @@ def _assert_same_dendrogram(name: str, label: str, got: Dendrogram,
     "reference loop on every method and tie structure: identical "
     "merges, bit-identical heights, identical cut(k) for all k")
 def check_clustering_equivalence(ctx: VerifyContext) -> None:
-    skew = ctx.clustering_skew
+    skew = 1e-3 if ctx.broken("slow-path-skew") else 0.0
     for variant in FEATURE_MATRIX_VARIANTS:
         for rows in (12, 26):
             points = _feature_matrix(ctx.seed + rows, rows, 4, variant)
@@ -1006,7 +906,7 @@ def check_clustering_equivalence(ctx: VerifyContext) -> None:
     "bit-identical to the reference loop on its own set, on every "
     "method and tie structure")
 def check_stacked_linkage_equivalence(ctx: VerifyContext) -> None:
-    shared = ctx.stack_argmin_from_first
+    shared = ctx.broken("stack-shares-argmin")
     for rows in (12, 26):
         for size in (2, 7):
             # Each set its own tie structure and column count.
@@ -1034,7 +934,7 @@ def check_stacked_linkage_equivalence(ctx: VerifyContext) -> None:
 def check_variance_curve_equivalence(ctx: VerifyContext) -> None:
     dendrogram = ctx.reduced.dendrogram
     rows = ctx.reduced.normalized_rows
-    stale = ctx.curve_keeps_absorbed_sse
+    stale = ctx.broken("stale-curve-child")
     n = dendrogram.n_leaves
     for k_max in (None, ELBOW_K_MAX, 1):
         got = variance_curve(rows, dendrogram, k_max,
@@ -1099,7 +999,7 @@ def check_stacked_elbow_equivalence(ctx: VerifyContext) -> None:
     for label, stack in stacks:
         dendrograms = linkage_stack(stack)
         cut_sets = stack
-        if ctx.stack_pads_columns:
+        if ctx.broken("stack-pads-columns"):
             widest = max(points.shape[1] for points in stack)
             cut_sets = [np.pad(points,
                                ((0, 0), (0, widest - points.shape[1])))
@@ -1147,7 +1047,7 @@ def check_transform_equivalence(ctx: VerifyContext) -> None:
     from ..ir.rewrite import (REWRITE_REGISTRY, TRANSFORM_CANARIES,
                               transform_kernel)
 
-    ignore = ctx.transform_ignore_directions
+    ignore = ctx.broken("interchange-ignores-direction")
     exercised = set()
     for canary in TRANSFORM_CANARIES:
         kernel = canary.build()
@@ -1189,7 +1089,7 @@ def check_transform_legality(ctx: VerifyContext) -> None:
     from ..ir.rewrite import (FORCED_DIVERGENCE_CANARY,
                               TRANSFORM_CANARIES, transform_kernel)
 
-    ignore = ctx.transform_ignore_directions
+    ignore = ctx.broken("interchange-ignores-direction")
     by_name = {}
     for canary in TRANSFORM_CANARIES:
         by_name[canary.name] = canary
@@ -1285,8 +1185,6 @@ def check_compiler_dependence_agreement(ctx: VerifyContext) -> None:
     from ..analysis.lint import CANARIES
     from ..ir.dependence import AnalysisContext, format_directions
     from ..ir.rewrite import TRANSFORM_CANARIES
-    from ..isa.compiler import compile_kernel
-    from ..machine.platform import default_options
 
     options = default_options(REFERENCE)
     kernels = ([k for c in ctx.codelets for k in c.variants]
@@ -1295,7 +1193,7 @@ def check_compiler_dependence_agreement(ctx: VerifyContext) -> None:
     for kernel in kernels:
         compiled = compile_kernel(
             kernel, options,
-            unresolved_independent=ctx.compiler_unresolved_independent)
+            unresolved_independent=ctx.broken("vectorize-unresolved"))
         dep_ctx = AnalysisContext(kernel)
         for nest in compiled.nests:
             if not nest.vectorized:
@@ -1338,7 +1236,7 @@ def check_median_equivalence(ctx: VerifyContext) -> None:
     cases.append(("n=28 with a NaN", with_nan, None))
     for label, values, axis in cases:
         given = values
-        if ctx.median_drops_last:
+        if ctx.broken("median-drops-last"):
             given = np.asarray(values)[..., :-1]
         got, want = _hex(median(given, axis)), _hex(np.median(values, axis))
         if got != want:
@@ -1353,66 +1251,88 @@ def check_median_equivalence(ctx: VerifyContext) -> None:
 # ---------------------------------------------------------------------------
 
 
-#: Injectable defects for ``repro verify --break``: each must make its
-#: matching invariant — and only it — fail.
-BREAKAGES: Dict[str, str] = {
-    "no-normalize": "cluster on raw feature values (skip the z-score "
-                    "normalisation of Section 3.3); caught by "
-                    "'normalized-features'",
-    "drop-oob-check": "silently disable the lint bounds pass (L301 "
-                      "out-of-bounds detection); caught by "
-                      "'lint-determinism'",
-    "ga-unseeded": "run GA feature selection without a pinned seed "
-                   "(OS entropy); caught by 'ga-selection'",
-    "round-manifest-floats": "round reference times and coverages to 5 "
-                             "digits when exporting manifests; caught "
-                             "by 'manifest-round-trip'",
-    "trace-wall-clock": "stamp every trace span with wall-clock "
-                        "(time.perf_counter) values, so replayed runs "
-                        "stop serialising byte-identically; caught by "
-                        "'trace-replay'",
-    "slow-path-skew": "perturb one Lance-Williams update coefficient "
-                      "in the vectorized linkage by 1e-3, silently "
-                      "diverging it from the reference loop; caught by "
-                      "'clustering-equivalence'",
-    "stale-curve-child": "keep each merged-away child's sum of squares "
-                         "in the one-pass W(k) total, silently "
-                         "inflating the elbow curve below k_max; caught "
-                         "by 'variance-curve-equivalence'",
-    "stack-shares-argmin": "merge every matrix of a linkage stack at "
-                           "matrix 0's argmin, silently giving every "
-                           "set matrix 0's merge order; caught by "
-                           "'stacked-linkage-equivalence'",
-    "stack-pads-columns": "group an elbow stack's clusters by member "
-                          "count alone and zero-pad every set to the "
-                          "widest, silently moving sums of squares and "
-                          "centroid distances within rounding; caught "
-                          "by 'stacked-elbow-equivalence'",
-    "median-drops-last": "hand the shared median each input without its "
-                         "last element, as an off-by-one slice would, "
-                         "silently moving the middle order statistics; "
-                         "caught by 'median-equivalence'",
-    "memo-drops-run-id": "key the measurement memo without the run id, "
-                         "so a second run silently replays the first "
-                         "run's noise draw; caught by 'measure-once'",
-    "footprint-drops-line-size": "look a loop nest's footprint up without "
-                                 "the line size, so a level with other "
-                                 "lines silently reads another level's "
-                                 "working set; caught by "
-                                 "'footprint-once'",
-    "vectorize-unresolved": "make the compiler treat a dependence pair "
-                            "the solver cannot resolve as independent, "
-                            "silently vectorizing the non-uniform "
-                            "canary a[2i] = a[i] + ...; caught by "
-                            "'compiler-dependence-agreement'",
-    "interchange-ignores-direction": "make interchange legality skip "
-                                     "the dependence-direction check, "
-                                     "silently applying the pinned "
-                                     "illegal skewed-stencil "
-                                     "interchange; caught by "
-                                     "'transform-equivalence' and "
-                                     "'transform-legality'",
+@dataclass(frozen=True)
+class Breakage:
+    """One injectable defect: what it plants, and the invariants that
+    catch it, in registry order, each with the substrings its failure
+    detail must hold."""
+
+    description: str
+    caught_by: Dict[str, Tuple[str, ...]]
+
+
+#: Injectable defects for ``repro verify --break``: each must fail
+#: exactly its ``caught_by`` invariants.
+BREAKAGES: Dict[str, Breakage] = {
+    "no-normalize": Breakage(
+        "cluster on raw feature values (skip the z-score normalisation "
+        "of Section 3.3)",
+        {"normalized-features": ("normal",)}),
+    "drop-oob-check": Breakage(
+        "silently disable the lint bounds pass (L301 out-of-bounds "
+        "detection)",
+        {"lint-determinism": ("canary_oob",)}),
+    "ga-unseeded": Breakage(
+        "run GA feature selection without a pinned seed (OS entropy)",
+        {"ga-selection": ("disagree",)}),
+    "round-manifest-floats": Breakage(
+        "round reference times and coverages to 5 digits when exporting "
+        "manifests",
+        {"manifest-round-trip": ("lossy",)}),
+    "trace-wall-clock": Breakage(
+        "stamp every trace span with wall-clock (time.perf_counter) "
+        "values, so replayed runs stop serialising byte-identically",
+        {"trace-replay": ("not a pure function",)}),
+    "slow-path-skew": Breakage(
+        "perturb one Lance-Williams update coefficient in the vectorized "
+        "linkage by 1e-3, silently diverging it from the reference loop",
+        {"clustering-equivalence": ("bit-identical",)}),
+    "stale-curve-child": Breakage(
+        "keep each merged-away child's sum of squares in the one-pass "
+        "W(k) total, silently inflating the elbow curve below k_max",
+        {"variance-curve-equivalence": ("bit-identical",)}),
+    "stack-shares-argmin": Breakage(
+        "merge every matrix of a linkage stack at matrix 0's argmin, "
+        "silently giving every set matrix 0's merge order",
+        {"stacked-linkage-equivalence": ("set 1 of 2",)}),
+    "stack-pads-columns": Breakage(
+        "group an elbow stack's clusters by member count alone and "
+        "zero-pad every set to the widest, silently moving sums of "
+        "squares and centroid distances within rounding",
+        {"stacked-elbow-equivalence": ("bit-identical",)}),
+    "median-drops-last": Breakage(
+        "hand the shared median each input without its last element, as "
+        "an off-by-one slice would, silently moving the middle order "
+        "statistics",
+        {"median-equivalence": ("bit-identical",)}),
+    "memo-drops-run-id": Breakage(
+        "key the measurement memo without the run id, so a second run "
+        "silently replays the first run's noise draw",
+        {"measure-once": ("a fresh one",)}),
+    "footprint-drops-line-size": Breakage(
+        "look a loop nest's footprint up without the line size, so a "
+        "level with other lines silently reads another level's working "
+        "set",
+        {"footprint-once": ("on fresh nests",)}),
+    "vectorize-unresolved": Breakage(
+        "make the compiler treat a dependence pair the solver cannot "
+        "resolve as independent, silently vectorizing the non-uniform "
+        "canary a[2i] = a[i] + ...",
+        {"compiler-dependence-agreement": ("canary_nonuniform",
+                                           "may be a flow")}),
+    "interchange-ignores-direction": Breakage(
+        "make interchange legality skip the dependence-direction check, "
+        "silently applying the pinned illegal skewed-stencil interchange",
+        {"transform-equivalence": ("skew-interchange",),
+         "transform-legality": ("pinned ground truth",)}),
 }
+
+
+def _known(breakage: str) -> str:
+    if breakage not in BREAKAGES:
+        raise ValueError(f"unknown breakage {breakage!r}: "
+                         f"choose from {sorted(BREAKAGES)}")
+    return breakage
 
 
 def run_registry(ctx: VerifyContext,
@@ -1435,7 +1355,6 @@ def run_registry(ctx: VerifyContext,
 
     results: List[InvariantResult] = []
     for inv in selected:
-        start = time.perf_counter()
         try:
             inv.check(ctx)
         except InvariantViolation as violation:
@@ -1447,5 +1366,5 @@ def run_registry(ctx: VerifyContext,
             passed, detail = True, ""
         results.append(InvariantResult(
             name=inv.name, description=inv.description, passed=passed,
-            detail=detail, duration_s=time.perf_counter() - start))
+            detail=detail))
     return results

@@ -19,7 +19,6 @@ inherits it as a regression net.
 from __future__ import annotations
 
 import tempfile
-import time
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -54,7 +53,6 @@ class DifferentialResult:
     description: str
     passed: bool
     discrepancies: Tuple[Discrepancy, ...] = ()
-    duration_s: float = 0.0
 
 
 def _first_diff(a: Sequence, b: Sequence) -> str:
@@ -223,7 +221,6 @@ def run_differential(ctx, names: Optional[Sequence[str]] = None
 
     results: List[DifferentialResult] = []
     for case in selected:
-        start = time.perf_counter()
         try:
             discrepancies = tuple(case.run(ctx))
         except Exception as exc:  # noqa: BLE001 - report, don't mask
@@ -231,6 +228,5 @@ def run_differential(ctx, names: Optional[Sequence[str]] = None
                 "error", f"unexpected {type(exc).__name__}: {exc}"),)
         results.append(DifferentialResult(
             name=case.name, description=case.description,
-            passed=not discrepancies, discrepancies=discrepancies,
-            duration_s=time.perf_counter() - start))
+            passed=not discrepancies, discrepancies=discrepancies))
     return results

@@ -59,16 +59,14 @@ class VerifyReport:
         lines.append(f"invariants ({len(self.invariants)}):")
         for r in self.invariants:
             status = "PASS" if r.passed else "FAIL"
-            lines.append(f"  [{status}] {r.name:32s} "
-                         f"({r.duration_s * 1e3:7.1f} ms)")
+            lines.append(f"  [{status}] {r.name}")
             if not r.passed:
                 lines.append(f"         {r.detail}")
         lines.append("")
         lines.append(f"differential cases ({len(self.differentials)}):")
         for r in self.differentials:
             status = "PASS" if r.passed else "FAIL"
-            lines.append(f"  [{status}] {r.name:32s} "
-                         f"({r.duration_s * 1e3:7.1f} ms)")
+            lines.append(f"  [{status}] {r.name}")
             for d in r.discrepancies:
                 lines.append(f"         {d}")
         lines.append("")
@@ -91,13 +89,11 @@ class VerifyReport:
             "passed": self.passed,
             "invariants": [
                 {"name": r.name, "passed": r.passed,
-                 "detail": r.detail,
-                 "duration_s": r.duration_s}
+                 "detail": r.detail}
                 for r in self.invariants],
             "differentials": [
                 {"name": r.name, "passed": r.passed,
-                 "discrepancies": [str(d) for d in r.discrepancies],
-                 "duration_s": r.duration_s}
+                 "discrepancies": [str(d) for d in r.discrepancies]}
                 for r in self.differentials],
         }
 

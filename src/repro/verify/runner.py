@@ -62,6 +62,8 @@ def describe_registry() -> str:
         lines.append(f"  {case.name:32s} {case.description}")
     lines.append("")
     lines.append(f"injectable defects ({len(BREAKAGES)}, via --break):")
-    for name, description in BREAKAGES.items():
-        lines.append(f"  {name:32s} {description}")
+    for name, row in BREAKAGES.items():
+        caught_by = " and ".join(f"'{inv}'" for inv in row.caught_by)
+        lines.append(f"  {name:32s} {row.description}; "
+                     f"caught by {caught_by}")
     return "\n".join(lines)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.codelets import Measurer, find_suite_codelets
 from repro.core.pipeline import BenchmarkReducer, SubsettingConfig
+from repro.core.representatives import NoRepresentativeError
 from repro.experiments import ExperimentContext, run_figure8
 from repro.machine import ATOM, NEHALEM
 from repro.runtime import RuntimeConfig, crash_plan
@@ -67,6 +68,23 @@ class TestReducersBuiltOnce:
         n_apps = len(ctx.nas.suite.applications)
         assert n_apps == 7
         assert len(built) <= 1 + n_apps
+
+    def test_failed_reduction_runs_once(self, monkeypatch):
+        # At full scale every MG codelet is ill-behaved, so Step D keeps
+        # no cluster at K = 1.
+        calls = []
+        reduce = BenchmarkReducer.reduce
+
+        def counting_reduce(self, k="elbow"):
+            calls.append((self.suite.name, k))
+            return reduce(self, k)
+
+        monkeypatch.setattr(BenchmarkReducer, "reduce", counting_reduce)
+        ctx = ExperimentContext()
+        for _ in range(2):
+            with pytest.raises(NoRepresentativeError):
+                ctx.reduced("nas:mg", 1)
+        assert calls == [("NAS:mg", 1)]
 
     def test_health_lists_every_reducer_in_build_order(self):
         ctx = ExperimentContext(scale=0.05)

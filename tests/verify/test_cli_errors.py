@@ -33,7 +33,23 @@ def test_unknown_suite_rejected(capsys):
 def test_unknown_verify_breakage_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--break", "gamma-rays"])
-    assert "unknown defect 'gamma-rays'" in str(exc.value.code)
+    assert exc.value.code == 2
+    assert "unknown defect 'gamma-rays'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, expected", [
+    ("--seed", "-3", "an integer >= 0"),
+    ("--n-apps", "0", "an integer >= 1"),
+    ("--n-apps", "-1", "an integer >= 1"),
+    ("--codelets-per-app", "0", "an integer >= 1"),
+])
+def test_bad_verify_flag_rejected_before_any_work(capsys, tmp_path, flag,
+                                                  value, expected):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", flag, value, "--report-dir", str(tmp_path / "r")])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be {expected}" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 def test_zero_jobs_means_all_cores_and_is_accepted(capsys):

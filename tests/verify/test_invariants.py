@@ -40,9 +40,6 @@ EXPECTED_INVARIANTS = {
 
 
 class TestRegistry:
-    def test_has_at_least_six_invariants(self):
-        assert len(REGISTRY) >= 6
-
     def test_expected_names_registered(self):
         assert EXPECTED_INVARIANTS == set(REGISTRY)
 
@@ -116,129 +113,37 @@ class TestCompilerDependenceAgreement:
                        for e in dep_ctx.dependence_edges)
 
 
+def _defect_param(name):
+    """A defect that a transform invariant catches runs with the
+    ``transform`` test set too."""
+    transform = any(inv.startswith("transform-")
+                    for inv in BREAKAGES[name].caught_by)
+    return pytest.param(name,
+                        marks=pytest.mark.transform if transform else ())
+
+
 class TestDefectInjection:
-    def test_breakages_all_name_a_catching_invariant(self):
-        for name, description in BREAKAGES.items():
-            assert "caught by" in description, name
+    def test_every_row_names_registered_invariants_in_order(self):
+        for name, row in BREAKAGES.items():
+            assert row.caught_by, name
+            assert list(row.caught_by) == [
+                inv for inv in REGISTRY if inv in row.caught_by], name
+            assert all(row.caught_by.values()), name
 
     def test_unknown_breakage_rejected(self):
         with pytest.raises(ValueError, match="unknown breakage"):
             VerifyContext(seed=0, breakage="desoldered-alu")
+        with pytest.raises(ValueError, match="unknown breakage"):
+            VerifyContext(seed=0).broken("desoldered-alu")
 
-    def test_no_normalize_fails_only_the_matching_invariant(self):
-        report = run_verify(seed=0, breakage="no-normalize",
-                            skip_differential=True)
-        assert not report.passed
-        assert report.failed_names() == ["normalized-features"]
-        failing = next(r for r in report.invariants if not r.passed)
-        assert "normal" in failing.detail.lower()
-
-    def test_drop_oob_check_fails_only_the_matching_invariant(self):
-        report = run_verify(seed=0, breakage="drop-oob-check",
-                            skip_differential=True)
-        assert not report.passed
-        assert report.failed_names() == ["lint-determinism"]
-        failing = next(r for r in report.invariants if not r.passed)
-        assert "canary_oob" in failing.detail
-
-    def test_ga_unseeded_fails_only_the_matching_invariant(self):
-        report = run_verify(seed=0, breakage="ga-unseeded",
-                            skip_differential=True)
-        assert not report.passed
-        assert report.failed_names() == ["ga-selection"]
-        failing = next(r for r in report.invariants if not r.passed)
-        assert "disagree" in failing.detail
-
-    def test_round_manifest_floats_fails_only_the_matching_invariant(self):
-        report = run_verify(seed=0, breakage="round-manifest-floats",
-                            skip_differential=True)
-        assert not report.passed
-        assert report.failed_names() == ["manifest-round-trip"]
-        failing = next(r for r in report.invariants if not r.passed)
-        assert "lossy" in failing.detail
-
-    def test_trace_wall_clock_fails_only_the_matching_invariant(self):
-        report = run_verify(seed=0, breakage="trace-wall-clock",
-                            skip_differential=True)
-        assert not report.passed
-        assert report.failed_names() == ["trace-replay"]
-        failing = next(r for r in report.invariants if not r.passed)
-        assert "not a pure function" in failing.detail
-
-    @pytest.mark.transform
-    def test_interchange_ignores_direction_fails_only_transform(self):
-        report = run_verify(seed=0,
-                            breakage="interchange-ignores-direction",
-                            skip_differential=True)
-        assert not report.passed
-        assert report.failed_names() == ["transform-equivalence",
-                                         "transform-legality"]
-        equiv, legality = (r for r in report.invariants if not r.passed)
-        assert "skew-interchange" in equiv.detail
-        assert "pinned ground truth" in legality.detail
-
-    def test_slow_path_skew_fails_only_the_matching_invariant(self):
-        report = run_verify(seed=0, breakage="slow-path-skew",
-                            skip_differential=True)
-        assert not report.passed
-        assert report.failed_names() == ["clustering-equivalence"]
-        failing = next(r for r in report.invariants if not r.passed)
-        assert "bit-identical" in failing.detail
-
-    def test_stale_curve_child_fails_only_the_matching_invariant(self):
-        report = run_verify(seed=0, breakage="stale-curve-child",
-                            skip_differential=True)
-        assert not report.passed
-        assert report.failed_names() == ["variance-curve-equivalence"]
-        failing = next(r for r in report.invariants if not r.passed)
-        assert "bit-identical" in failing.detail
-
-    def test_stack_shares_argmin_fails_only_the_matching_invariant(self):
-        report = run_verify(seed=0, breakage="stack-shares-argmin",
-                            skip_differential=True)
-        assert not report.passed
-        assert report.failed_names() == ["stacked-linkage-equivalence"]
-        failing = next(r for r in report.invariants if not r.passed)
-        assert "set 1 of 2" in failing.detail
-
-    def test_stack_pads_columns_fails_only_the_matching_invariant(self):
-        report = run_verify(seed=0, breakage="stack-pads-columns",
-                            skip_differential=True)
-        assert not report.passed
-        assert report.failed_names() == ["stacked-elbow-equivalence"]
-        failing = next(r for r in report.invariants if not r.passed)
-        assert "bit-identical" in failing.detail
-
-    def test_memo_drops_run_id_fails_only_the_matching_invariant(self):
-        report = run_verify(seed=0, breakage="memo-drops-run-id",
-                            skip_differential=True)
-        assert not report.passed
-        assert report.failed_names() == ["measure-once"]
-        failing = next(r for r in report.invariants if not r.passed)
-        assert "a fresh one" in failing.detail
-
-    def test_footprint_drops_line_size_fails_only_the_matching_invariant(
-            self):
-        report = run_verify(seed=0, breakage="footprint-drops-line-size",
-                            skip_differential=True)
-        assert not report.passed
-        assert report.failed_names() == ["footprint-once"]
-        failing = next(r for r in report.invariants if not r.passed)
-        assert "on fresh nests" in failing.detail
-
-    def test_median_drops_last_fails_only_the_matching_invariant(self):
-        report = run_verify(seed=0, breakage="median-drops-last",
-                            skip_differential=True)
-        assert not report.passed
-        assert report.failed_names() == ["median-equivalence"]
-        failing = next(r for r in report.invariants if not r.passed)
-        assert "bit-identical" in failing.detail
-
-    def test_vectorize_unresolved_fails_only_the_matching_invariant(self):
-        report = run_verify(seed=0, breakage="vectorize-unresolved",
-                            skip_differential=True)
-        assert not report.passed
-        assert report.failed_names() == ["compiler-dependence-agreement"]
-        failing = next(r for r in report.invariants if not r.passed)
-        assert "canary_nonuniform" in failing.detail
-        assert "may be a flow" in failing.detail
+    @pytest.mark.parametrize("name", [_defect_param(name)
+                                      for name in BREAKAGES])
+    def test_defect_fails_exactly_its_row(self, name):
+        report = run_verify(seed=0, breakage=name, skip_differential=True)
+        failed = {r.name: r.detail for r in report.invariants
+                  if not r.passed}
+        caught_by = BREAKAGES[name].caught_by
+        assert list(failed) == list(caught_by)
+        for inv, substrings in caught_by.items():
+            for substring in substrings:
+                assert substring in failed[inv], (inv, substring)
