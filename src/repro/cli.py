@@ -143,7 +143,8 @@ _FLAGS = {
     "--generations": dict(type=_non_negative_int,
                           default=GAConfig.generations,
                           help="GA generations (table2)"),
-    "--seed": dict(type=int, default=GAConfig.seed, help="GA seed (table2)"),
+    "--seed": dict(type=_non_negative_int, default=GAConfig.seed,
+                   help="GA seed (table2)"),
     "--k-fixed": dict(type=_positive_int, default=14,
                       help="cluster count (table3)"),
 }
@@ -190,7 +191,7 @@ def _load_fault_plan(args):
 def _subsetting_config(args) -> SubsettingConfig:
     return SubsettingConfig(runtime=RuntimeConfig(
         jobs=args.jobs, cache_dir=args.cache_dir, retries=args.retries,
-        fault_plan=_load_fault_plan(args), strict=args.strict))
+        fault_plan=_load_fault_plan(args)))
 
 
 def _context(args) -> ExperimentContext:
@@ -304,10 +305,14 @@ def _cmd_verify(args) -> int:
     if args.list:
         print(describe_registry())
         return 0
-    report = run_verify(seed=args.seed, n_apps=args.n_apps,
-                        codelets_per_app=args.codelets_per_app,
-                        breakage=args.breakage,
-                        skip_differential=args.skip_differential)
+    try:
+        report = run_verify(seed=args.seed, n_apps=args.n_apps,
+                            codelets_per_app=args.codelets_per_app,
+                            breakage=args.breakage,
+                            skip_differential=args.skip_differential)
+    except ValueError as exc:       # a suite with nothing to measure
+        print(f"repro verify: {exc}", file=sys.stderr)
+        return 2
     print(report.format())
     path = report.save(args.report_dir)
     print(f"\nreport written to {path}")

@@ -34,7 +34,7 @@ calling :func:`within_cluster_variance`, so each W(k) is the same bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -270,7 +270,7 @@ def linkage_reference(points: np.ndarray,
 
 def _lw_update_stack(d: np.ndarray, size: np.ndarray, alive: np.ndarray,
                      rows: np.ndarray, a: np.ndarray, b: np.ndarray,
-                     dist: np.ndarray, method: str, skew: float) -> None:
+                     dist: np.ndarray, method: str) -> None:
     """Vectorized Lance-Williams update of a (P, n, n) stack: in every
     matrix ``p``, merge row ``b[p]`` into row ``a[p]``.
 
@@ -280,9 +280,6 @@ def _lw_update_stack(d: np.ndarray, size: np.ndarray, alive: np.ndarray,
     reference update whatever the stack's size.  The other columns
     (``a``, ``b`` and dead rows) read an ``inf`` operand; their results
     are discarded for ``inf``, which the reference holds there too.
-    ``skew`` perturbs the ``(n_a + n_k)`` coefficient; it exists solely
-    for the verify harness's ``slow-path-skew`` planted defect and is
-    0.0 otherwise.
     """
     live = alive.copy()
     live[rows, a] = False
@@ -292,12 +289,8 @@ def _lw_update_stack(d: np.ndarray, size: np.ndarray, alive: np.ndarray,
     if method == "ward":
         sa, sb = size[rows, a][:, None], size[rows, b][:, None]
         sk, dist = size, dist[:, None]
-        if skew:
-            new = (((sa + sk) * (1.0 + skew)) * dak
-                   + (sb + sk) * dbk - sk * dist) / (sa + sb + sk)
-        else:
-            new = ((sa + sk) * dak + (sb + sk) * dbk - sk * dist) \
-                / (sa + sb + sk)
+        new = ((sa + sk) * dak + (sb + sk) * dbk - sk * dist) \
+            / (sa + sb + sk)
     elif method == "single":
         new = np.minimum(dak, dbk)
     elif method == "complete":
@@ -312,9 +305,14 @@ def _lw_update_stack(d: np.ndarray, size: np.ndarray, alive: np.ndarray,
     d[rows, :, b] = np.inf
 
 
-def linkage_stack(point_sets: Sequence[np.ndarray], method: str = "ward",
-                  ward_coeff_skew: float = 0.0, *,
-                  argmin_from_first: bool = False) -> List[Dendrogram]:
+def _first_minima(d: np.ndarray) -> np.ndarray:
+    """Each matrix of a (P, n, n) stack's row-major first minimum, as
+    an index into its flattened n·n axis."""
+    return d.reshape(d.shape[0], -1).argmin(axis=1)
+
+
+def linkage_stack(point_sets: Sequence[np.ndarray],
+                  method: str = "ward") -> List[Dendrogram]:
     """One dendrogram per point set, agglomerated side by side.
 
     The point sets must have the same number of rows; their column
@@ -322,22 +320,16 @@ def linkage_stack(point_sets: Sequence[np.ndarray], method: str = "ward",
     (:func:`_initial_distances`, no padding, so every einsum sums in
     the same order as for the set alone), and the matrices are stacked
     into one (P, n, n) array.  Every step then merges, per matrix, the
-    row-major first minimum over its flattened n·n axis — the
-    reference's lexicographically smallest minimal row pair, always in
-    the upper triangle — and applies :func:`_lw_update_stack`, which
-    repeats the reference's arithmetic.  Each matrix thus sees the
-    argmin and the arithmetic it would see alone, so every dendrogram
-    is the one :func:`linkage_reference` builds for its set, bit for
-    bit, by construction.
-
-    ``argmin_from_first`` makes every matrix merge the pair of matrix
-    0 — the verify harness's ``stack-shares-argmin`` planted defect,
-    which only the ``stacked-linkage-equivalence`` invariant sets; it
-    changes nothing for a stack of one.
+    row-major first minimum over its flattened n·n axis
+    (:func:`_first_minima`) — the reference's lexicographically
+    smallest minimal row pair, always in the upper triangle — and
+    applies :func:`_lw_update_stack`, which repeats the reference's
+    arithmetic.  Each matrix thus sees the argmin and the arithmetic it
+    would see alone, so every dendrogram is the one
+    :func:`linkage_reference` builds for its set, bit for bit, by
+    construction.
     """
     _check_method(method)
-    if ward_coeff_skew and method != "ward":
-        raise ValueError("ward_coeff_skew only applies to Ward linkage")
     sets = [_check_points(points) for points in point_sets]
     if not sets:
         return []
@@ -357,16 +349,12 @@ def linkage_stack(point_sets: Sequence[np.ndarray], method: str = "ward",
     merged = np.empty((n - 1, n_sets), dtype=np.int64)
     dists = np.empty((n - 1, n_sets))
     for i in range(n - 1):
-        first = d.reshape(n_sets, n * n).argmin(axis=1)
-        if argmin_from_first:
-            first[:] = first[0]
-        a, b = np.divmod(first, n)
+        a, b = np.divmod(_first_minima(d), n)
         dist = d[rows, a, b]
         ids_a[i], ids_b[i] = cluster_id[rows, a], cluster_id[rows, b]
         merged[i] = size[rows, a] + size[rows, b]
         dists[i] = dist
-        _lw_update_stack(d, size, alive, rows, a, b, dist, method,
-                         ward_coeff_skew)
+        _lw_update_stack(d, size, alive, rows, a, b, dist, method)
         size[rows, a] = merged[i]
         alive[rows, b] = False
         cluster_id[rows, a] = n + i
@@ -382,8 +370,7 @@ def linkage_stack(point_sets: Sequence[np.ndarray], method: str = "ward",
         for p in range(n_sets)]
 
 
-def linkage(points: np.ndarray, method: str = "ward",
-            ward_coeff_skew: float = 0.0) -> Dendrogram:
+def linkage(points: np.ndarray, method: str = "ward") -> Dendrogram:
     """Agglomerative clustering under a Lance-Williams criterion.
 
     ``ward`` (the paper's choice) merges the pair minimising the growth
@@ -394,11 +381,8 @@ def linkage(points: np.ndarray, method: str = "ward",
 
     This is :func:`linkage_stack` on a stack of one, so the result is
     bit-identical to :func:`linkage_reference` by construction.
-    ``ward_coeff_skew`` perturbs one Lance-Williams coefficient — the
-    verify harness's ``slow-path-skew`` planted defect; the reference
-    has no such knob, so the oracle stays unskewable.
     """
-    return linkage_stack([points], method, ward_coeff_skew)[0]
+    return linkage_stack([points], method)[0]
 
 
 def ward_linkage(points: np.ndarray) -> Dendrogram:
@@ -529,8 +513,7 @@ class ElbowCut:
 def elbow_stack(point_sets: Sequence[np.ndarray],
                 dendrograms: Sequence[Dendrogram],
                 k_max: Optional[int] = None,
-                threshold: float = ELBOW_THRESHOLD, *,
-                keep_absorbed_sse: bool = False) -> List[ElbowCut]:
+                threshold: float = ELBOW_THRESHOLD) -> List[ElbowCut]:
     """The elbow of every point set of a stack, in one pass.
 
     The point sets must have the same number of rows, as in
@@ -541,7 +524,8 @@ def elbow_stack(point_sets: Sequence[np.ndarray],
     collected, from every set, into one :func:`cluster_spreads` call.
 
     W(k) adds the values of the clusters live at cut k from ``0.0``,
-    one at a time, in ascending order of each cluster's smallest leaf.
+    one at a time, in ascending order of each cluster's smallest leaf
+    (:func:`_w_curve`).
     That repeats ``within_cluster_variance(points, dendrogram.cut(k))``
     bit for bit: ``cut(k)`` numbers clusters in order of their smallest
     leaf, ``np.unique`` visits the labels in that order, and
@@ -552,10 +536,6 @@ def elbow_stack(point_sets: Sequence[np.ndarray],
     K is then chosen by the rule :func:`elbow_k` documents, and the
     result holds each cluster of ``cut(K)`` with its members'
     distances to its centroid.
-
-    ``keep_absorbed_sse`` leaves a merged-away child's value in W(k) —
-    the verify harness's ``stale-curve-child`` planted defect, which
-    only the ``variance-curve-equivalence`` invariant sets.
 
     Raises ``ValueError`` on a ``k_max`` below 1, on empty, non-2-D or
     non-finite points, like :func:`linkage`, and on a row count other
@@ -589,7 +569,6 @@ def elbow_stack(point_sets: Sequence[np.ndarray],
     live_to: List[int] = []
     live_from: List[int] = []
     starts: List[int] = []
-    stale: Set[int] = set()         # absorbed children kept in W(k)
     for p, dendrogram in enumerate(dendrograms):
         starts.append(len(clusters))
         merges = dendrogram.merges
@@ -607,8 +586,6 @@ def elbow_stack(point_sets: Sequence[np.ndarray],
             a = position.pop(merges[i].a)
             b = position.pop(merges[i].b)
             live_from[a] = live_from[b] = n - i
-            if keep_absorbed_sse:
-                stale.add(max(a, b, key=lambda c: clusters[c][1][0]))
             position[n + i] = len(clusters)
             clusters.append((p, sorted(clusters[a][1] + clusters[b][1])))
             live_to.append(n - 1 - i)
@@ -621,16 +598,25 @@ def elbow_stack(point_sets: Sequence[np.ndarray],
     for p in range(len(sets)):
         order = sorted(range(starts[p], starts[p + 1]),
                        key=lambda c: clusters[c][1][0])
-        curve = [0.0] * k_max
-        for c in order:
-            for k in range(1 if c in stale else live_from[c],
-                           live_to[c] + 1):
-                curve[k - 1] += values[c]
+        curve = _w_curve(k_max, order, values, live_from, live_to)
         k = k_max if n <= 2 else _elbow_of(curve, threshold)
         cuts.append(ElbowCut(np.array(curve), k, tuple(
             distances[c] for c in order
             if live_from[c] <= k <= live_to[c])))
     return cuts
+
+
+def _w_curve(k_max: int, order: Sequence[int], values: Sequence[float],
+             live_from: Sequence[int], live_to: Sequence[int]
+             ) -> List[float]:
+    """W(k) for k = 1..k_max: the value of each cluster ``c`` of
+    ``order``, in that order, added from ``0.0`` to every cut k from
+    ``live_from[c]`` to ``live_to[c]``."""
+    curve = [0.0] * k_max
+    for c in order:
+        for k in range(live_from[c], live_to[c] + 1):
+            curve[k - 1] += values[c]
+    return curve
 
 
 def _elbow_of(curve: List[float], threshold: float) -> int:
@@ -646,22 +632,16 @@ def _elbow_of(curve: List[float], threshold: float) -> int:
 
 
 def variance_curve(points: np.ndarray, dendrogram: Dendrogram,
-                   k_max: Optional[int] = None, *,
-                   keep_absorbed_sse: bool = False) -> np.ndarray:
+                   k_max: Optional[int] = None) -> np.ndarray:
     """W(k) for k = 1..k_max (within-cluster variance after each cut):
     :func:`elbow_stack`'s curve for a stack of one, so each W(k) is
     ``within_cluster_variance(points, dendrogram.cut(k))`` bit for bit.
-
-    ``keep_absorbed_sse`` leaves a merged-away child's value in the
-    total — the verify harness's ``stale-curve-child`` planted defect,
-    which only the ``variance-curve-equivalence`` invariant sets.
 
     Raises ``ValueError`` on a ``k_max`` below 1, on empty, non-2-D or
     non-finite ``points``, like :func:`linkage`, and on a row count
     other than the dendrogram's.
     """
-    return elbow_stack([points], [dendrogram], k_max,
-                       keep_absorbed_sse=keep_absorbed_sse)[0].curve
+    return elbow_stack([points], [dendrogram], k_max)[0].curve
 
 
 def elbow_k(points: np.ndarray, dendrogram: Dendrogram,

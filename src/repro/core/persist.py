@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Tuple
 
 from ..codelets.codelet import BenchmarkSuite
 from ..codelets.finder import find_suite_codelets
@@ -42,20 +42,9 @@ class ReducedSuiteManifest:
 
     # -- (de)serialisation ----------------------------------------------------
 
-    def to_json(self, float_digits: Optional[int] = None) -> str:
-        """Serialise the manifest.
-
-        ``float_digits`` rounds reference times and coverages before
-        writing — a deliberate lossy-serialisation defect for the
-        verify harness (``--break round-manifest-floats``), whose
-        detection the ``manifest-round-trip`` invariant is responsible
-        for.  Production callers never set it: JSON round-trips Python
-        floats exactly via ``repr`` shortest-round-trip encoding.
-        """
-        def f(value: float) -> float:
-            return value if float_digits is None \
-                else round(value, float_digits)
-
+    def to_json(self) -> str:
+        """Serialise the manifest.  JSON round-trips Python floats
+        exactly via ``repr`` shortest-round-trip encoding."""
         return json.dumps({
             "format_version": FORMAT_VERSION,
             "suite_name": self.suite_name,
@@ -63,11 +52,10 @@ class ReducedSuiteManifest:
             "feature_names": list(self.feature_names),
             "clusters": [list(c) for c in self.clusters],
             "representatives": list(self.representatives),
-            "ref_seconds": {k: f(v)
-                            for k, v in self.ref_seconds.items()},
+            "ref_seconds": self.ref_seconds,
             "invocations": self.invocations,
             "apps": self.apps,
-            "coverage": {k: f(v) for k, v in self.coverage.items()},
+            "coverage": self.coverage,
         }, indent=2, sort_keys=True)
 
     @classmethod

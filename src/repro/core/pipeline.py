@@ -66,22 +66,14 @@ class SubsettingConfig:
     :data:`MIN_TOTAL_CYCLES` filter of Step B, the
     :data:`ILL_BEHAVED_TOLERANCE` of Step D and the
     :data:`ELBOW_K_MAX` of the elbow sweep.
-
-    ``normalize_features`` exists for the verification harness
-    (:mod:`repro.verify`): switching it off clusters on raw feature
-    values, a deliberate defect whose detection the feature-scaling
-    invariant is responsible for.  Production runs never change it.
     """
 
     feature_names: Tuple[str, ...] = TABLE2_FEATURES
     runtime: RuntimeConfig = RuntimeConfig()
-    normalize_features: bool = True
 
     def rows(self, features: FeatureMatrix) -> np.ndarray:
-        """Step C's rows: z-scored unless ``normalize_features`` is off."""
-        if self.normalize_features:
-            return features.normalized()
-        return np.array(features.values, dtype=float)
+        """Step C's rows: the z-scored features."""
+        return features.normalized()
 
 
 def cluster_and_select(profiles: Sequence[CodeletProfile], rows: np.ndarray,

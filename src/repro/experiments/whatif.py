@@ -25,7 +25,6 @@ import numpy as np
 
 from ..analysis.arch_independent import arch_independent_matrix
 from ..core.pipeline import cluster_and_select
-from ..core.representatives import ill_behaved_codelets
 from ..machine.architecture import HASWELL, Architecture
 from ..machine.noise import median
 from .context import ExperimentContext
@@ -66,7 +65,7 @@ def run_whatif(ctx: ExperimentContext, k: int = 16,
                target: Architecture = HASWELL) -> WhatIfResult:
     profiles = ctx.nas.profiling().profiles
     by_name = {p.name: p for p in profiles}
-    ill_behaved = ill_behaved_codelets(profiles, ctx.measurer)
+    ill_behaved, ineligible = ctx.nas.fidelity()
     real = {p.name: ctx.measurer.measure_inapp(p.codelet, target)
             for p in profiles}
     rows = []
@@ -74,7 +73,8 @@ def run_whatif(ctx: ExperimentContext, k: int = 16,
             ("reference-trained (Table 2)", ctx.nas.feature_matrix()),
             ("architecture-independent", arch_independent_matrix(profiles))):
         _, selection, model = cluster_and_select(
-            profiles, features.normalized(), k, ill_behaved)
+            profiles, features.normalized(), k, ill_behaved,
+            frozenset(ineligible))
         rep_times = {r: ctx.measurer.benchmark_standalone(
             by_name[r].codelet, target).per_invocation_s
             for r in selection.representatives}

@@ -126,32 +126,24 @@ def _permutation_conflict(ctx: AnalysisContext, chain: Sequence[Loop],
 
 
 def interchange_verdict(ctx: AnalysisContext, chain: Sequence[Loop],
-                        i: int = 0, j: int = 1, *,
-                        ignore_directions: bool = False) -> LegalityVerdict:
-    """Legality of swapping ``chain[i]`` and ``chain[j]``.
-
-    ``ignore_directions`` is the hook for the planted
-    ``interchange-ignores-direction`` verify defect: it skips the
-    direction-vector test entirely, declaring every structurally
-    possible interchange legal.
-    """
+                        i: int = 0, j: int = 1) -> LegalityVerdict:
+    """Legality of swapping ``chain[i]`` and ``chain[j]``."""
     chain = tuple(chain)
     target = (f"loops {ctx.loop_label(chain[i])}<->"
               f"{ctx.loop_label(chain[j])} of nest "
               f"{nest_label(ctx, chain)}")
     perm = list(range(len(chain)))
     perm[i], perm[j] = perm[j], perm[i]
-    if not ignore_directions:
-        conflict = _permutation_conflict(ctx, chain, perm)
-        if conflict is not None:
-            edge, vec = conflict
-            pair = (f"({vec[i]}, {vec[j]}) in the swapped pair "
-                    f"({ctx.loop_label(chain[i])}, "
-                    f"{ctx.loop_label(chain[j])})")
-            return LegalityVerdict(
-                "interchange", target, ILLEGAL,
-                reason=f"dependence direction {pair}",
-                blocking=_format_blocking(ctx, edge, vec, chain))
+    conflict = _permutation_conflict(ctx, chain, perm)
+    if conflict is not None:
+        edge, vec = conflict
+        pair = (f"({vec[i]}, {vec[j]}) in the swapped pair "
+                f"({ctx.loop_label(chain[i])}, "
+                f"{ctx.loop_label(chain[j])})")
+        return LegalityVerdict(
+            "interchange", target, ILLEGAL,
+            reason=f"dependence direction {pair}",
+            blocking=_format_blocking(ctx, edge, vec, chain))
     return LegalityVerdict(
         "interchange", target, LEGAL,
         reason="every dependence keeps its lexicographic sign")

@@ -1,7 +1,7 @@
 """The rewrite registry: interchange, strip-mine, tile, fuse, unroll.
 
-Each pass is a named function ``(kernel, param, force,
-ignore_directions) -> (kernel', records)`` registered with
+Each pass is a named function ``(kernel, param, force) ->
+(kernel', records)`` registered with
 :func:`rewrite_pass`.  A pass walks the kernel's outermost nests, asks
 :mod:`~repro.ir.rewrite.legality` for a verdict per target, and applies
 the rewrite only when the verdict is legal (or when ``force`` overrides
@@ -66,7 +66,7 @@ class TransformRecord:
         return line
 
 
-RunFn = Callable[[Kernel, Optional[int], bool, bool],
+RunFn = Callable[[Kernel, Optional[int], bool],
                  Tuple[Kernel, List[TransformRecord]]]
 
 
@@ -116,8 +116,7 @@ def _record(kernel: Kernel, pass_name: str,
     "interchange",
     "swap the two outermost loops of each >=2-deep perfect nest "
     "(legal iff no dependence direction flips lexicographic sign)")
-def run_interchange(kernel: Kernel, param: Optional[int], force: bool,
-                    ignore_directions: bool):
+def run_interchange(kernel: Kernel, param: Optional[int], force: bool):
     ctx = AnalysisContext(kernel)
     records: List[TransformRecord] = []
     out = kernel
@@ -137,8 +136,7 @@ def run_interchange(kernel: Kernel, param: Optional[int], force: bool,
                 "triangular bounds: the swapped loop's bounds depend "
                 "on the loop it would move inside"), force))
             continue
-        verdict = interchange_verdict(
-            ctx, chain, 0, 1, ignore_directions=ignore_directions)
+        verdict = interchange_verdict(ctx, chain, 0, 1)
         record = _record(kernel, "interchange", verdict, force)
         records.append(record)
         if record.applied:
@@ -155,8 +153,7 @@ def run_interchange(kernel: Kernel, param: Optional[int], force: bool,
     "split each outermost loop into tile/point loops of the given "
     "width (always legal: iteration order is preserved)",
     parametric=True)
-def run_stripmine(kernel: Kernel, param: Optional[int], force: bool,
-                  ignore_directions: bool):
+def run_stripmine(kernel: Kernel, param: Optional[int], force: bool):
     width = param or 0
     ctx = AnalysisContext(kernel)
     records: List[TransformRecord] = []
@@ -195,8 +192,7 @@ def run_stripmine(kernel: Kernel, param: Optional[int], force: bool,
     "block each perfect rectangular nest with square tiles of the "
     "given width (legal iff the band is fully permutable)",
     parametric=True)
-def run_tile(kernel: Kernel, param: Optional[int], force: bool,
-             ignore_directions: bool):
+def run_tile(kernel: Kernel, param: Optional[int], force: bool):
     width = param or 0
     ctx = AnalysisContext(kernel)
     records: List[TransformRecord] = []
@@ -246,8 +242,7 @@ def run_tile(kernel: Kernel, param: Optional[int], force: bool,
     "fuse",
     "merge adjacent top-level loops with identical bounds (legal iff "
     "no fusion-preventing backward dependence)")
-def run_fuse(kernel: Kernel, param: Optional[int], force: bool,
-             ignore_directions: bool):
+def run_fuse(kernel: Kernel, param: Optional[int], force: bool):
     ctx = AnalysisContext(kernel)
     records: List[TransformRecord] = []
     stmts = list(kernel.body)
@@ -310,8 +305,7 @@ def run_fuse(kernel: Kernel, param: Optional[int], force: bool,
     "unroll the innermost loop of each perfect nest by the given "
     "factor (always legal: iteration order is preserved)",
     parametric=True)
-def run_unroll(kernel: Kernel, param: Optional[int], force: bool,
-               ignore_directions: bool):
+def run_unroll(kernel: Kernel, param: Optional[int], force: bool):
     factor = param or 0
     ctx = AnalysisContext(kernel)
     records: List[TransformRecord] = []

@@ -75,21 +75,19 @@ def parse_pass_specs(specs: Sequence[str]) -> Tuple[PassSpec, ...]:
 
 def transform_kernel(kernel: Kernel, specs: Sequence[PassSpec], *,
                      force: bool = False,
-                     ignore_directions: bool = False,
                      ) -> Tuple[Kernel, Tuple[TransformRecord, ...]]:
     """Run the pipeline over one kernel, left to right."""
     records: List[TransformRecord] = []
     out = kernel
     for spec in specs:
         rp = REWRITE_REGISTRY[spec.name]
-        out, recs = rp.run(out, spec.param, force, ignore_directions)
+        out, recs = rp.run(out, spec.param, force)
         records.extend(recs)
     return out, tuple(records)
 
 
 def transform_suite(suite, specs: Sequence[PassSpec], *,
-                    force: bool = False,
-                    ignore_directions: bool = False):
+                    force: bool = False):
     """Map every codelet variant of ``suite`` through the pipeline.
 
     Returns ``(suite', records, n_kernels)``.  Regions keep their
@@ -107,9 +105,8 @@ def transform_suite(suite, specs: Sequence[PassSpec], *,
                 variants = []
                 for kernel in region.variants:
                     n_kernels += 1
-                    new_kernel, recs = transform_kernel(
-                        kernel, specs, force=force,
-                        ignore_directions=ignore_directions)
+                    new_kernel, recs = transform_kernel(kernel, specs,
+                                                        force=force)
                     variants.append(new_kernel)
                     records.extend(recs)
                 regions.append(replace(region,

@@ -266,8 +266,8 @@ def clear_lowering_memo() -> None:
 
 
 def compile_kernel(kernel: Kernel,
-                   options: CompilerOptions = CompilerOptions(), *,
-                   unresolved_independent: bool = False) -> CompiledKernel:
+                   options: CompilerOptions = CompilerOptions()
+                   ) -> CompiledKernel:
     """Lower ``kernel`` for one target ISA (memoized).
 
     Keyed by the kernel's content fingerprint
@@ -275,14 +275,8 @@ def compile_kernel(kernel: Kernel,
     options, so a hit is guaranteed to describe a structurally
     identical kernel.  On a hit for a *different* kernel object the
     result is re-attached to the caller's kernel (nest analyses are
-    content-determined, so they transfer).
-
-    ``unresolved_independent`` plants the ``vectorize-unresolved``
-    defect of ``repro verify``: dependences the solver cannot resolve
-    are treated as absent.  Such lowerings bypass the memo."""
+    content-determined, so they transfer)."""
     global _memo_hits, _memo_misses
-    if unresolved_independent:
-        return _lower(kernel, options, unresolved_independent=True)
     key = (kernel_fingerprint(kernel), options)
     hit = _LOWERING_MEMO.get(key)
     if hit is not None:
@@ -297,8 +291,7 @@ def compile_kernel(kernel: Kernel,
     return compiled
 
 
-def _lower(kernel: Kernel, options: CompilerOptions, *,
-           unresolved_independent: bool = False) -> CompiledKernel:
+def _lower(kernel: Kernel, options: CompilerOptions) -> CompiledKernel:
     """The actual lowering pipeline (un-memoized)."""
     nests = analyze_nests(kernel)
     ctx = AnalysisContext(kernel)
@@ -308,8 +301,7 @@ def _lower(kernel: Kernel, options: CompilerOptions, *,
         inner_var = nest.inner_var
         inner_stores = [s for s, _ in walk_statements(inner)
                         if isinstance(s, Store)]
-        deps = analyze_dependences(
-            ctx, inner, unresolved_independent=unresolved_independent)
+        deps = analyze_dependences(ctx, inner)
         dtype = _dominant_dtype(inner_stores)
 
         vf = sse_width(dtype, options.isa.vec_bits)

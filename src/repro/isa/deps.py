@@ -125,27 +125,22 @@ def _expr_op_chain(expr: Expr) -> Tuple[Tuple[OpClass, DType], ...]:
 
 
 def _inner_flow_distance(ctx: AnalysisContext, store: AccessSite,
-                         load: AccessSite,
-                         unresolved_independent: bool) -> Optional[int]:
+                         load: AccessSite) -> Optional[int]:
     """Distance ``d > 0`` at which ``load`` reads, on the innermost
     loop, what ``store`` wrote; None if no such flow dependence exists.
-
-    An unresolved pair counts as distance 1 unless
-    ``unresolved_independent`` (the planted ``vectorize-unresolved``
-    defect of ``repro verify``) treats it as independent.
-    """
+    An unresolved pair counts as distance 1."""
     if load.array.name != store.array.name:
         return None
     dep = ctx.dependence_between(store, load)
     if dep is None:
         return None
     if dep.kind == "overlap":
-        return None if unresolved_independent else 1
+        return 1
     *outer, d = dep.distance
     if any(o is not FREE and o != 0 for o in outer):
         return None                       # carried by an outer loop only
     if d is FREE:
-        return None if unresolved_independent else 1
+        return 1
     return d if d > 0 else None
 
 
@@ -158,8 +153,7 @@ def _stores_location(ctx: AnalysisContext, load: AccessSite,
             and owner.indices == store.indices)
 
 
-def analyze_dependences(ctx: AnalysisContext, inner: Loop, *,
-                        unresolved_independent: bool = False) -> DepInfo:
+def analyze_dependences(ctx: AnalysisContext, inner: Loop) -> DepInfo:
     """Analyse loop-carried dependences of ``inner``, an innermost loop
     of ``ctx.kernel``."""
     inner_var = inner.var.name
@@ -188,8 +182,7 @@ def analyze_dependences(ctx: AnalysisContext, inner: Loop, *,
                        if not _stores_location(ctx, load, store)]
         # Cross-iteration flow dependences against the loads in the body.
         for load in checked:
-            d = _inner_flow_distance(ctx, site, load,
-                                     unresolved_independent)
+            d = _inner_flow_distance(ctx, site, load)
             if d is not None:
                 owner, _ = ctx.stores[load.store_ordinal]
                 recurrences.append(Recurrence(

@@ -20,15 +20,10 @@ from .tracer import Span, Tracer
 
 
 class Observation:
-    """One run's tracer + metrics registry, created together.
+    """One run's tracer + metrics registry, created together."""
 
-    ``wall_clock`` is forwarded to the tracer and exists only for the
-    ``trace-wall-clock`` injected defect; production observations are
-    wall-clock-free so replays serialise byte-identically.
-    """
-
-    def __init__(self, wall_clock: bool = False):
-        self.tracer = Tracer(wall_clock=wall_clock)
+    def __init__(self):
+        self.tracer = Tracer()
         self.metrics = MetricsRegistry()
 
     # -- tracer conveniences --------------------------------------------------
@@ -38,15 +33,6 @@ class Observation:
 
     def event(self, name: str, **attrs: Any) -> Span:
         return self.tracer.event(name, **attrs)
-
-    # -- export ---------------------------------------------------------------
-
-    def save(self, trace_path: Optional[str] = None,
-             metrics_path: Optional[str] = None) -> None:
-        if trace_path:
-            self.tracer.save(trace_path)
-        if metrics_path:
-            self.metrics.save(metrics_path)
 
 
 #: The observation CLI invocations (and anything else that opts in via

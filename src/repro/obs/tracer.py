@@ -9,16 +9,11 @@ inputs (suite content, seed, fault plan), so replaying a run serialises
 to a byte-identical trace — the property the ``trace-replay`` verify
 invariant enforces.  Where a span carries a "time", it is *modelled*
 time from the analytical machine model, which is deterministic.
-
-``wall_clock=True`` deliberately breaks that contract by stamping every
-span with ``time.perf_counter`` values; it exists only as the injected
-defect behind ``repro verify --break trace-wall-clock``.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List
 
@@ -74,8 +69,7 @@ class Span:
 class Tracer:
     """Builds the span tree; spans nest via the context-manager API."""
 
-    def __init__(self, wall_clock: bool = False):
-        self.wall_clock = wall_clock
+    def __init__(self):
         self.roots: List[Span] = []
         self._stack: List[Span] = []
 
@@ -93,19 +87,14 @@ class Tracer:
         span = Span(name, **attrs)
         self._attach(span)
         self._stack.append(span)
-        start = time.perf_counter() if self.wall_clock else None
         try:
             yield span
         finally:
-            if start is not None:
-                span.set("wall_s", time.perf_counter() - start)
             self._stack.pop()
 
     def event(self, name: str, **attrs: Any) -> Span:
         """Record a leaf span (no children) under the current span."""
         span = Span(name, **attrs)
-        if self.wall_clock:
-            span.set("wall_s", time.perf_counter())
         self._attach(span)
         return span
 

@@ -22,8 +22,7 @@ package supplies the corresponding machinery:
   structured :class:`RunHealth` report;
 * :mod:`~repro.runtime.config` — :class:`RuntimeConfig`, the knob bundle
   wired through :class:`repro.core.pipeline.SubsettingConfig` and the
-  CLI (``--jobs``, ``--cache-dir``, ``--retries``, ``--fault-plan``,
-  ``--strict``).
+  CLI (``--jobs``, ``--cache-dir``, ``--retries``, ``--fault-plan``).
 
 This package deliberately depends only on :mod:`repro.ir` and
 :mod:`repro.machine`; the codelet and core layers import *it*.

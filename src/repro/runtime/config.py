@@ -3,7 +3,7 @@
 :class:`RuntimeConfig` is carried by
 :class:`repro.core.pipeline.SubsettingConfig` and surfaced on the CLI as
 ``--jobs`` / ``--cache-dir`` plus the resilience flags ``--retries`` /
-``--fault-plan`` / ``--strict``.
+``--fault-plan``.
 The defaults (serial, no cache, two retries, no faults) reproduce the
 historical results exactly: with no faults to recover from, the
 resilient path computes bit-identical values to the plain one.
@@ -39,17 +39,12 @@ class RuntimeConfig:
     fault_plan:
         Deterministic fault injection (``--fault-plan``); ``None`` in
         production.
-    strict:
-        Escalate graceful degradation (quarantines, cache poisoning,
-        destroyed clusters) into a non-zero CLI exit instead of a
-        health-report footnote.
     """
 
     jobs: int = 1
     cache_dir: Optional[str] = None
     retries: int = 2
     fault_plan: Optional[FaultPlan] = None
-    strict: bool = False
 
     def make_executor(self) -> Executor:
         """A fresh executor for ``jobs`` (use as a context manager)."""

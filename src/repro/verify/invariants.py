@@ -7,100 +7,21 @@ executed by ``repro verify`` on seeded synthetic suites and by the
 raises :class:`InvariantViolation` with a report that names the
 violated property and the witnessing values.
 
-Registered invariants (see ``repro verify --list``):
-
-``normalized-features``
-    Clustering consumes z-scored rows, so changing a feature's *unit*
-    (scaling a raw column) never changes the partition.
-``permutation-invariance``
-    Relabeling/reordering codelets permutes nothing but indices: the
-    cluster partition, representative set and per-codelet predictions
-    are unchanged.
-``exact-when-k-equals-n``
-    With K = N well-behaved codelets the model matrix is the identity,
-    so extrapolation ``t_all = M · t_repr`` is exact — zero error.
-``variance-monotone``
-    Total within-cluster variance is non-increasing as K grows.
-``representative-membership``
-    Every representative is a member of the cluster it represents, and
-    cluster assignments are a consistent partition of the profiles.
-``ill-behaved-never-representative``
-    Reselection never picks an ineligible (ill-behaved) codelet, and
-    the ill-behaved list agrees with an independent fidelity re-check.
-``cache-determinism``
-    A warm-cache re-run re-profiles nothing and is bit-identical to
-    the cold run.
-``measure-once``
-    A measurer that has already answered every (codelet, target, run)
-    returns exactly what a fresh measurer returns for each, in-app and
-    standalone.
-``footprint-once``
-    A cache-model run on loop nests whose footprint tables are already
-    filled, at several line sizes, returns bit for bit what a run on
-    freshly analyzed nests returns.
-``lint-determinism``
-    The static-analysis lint passes are a pure function of the IR: two
-    fresh builds of the same seeded suite serialise to byte-identical
-    lint reports, and every canary kernel yields exactly its expected
-    diagnostic codes.
-``ga-selection``
-    GA feature selection is deterministic for a fixed seed, and the
-    selected subset never scores worse than the full feature set on
-    the training criterion.
-``manifest-round-trip``
-    A manifest survives export → JSON → import bit-for-bit: dataclass
-    equality, byte-identical re-serialisation, identical predictions.
-``resilience-replay``
-    A failure-free resilient run is bit-identical to the fail-fast
-    path; replaying a fault plan yields a byte-identical health report
-    and identical degraded results; transient faults that recover
-    leave the reduction untouched.
-``trace-replay``
-    Traces and metrics are wall-clock-free pure functions of the run
-    inputs: replaying a run (clean or under a fault plan) serialises
-    to byte-identical trace and metrics JSON, and no span smuggles in
-    a wall-clock attribute.
-``clustering-equivalence``
-    The vectorized greedy linkage is bit-compatible with the O(n³)
-    reference loop: identical merges, bit-identical heights, identical
-    ``cut(k)`` labels for every k — including on exact distance ties.
-``stacked-linkage-equivalence``
-    Every dendrogram of a stack of point sets linked side by side is
-    the reference loop's dendrogram of its own set, bit for bit.
-``variance-curve-equivalence``
-    The one-pass W(k) curve is bit-identical to re-cutting the
-    dendrogram at every k and summing ``within_cluster_variance``.
-``stacked-elbow-equivalence``
-    Every elbow of a stack of point sets cut side by side is its own
-    set's reference, bit for bit: W(k) at every cut, and each
-    cluster's centroid distances at the elbow K.
-``transform-equivalence``
-    Every legally-applied loop rewrite is semantics-preserving: the
-    interpreter output of each transformed canary kernel is
-    bit-identical to the original over seeded storage, and every
-    registered rewrite is exercised by at least one legal canary.
-``transform-legality``
-    Every rewrite application is justified: canary verdicts match their
-    pinned expectations (illegal ones naming the blocking dependence),
-    applied records carry legal verdicts, and force-applying the pinned
-    illegal interchange demonstrably changes results.
-``compiler-dependence-agreement``
-    The compiler's pairwise dependence queries and the solver's edge
-    graph agree: no innermost loop the compiler vectorizes holds a
-    store/load edge that may be a flow dependence carried on that loop
-    (reduction accumulations excepted, but not a running prefix that
-    reads the accumulator elsewhere).
-``median-equivalence``
-    The shared :func:`~repro.machine.noise.median` equals
-    ``np.median`` bit for bit: on lists and arrays of odd and even
-    length with ties, on measured samples, row by row on matrices, and
-    where a NaN is present.
+Each invariant's contract is the description it registers with
+:func:`invariant`; ``repro verify --list`` prints them all, and
+docs/VERIFY.md explains each.  :data:`BREAKAGES` holds the deliberate
+defects that prove the invariants bite.  Each is planted inside the
+invariant that owns it, through an input that can carry it or by
+:func:`_planted`, so no production signature knows a defect exists.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import tempfile
+import time
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -110,6 +31,7 @@ from ..codelets.codelet import Codelet
 from ..codelets.finder import find_suite_codelets
 from ..codelets.measurement import ILL_BEHAVED_TOLERANCE, Measurer
 from ..codelets.profiling import profile_codelets
+from ..core import clustering
 from ..core.clustering import (ELBOW_K_MAX, Dendrogram, elbow_stack,
                                linkage, linkage_reference, linkage_stack,
                                variance_curve, ward_linkage,
@@ -119,13 +41,15 @@ from ..core.ga import INIT_DENSITY, GAConfig
 from ..core.pipeline import (BenchmarkReducer, ReducedSuite,
                              SubsettingConfig, cluster_and_select)
 from ..core.representatives import ill_behaved_codelets
+from ..ir.dependence import FREE
 from ..ir.traverse import NestAnalysis, analyze_nests
-from ..isa.compiler import compile_kernel
+from ..isa import deps
+from ..isa.compiler import clear_lowering_memo, compile_kernel
 from ..machine.architecture import NEHALEM, REFERENCE, TARGETS
 from ..machine.cache_model import CacheProfile, analyze_cache
 from ..machine.noise import NoiseModel, median
 from ..machine.platform import default_options
-from ..obs import Observation
+from ..obs import Observation, Tracer
 from ..runtime.config import RuntimeConfig
 from ..runtime.faults import FaultPlan, FaultRule
 from .strategies import (FEATURE_MATRIX_VARIANTS, _feature_matrix,
@@ -169,6 +93,98 @@ class InvariantResult:
     detail: str = ""
 
 
+@contextmanager
+def _planted(module, name: str, replacement: Callable, *,
+             reset: Callable[[], None] = lambda: None):
+    """Plant a defect of :data:`BREAKAGES` for the length of the block:
+    swap ``module.name`` for ``replacement``, which takes the original
+    function as its first argument; ``reset`` runs on entry and on
+    exit.  Raises ``AttributeError`` if ``module`` has no ``name``, so
+    a renamed function cannot leave a defect silently unplanted."""
+    original = getattr(module, name)
+    reset()
+    setattr(module, name, functools.partial(replacement, original))
+    try:
+        yield
+    finally:
+        setattr(module, name, original)
+        reset()
+
+
+class _RawRowsConfig(SubsettingConfig):
+    """The ``no-normalize`` planted defect: Step C clusters the raw
+    feature values instead of their z-scores."""
+
+    def rows(self, features: FeatureMatrix) -> np.ndarray:
+        return np.array(features.values, dtype=float)
+
+
+class _WallClockTracer(Tracer):
+    """The ``trace-wall-clock`` planted defect: a tracer that stamps
+    every span with a ``time.perf_counter`` value."""
+
+    def _attach(self, span) -> None:
+        span.set("wall_s", time.perf_counter())
+        super()._attach(span)
+
+
+def _skewed_lw_update(original, d, size, alive, rows, a, b, dist,
+                      method) -> None:
+    """The ``slow-path-skew`` planted defect: the Ward update with its
+    ``(n_a + n_k)`` coefficient scaled by ``1 + 1e-3``."""
+    if method != "ward":
+        return original(d, size, alive, rows, a, b, dist, method)
+    live = alive.copy()
+    live[rows, a] = False
+    live[rows, b] = False
+    sa, sb, sk = size[rows, a][:, None], size[rows, b][:, None], size
+    new = (((sa + sk) * (1.0 + 1e-3)) * d[rows, a] + (sb + sk) * d[rows, b]
+           - sk * dist[:, None]) / (sa + sb + sk)
+    new = np.where(live, new, np.inf)
+    d[rows, a, :] = new
+    d[rows, :, a] = new
+    d[rows, b, :] = np.inf
+    d[rows, :, b] = np.inf
+
+
+def _shared_first_minima(original, d) -> np.ndarray:
+    """The ``stack-shares-argmin`` planted defect: every matrix of a
+    linkage stack merges at matrix 0's first minimum."""
+    first = original(d)
+    return np.full_like(first, first[0])
+
+
+def _stale_w_curve(original, k_max, order, values, live_from,
+                   live_to) -> List[float]:
+    """The ``stale-curve-child`` planted defect: W(k) keeps each
+    merged-away child, the later in ``order`` of the two clusters one
+    merge retires, at every cut down to k = 1."""
+    live_from = list(live_from)
+    retired = set()
+    for c in order:
+        if live_from[c] in retired:
+            live_from[c] = 1
+        elif live_from[c] > 1:
+            retired.add(live_from[c])
+    return original(k_max, order, values, live_from, live_to)
+
+
+def _unresolved_as_independent(original, ctx, store, load):
+    """The ``vectorize-unresolved`` planted defect: a pair the solver
+    cannot resolve is independent, not a recurrence at distance 1."""
+    d = original(ctx, store, load)
+    if d is not None:
+        dep = ctx.dependence_between(store, load)
+        if dep.kind == "overlap" or dep.distance[-1] is FREE:
+            return None
+    return d
+
+
+def _no_permutation_conflict(original, ctx, chain, perm):
+    """The ``interchange-ignores-direction`` planted defect."""
+    return None
+
+
 class _RunBlindMeasurer(Measurer):
     """The ``memo-drops-run-id`` planted defect: a measurement memo
     keyed without ``run_id``."""
@@ -210,26 +226,23 @@ MIXED_LINES = replace(NEHALEM, name="mixed-lines", caches=tuple(
 class VerifyContext:
     """One seeded synthetic suite plus everything invariants need.
 
-    ``breakage`` plants a named, deliberate defect, a row of
-    :data:`BREAKAGES`; each plant site asks :meth:`broken` whether its
-    defect is the planted one, so the harness can show that exactly
-    the row's invariants catch it.
+    ``breakage`` names a deliberate defect, a row of :data:`BREAKAGES`;
+    each invariant that owns a defect asks :meth:`broken` whether it is
+    the named one and plants it for its own length, so the harness can
+    show that exactly the row's invariants catch it.
     """
 
     def __init__(self, seed: int = 0, n_apps: int = 3,
                  codelets_per_app: int = 4,
-                 breakage: Optional[str] = None,
-                 config: Optional[SubsettingConfig] = None):
+                 breakage: Optional[str] = None):
         self.seed = seed
         self.n_apps = n_apps
         self.codelets_per_app = codelets_per_app
         self.breakage = None if breakage is None else _known(breakage)
         self.suite = synthetic_suite(seed, n_apps, codelets_per_app)
         self.codelets = find_suite_codelets(self.suite)
-        base = config if config is not None else SubsettingConfig()
-        if self.broken("no-normalize"):
-            base = replace(base, normalize_features=False)
-        self.config = base
+        self.config = (_RawRowsConfig() if self.broken("no-normalize")
+                       else SubsettingConfig())
         self.measurer = Measurer()
         self._reduced: Optional[ReducedSuite] = None
 
@@ -237,6 +250,12 @@ class VerifyContext:
         """Whether the defect ``name`` of :data:`BREAKAGES` is planted;
         a name the table lacks raises ``ValueError``."""
         return self.breakage == _known(name)
+
+    def planted(self, name: str, *plant, **kwargs):
+        """``_planted(*plant, **kwargs)`` if the defect ``name`` is the
+        planted one, else a block that changes nothing."""
+        return (_planted(*plant, **kwargs) if self.broken(name)
+                else nullcontext())
 
     # -- pipeline runs --------------------------------------------------------
 
@@ -672,9 +691,13 @@ def check_ga_selection(ctx: VerifyContext) -> None:
 def check_manifest_round_trip(ctx: VerifyContext) -> None:
     from ..core.persist import ReducedSuiteManifest, export_manifest
 
-    digits = 5 if ctx.broken("round-manifest-floats") else None
     manifest = export_manifest(ctx.reduced)
-    text = manifest.to_json(float_digits=digits)
+    written = manifest
+    if ctx.broken("round-manifest-floats"):
+        written = replace(manifest, ref_seconds={
+            k: round(v, 5) for k, v in manifest.ref_seconds.items()},
+            coverage={k: round(v, 5) for k, v in manifest.coverage.items()})
+    text = written.to_json()
     loaded = ReducedSuiteManifest.from_json(text)
     if loaded != manifest:
         fields = [name for name in ("ref_seconds", "coverage",
@@ -685,7 +708,7 @@ def check_manifest_round_trip(ctx: VerifyContext) -> None:
             "manifest-round-trip: the imported manifest differs from "
             f"the exported one in {fields or ['metadata']} — "
             "serialisation is lossy (are floats being rounded?)")
-    again = loaded.to_json(float_digits=digits)
+    again = loaded.to_json()
     if again != text:
         raise InvariantViolation(
             "manifest-round-trip: re-serialising the imported manifest "
@@ -790,7 +813,9 @@ def check_resilience_replay(ctx: VerifyContext) -> None:
     "no span carries a wall-clock attribute")
 def check_trace_replay(ctx: VerifyContext) -> None:
     def traced_run(runtime: RuntimeConfig):
-        obs = Observation(wall_clock=ctx.broken("trace-wall-clock"))
+        obs = Observation()
+        if ctx.broken("trace-wall-clock"):
+            obs.tracer = _WallClockTracer()
         reducer = BenchmarkReducer(ctx.suite, Measurer(),
                                    replace(ctx.config, runtime=runtime),
                                    obs=obs)
@@ -886,18 +911,17 @@ def _assert_same_dendrogram(name: str, label: str, got: Dendrogram,
     "reference loop on every method and tie structure: identical "
     "merges, bit-identical heights, identical cut(k) for all k")
 def check_clustering_equivalence(ctx: VerifyContext) -> None:
-    skew = 1e-3 if ctx.broken("slow-path-skew") else 0.0
-    for variant in FEATURE_MATRIX_VARIANTS:
-        for rows in (12, 26):
-            points = _feature_matrix(ctx.seed + rows, rows, 4, variant)
-            for method in ("ward", "single", "complete", "average"):
-                got = linkage(points, method=method,
-                              ward_coeff_skew=(skew if method == "ward"
-                                               else 0.0))
-                want = linkage_reference(points, method=method)
-                _assert_same_dendrogram(
-                    "clustering-equivalence",
-                    f"{variant} n={rows} method={method}", got, want)
+    with ctx.planted("slow-path-skew", clustering, "_lw_update_stack",
+                     _skewed_lw_update):
+        for variant in FEATURE_MATRIX_VARIANTS:
+            for rows in (12, 26):
+                points = _feature_matrix(ctx.seed + rows, rows, 4, variant)
+                for method in ("ward", "single", "complete", "average"):
+                    got = linkage(points, method=method)
+                    want = linkage_reference(points, method=method)
+                    _assert_same_dendrogram(
+                        "clustering-equivalence",
+                        f"{variant} n={rows} method={method}", got, want)
 
 
 @invariant(
@@ -906,25 +930,25 @@ def check_clustering_equivalence(ctx: VerifyContext) -> None:
     "bit-identical to the reference loop on its own set, on every "
     "method and tie structure")
 def check_stacked_linkage_equivalence(ctx: VerifyContext) -> None:
-    shared = ctx.broken("stack-shares-argmin")
-    for rows in (12, 26):
-        for size in (2, 7):
-            # Each set its own tie structure and column count.
-            kinds = [FEATURE_MATRIX_VARIANTS[j % len(FEATURE_MATRIX_VARIANTS)]
-                     for j in range(size)]
-            stack = [_feature_matrix(ctx.seed + 100 * rows + j, rows,
-                                     1 + j % 5, kind)
-                     for j, kind in enumerate(kinds)]
-            for method in ("ward", "single", "complete", "average"):
-                got = linkage_stack(stack, method,
-                                    argmin_from_first=shared)
-                for j, points in enumerate(stack):
-                    _assert_same_dendrogram(
-                        "stacked-linkage-equivalence",
-                        f"set {j} of {size} ({kinds[j]}, "
-                        f"{points.shape[1]} columns) n={rows} "
-                        f"method={method}",
-                        got[j], linkage_reference(points, method=method))
+    with ctx.planted("stack-shares-argmin", clustering, "_first_minima",
+                     _shared_first_minima):
+        for rows in (12, 26):
+            for size in (2, 7):
+                # Each set its own tie structure and column count.
+                kinds = [FEATURE_MATRIX_VARIANTS[
+                    j % len(FEATURE_MATRIX_VARIANTS)] for j in range(size)]
+                stack = [_feature_matrix(ctx.seed + 100 * rows + j, rows,
+                                         1 + j % 5, kind)
+                         for j, kind in enumerate(kinds)]
+                for method in ("ward", "single", "complete", "average"):
+                    got = linkage_stack(stack, method)
+                    for j, points in enumerate(stack):
+                        _assert_same_dendrogram(
+                            "stacked-linkage-equivalence",
+                            f"set {j} of {size} ({kinds[j]}, "
+                            f"{points.shape[1]} columns) n={rows} "
+                            f"method={method}", got[j],
+                            linkage_reference(points, method=method))
 
 
 @invariant(
@@ -934,27 +958,28 @@ def check_stacked_linkage_equivalence(ctx: VerifyContext) -> None:
 def check_variance_curve_equivalence(ctx: VerifyContext) -> None:
     dendrogram = ctx.reduced.dendrogram
     rows = ctx.reduced.normalized_rows
-    stale = ctx.broken("stale-curve-child")
     n = dendrogram.n_leaves
-    for k_max in (None, ELBOW_K_MAX, 1):
-        got = variance_curve(rows, dendrogram, k_max,
-                             keep_absorbed_sse=stale)
-        want = np.array([within_cluster_variance(rows, dendrogram.cut(k))
-                         for k in range(1, min(k_max or n, n) + 1)])
-        if got.shape != want.shape:
-            raise InvariantViolation(
-                f"variance-curve-equivalence: k_max={k_max}: the "
-                f"one-pass curve has {got.size} points, the per-cut "
-                f"curve {want.size}")
-        differ = np.flatnonzero(got.view(np.uint64)
-                                != want.view(np.uint64))
-        if differ.size:
-            k = int(differ[0]) + 1
-            raise InvariantViolation(
-                f"variance-curve-equivalence: k_max={k_max}: W({k}) is "
-                f"{float(got[k - 1])!r} in one pass but "
-                f"{float(want[k - 1])!r} from cut({k}) — the curve must "
-                "be bit-identical, not merely close")
+    with ctx.planted("stale-curve-child", clustering, "_w_curve",
+                     _stale_w_curve):
+        for k_max in (None, ELBOW_K_MAX, 1):
+            got = variance_curve(rows, dendrogram, k_max)
+            want = np.array([within_cluster_variance(rows,
+                                                     dendrogram.cut(k))
+                             for k in range(1, min(k_max or n, n) + 1)])
+            if got.shape != want.shape:
+                raise InvariantViolation(
+                    f"variance-curve-equivalence: k_max={k_max}: the "
+                    f"one-pass curve has {got.size} points, the per-cut "
+                    f"curve {want.size}")
+            differ = np.flatnonzero(got.view(np.uint64)
+                                    != want.view(np.uint64))
+            if differ.size:
+                k = int(differ[0]) + 1
+                raise InvariantViolation(
+                    f"variance-curve-equivalence: k_max={k_max}: W({k}) "
+                    f"is {float(got[k - 1])!r} in one pass but "
+                    f"{float(want[k - 1])!r} from cut({k}) — the curve "
+                    "must be bit-identical, not merely close")
 
 
 #: Column counts of the ``stacked-elbow-equivalence`` sets: none, one
@@ -1045,31 +1070,31 @@ def check_stacked_elbow_equivalence(ctx: VerifyContext) -> None:
 def check_transform_equivalence(ctx: VerifyContext) -> None:
     from ..ir.interp import run_kernel
     from ..ir.rewrite import (REWRITE_REGISTRY, TRANSFORM_CANARIES,
-                              transform_kernel)
+                              legality, transform_kernel)
 
-    ignore = ctx.broken("interchange-ignores-direction")
     exercised = set()
-    for canary in TRANSFORM_CANARIES:
-        kernel = canary.build()
-        transformed, records = transform_kernel(
-            kernel, (canary.spec,), ignore_directions=ignore)
-        if not any(r.applied for r in records):
-            continue
-        exercised.add(canary.spec.name)
-        # Rewrites never touch the array declarations, so the same seed
-        # allocates bit-identical initial storage on both sides.
-        for seed in (ctx.seed + 7, ctx.seed + 8):
-            base = run_kernel(kernel, seed=seed)
-            got = run_kernel(transformed, seed=seed)
-            for name in sorted(base):
-                if base[name].tobytes() != got[name].tobytes():
-                    raise InvariantViolation(
-                        "transform-equivalence: applying "
-                        f"{canary.spec} to canary {canary.name!r} "
-                        f"changed array {name!r} (seed {seed}) — a "
-                        "rewrite its legality verdict endorsed is not "
-                        "semantics-preserving (is the dependence "
-                        "direction check being skipped?)")
+    with ctx.planted("interchange-ignores-direction", legality,
+                     "_permutation_conflict", _no_permutation_conflict):
+        for canary in TRANSFORM_CANARIES:
+            kernel = canary.build()
+            transformed, records = transform_kernel(kernel, (canary.spec,))
+            if not any(r.applied for r in records):
+                continue
+            exercised.add(canary.spec.name)
+            # Rewrites never touch the array declarations, so the same
+            # seed allocates bit-identical initial storage on both sides.
+            for seed in (ctx.seed + 7, ctx.seed + 8):
+                base = run_kernel(kernel, seed=seed)
+                got = run_kernel(transformed, seed=seed)
+                for name in sorted(base):
+                    if base[name].tobytes() != got[name].tobytes():
+                        raise InvariantViolation(
+                            "transform-equivalence: applying "
+                            f"{canary.spec} to canary {canary.name!r} "
+                            f"changed array {name!r} (seed {seed}) — a "
+                            "rewrite its legality verdict endorsed is "
+                            "not semantics-preserving (is the dependence "
+                            "direction check being skipped?)")
     missing = sorted(set(REWRITE_REGISTRY) - exercised)
     if missing:
         raise InvariantViolation(
@@ -1087,47 +1112,48 @@ def check_transform_equivalence(ctx: VerifyContext) -> None:
 def check_transform_legality(ctx: VerifyContext) -> None:
     from ..ir.interp import run_kernel
     from ..ir.rewrite import (FORCED_DIVERGENCE_CANARY,
-                              TRANSFORM_CANARIES, transform_kernel)
+                              TRANSFORM_CANARIES, legality,
+                              transform_kernel)
 
-    ignore = ctx.broken("interchange-ignores-direction")
     by_name = {}
-    for canary in TRANSFORM_CANARIES:
-        by_name[canary.name] = canary
-        kernel = canary.build()
-        _, records = transform_kernel(kernel, (canary.spec,),
-                                      ignore_directions=ignore)
-        if not records:
-            raise InvariantViolation(
-                f"transform-legality: canary {canary.name!r} "
-                f"({canary.spec}) produced no decision records")
-        verdict = records[0].verdict
-        if verdict.status != canary.expected_status:
-            raise InvariantViolation(
-                f"transform-legality: canary {canary.name!r} "
-                f"({canary.spec}) got verdict {verdict.status!r}, "
-                f"expected {canary.expected_status!r} — the legality "
-                "analysis diverged from its pinned ground truth (is "
-                "the dependence-direction check being skipped?)")
-        if canary.blocking_fragment is not None:
-            blocking = verdict.blocking or ""
-            if canary.blocking_fragment not in blocking:
-                raise InvariantViolation(
-                    f"transform-legality: canary {canary.name!r} was "
-                    "refused without naming the blocking dependence "
-                    f"(wanted {canary.blocking_fragment!r} in "
-                    f"{blocking!r})")
-        for record in records:
-            if record.status == "applied" and not record.verdict.legal:
+    with ctx.planted("interchange-ignores-direction", legality,
+                     "_permutation_conflict", _no_permutation_conflict):
+        for canary in TRANSFORM_CANARIES:
+            by_name[canary.name] = canary
+            kernel = canary.build()
+            _, records = transform_kernel(kernel, (canary.spec,))
+            if not records:
                 raise InvariantViolation(
                     f"transform-legality: canary {canary.name!r} "
-                    f"applied {record.pass_name} to {record.target} "
-                    "without a legal verdict")
-            if record.status == "refused" \
-                    and not record.verdict.blocking:
+                    f"({canary.spec}) produced no decision records")
+            verdict = records[0].verdict
+            if verdict.status != canary.expected_status:
                 raise InvariantViolation(
                     f"transform-legality: canary {canary.name!r} "
-                    f"refused {record.pass_name} on {record.target} "
-                    "without citing a blocking dependence")
+                    f"({canary.spec}) got verdict {verdict.status!r}, "
+                    f"expected {canary.expected_status!r} — the legality "
+                    "analysis diverged from its pinned ground truth (is "
+                    "the dependence-direction check being skipped?)")
+            if canary.blocking_fragment is not None:
+                blocking = verdict.blocking or ""
+                if canary.blocking_fragment not in blocking:
+                    raise InvariantViolation(
+                        f"transform-legality: canary {canary.name!r} was "
+                        "refused without naming the blocking dependence "
+                        f"(wanted {canary.blocking_fragment!r} in "
+                        f"{blocking!r})")
+            for record in records:
+                if record.status == "applied" and not record.verdict.legal:
+                    raise InvariantViolation(
+                        f"transform-legality: canary {canary.name!r} "
+                        f"applied {record.pass_name} to {record.target} "
+                        "without a legal verdict")
+                if record.status == "refused" \
+                        and not record.verdict.blocking:
+                    raise InvariantViolation(
+                        f"transform-legality: canary {canary.name!r} "
+                        f"refused {record.pass_name} on {record.target} "
+                        "without citing a blocking dependence")
 
     # The refusal must protect something real: force-applying the
     # pinned illegal interchange (direction check honoured, verdict
@@ -1190,26 +1216,30 @@ def check_compiler_dependence_agreement(ctx: VerifyContext) -> None:
     kernels = ([k for c in ctx.codelets for k in c.variants]
                + [c.build() for c in CANARIES]
                + [c.build() for c in TRANSFORM_CANARIES])
-    for kernel in kernels:
-        compiled = compile_kernel(
-            kernel, options,
-            unresolved_independent=ctx.broken("vectorize-unresolved"))
-        dep_ctx = AnalysisContext(kernel)
-        for nest in compiled.nests:
-            if not nest.vectorized:
-                continue
-            inner = nest.nest.innermost
-            for edge in dep_ctx.dependence_edges:
-                if _may_carry_flow(dep_ctx, edge, inner):
-                    raise InvariantViolation(
-                        "compiler-dependence-agreement: the compiler "
-                        f"vectorizes loop {dep_ctx.loop_label(inner)} of "
-                        f"kernel {kernel.name!r} at VF {nest.vf}, but "
-                        f"dependence {edge.pair_id} on "
-                        f"{edge.source.array.name!r}, directions "
-                        f"{format_directions(dep_ctx, edge)}, may be a "
-                        "flow carried on that loop (does the compiler "
-                        "treat unresolved dependences as independent?)")
+    # The plant clears the lowering memo on entry and on exit, so no
+    # lowering outlives it and none made before it hides it.
+    with ctx.planted("vectorize-unresolved", deps, "_inner_flow_distance",
+                     _unresolved_as_independent, reset=clear_lowering_memo):
+        for kernel in kernels:
+            compiled = compile_kernel(kernel, options)
+            dep_ctx = AnalysisContext(kernel)
+            for nest in compiled.nests:
+                if not nest.vectorized:
+                    continue
+                inner = nest.nest.innermost
+                for edge in dep_ctx.dependence_edges:
+                    if _may_carry_flow(dep_ctx, edge, inner):
+                        raise InvariantViolation(
+                            "compiler-dependence-agreement: the compiler "
+                            "vectorizes loop "
+                            f"{dep_ctx.loop_label(inner)} of kernel "
+                            f"{kernel.name!r} at VF {nest.vf}, but "
+                            f"dependence {edge.pair_id} on "
+                            f"{edge.source.array.name!r}, directions "
+                            f"{format_directions(dep_ctx, edge)}, may be "
+                            "a flow carried on that loop (does the "
+                            "compiler treat unresolved dependences as "
+                            "independent?)")
 
 
 @invariant(

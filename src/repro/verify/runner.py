@@ -29,15 +29,16 @@ def run_verify(seed: int = 0, n_apps: int = 3,
     returned report then documents which invariant caught it (the
     differential cases still run — a defect shared by both sides of a
     pair is exactly what they *cannot* see, which is why the registry
-    exists).
+    exists).  A suite with no codelet left to cluster raises
+    ``ValueError`` before any check runs.
     """
     ctx = VerifyContext(seed=seed, n_apps=n_apps,
                         codelets_per_app=codelets_per_app,
                         breakage=breakage)
+    reduced = ctx.reduced
     invariants = run_registry(ctx, invariant_names)
     differentials = ([] if skip_differential
                      else run_differential(ctx, differential_names))
-    reduced = ctx.reduced
     return VerifyReport(
         seed=seed,
         suite_name=ctx.suite.name,

@@ -291,20 +291,6 @@ class TestElbowStack:
 
 
 class TestValidation:
-    def test_skew_requires_ward(self):
-        with pytest.raises(ValueError, match="ward"):
-            linkage(np.zeros((3, 2)), method="single",
-                    ward_coeff_skew=1e-3)
-
-    def test_skew_changes_the_dendrogram(self):
-        # The planted slow-path-skew defect must actually be observable.
-        rng = np.random.default_rng(11)
-        points = rng.normal(size=(24, 4))
-        plain = linkage(points)
-        skewed = linkage(points, ward_coeff_skew=1e-3)
-        assert any(a.height != b.height
-                   for a, b in zip(plain.merges, skewed.merges))
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
                              ids=["nan", "inf", "-inf"])
     def test_within_cluster_variance_rejects_non_finite(self, bad):

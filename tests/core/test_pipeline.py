@@ -182,11 +182,9 @@ class TestOneStepsCDPath:
     """The verify harness's ``reduce_codelets`` and the reducer run the
     same Steps C-D, so the invariants that call it check the pipeline."""
 
-    @pytest.mark.parametrize("normalize", [True, False])
     @pytest.mark.parametrize("k", ["elbow", 1, 8, 28])
-    def test_reduce_codelets_agrees_with_reducer(self, nr_suite, k,
-                                                 normalize):
-        config = SubsettingConfig(normalize_features=normalize)
+    def test_reduce_codelets_agrees_with_reducer(self, nr_suite, k):
+        config = SubsettingConfig()
         _, _, labels, selection, model = reduce_codelets(
             find_suite_codelets(nr_suite), Measurer(), config, k)
         reduced = BenchmarkReducer(nr_suite, Measurer(), config).reduce(k)

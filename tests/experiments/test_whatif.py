@@ -1,9 +1,14 @@
 """Tests for the Haswell what-if generalisation experiment."""
 
+import json
+
 import pytest
 
-from repro.experiments import run_whatif
+from repro.cli import main
+from repro.core.pipeline import SubsettingConfig, cluster_and_select
+from repro.experiments import ExperimentContext, run_whatif, whatif
 from repro.machine import HASWELL, NEHALEM, run_kernel_model
+from repro.runtime import RuntimeConfig, crash_plan
 from repro.suites import patterns as P
 
 
@@ -52,3 +57,36 @@ class TestWhatIfExperiment:
     def test_format(self, result):
         text = result.format()
         assert "Haswell" in text and "architecture-independent" in text
+
+
+class TestFidelityVerdicts:
+    def test_a_codelet_the_nas_reducer_bars_never_represents(
+            self, ctx, monkeypatch):
+        """What-if takes the NAS reducer's Step D verdicts, so a codelet
+        whose fidelity probe is quarantined represents no cluster."""
+        selections = []
+
+        def spy(*args, **kwargs):
+            labels, selection, model = cluster_and_select(*args, **kwargs)
+            selections.append(selection)
+            return labels, selection, model
+
+        monkeypatch.setattr(whatif, "cluster_and_select", spy)
+        run_whatif(ctx)
+        victim = selections[0].representatives[0]
+        faulty = ExperimentContext(config=SubsettingConfig(
+            runtime=RuntimeConfig(
+                fault_plan=crash_plan(victim, stage="fidelity"))))
+        selections.clear()
+        run_whatif(faulty)
+        assert victim in faulty.nas.fidelity()[1]
+        assert victim not in selections[0].representatives
+
+    def test_standalone_whatif_traces_the_fidelity_stage(self, tmp_path):
+        trace = tmp_path / "trace.json"
+        assert main(["--scale", "0.05", "--trace-out", str(trace),
+                     "whatif"]) == 0
+        names = [span["name"] for span in
+                 json.loads(trace.read_text())["spans"]]
+        assert names == ["stage:profile", "stage:fidelity",
+                         "stage:features"]

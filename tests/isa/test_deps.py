@@ -159,15 +159,6 @@ class TestUnresolvedAndFullTrip:
         assert not nest.vectorized
         assert nest.vf == 1
 
-    def test_treating_unresolved_as_independent_vectorizes_it(self):
-        # The planted ``vectorize-unresolved`` defect of repro verify.
-        compiled = compile_kernel(_strided_self_read(),
-                                  default_options(REFERENCE),
-                                  unresolved_independent=True)
-        nest, = compiled.nests
-        assert nest.vectorized
-        assert nest.vf == 2
-
     def test_reversed_self_read_is_a_recurrence(self):
         b = KernelBuilder("reversed")
         a = b.array("a", (301,), DP)

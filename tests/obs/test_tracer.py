@@ -66,15 +66,6 @@ def test_to_json_is_deterministic_and_wall_clock_free():
     assert data["format"] == TRACE_FORMAT
 
 
-def test_wall_clock_mode_stamps_spans():
-    # Exists only as the trace-wall-clock injected defect.
-    tracer = Tracer(wall_clock=True)
-    with tracer.span("timed"):
-        pass
-    tracer.event("leaf")
-    assert all("wall_s" in s.attrs for s in tracer.walk())
-
-
 def test_exception_inside_span_still_pops_the_stack():
     tracer = Tracer()
     with pytest.raises(RuntimeError):

@@ -46,6 +46,8 @@ class TestRunLengthFlags:
         (["report", "--population", "-1"], "--population"),
         (["table2", "--generations", "-1"], "--generations"),
         (["report", "--generations", "-1"], "--generations"),
+        (["table2", "--seed", "-1"], "--seed"),
+        (["report", "--seed", "-1"], "--seed"),
     ])
     def test_rejected_before_any_experiment(self, no_work, capsys, argv,
                                             flag):
@@ -59,6 +61,7 @@ class TestRunLengthFlags:
         ["figure7", "--samples", "1"],
         ["table2", "--population", "1"],
         ["table2", "--generations", "0"],
+        ["table2", "--seed", "0"],
     ])
     def test_smallest_values_accepted(self, no_work, argv):
         with pytest.raises(WorkStarted):

@@ -52,5 +52,18 @@ def test_bad_verify_flag_rejected_before_any_work(capsys, tmp_path, flag,
     assert not (tmp_path / "r").exists()
 
 
+def test_verify_on_a_suite_with_nothing_to_measure_is_a_usage_error(
+        capsys, tmp_path):
+    # The only codelet falls below the profiling cycle filter.
+    assert main(["verify", "--n-apps", "1", "--codelets-per-app", "1",
+                 "--report-dir", str(tmp_path / "r")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("repro verify: suite 'SYN-0' has no measurable "
+                          "codelets left to cluster")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "r").exists()
+
+
 def test_zero_jobs_means_all_cores_and_is_accepted(capsys):
     assert main(["--scale", "0.05", "-j", "0", "suites"]) == 0

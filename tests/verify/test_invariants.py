@@ -1,7 +1,11 @@
 """The invariant registry: contents, green path and defect isolation."""
 
+import sys
+
 import pytest
 
+from repro.analysis.lint import CANARIES
+from repro.core import clustering
 from repro.ir import DP, KernelBuilder
 from repro.ir.dependence import AnalysisContext
 from repro.isa import compile_kernel
@@ -9,7 +13,7 @@ from repro.machine import REFERENCE
 from repro.machine.platform import default_options
 from repro.verify import (BREAKAGES, REGISTRY, VerifyContext,
                           run_registry, run_verify)
-from repro.verify.invariants import _may_carry_flow
+from repro.verify.invariants import _may_carry_flow, _planted
 
 pytestmark = pytest.mark.verify
 
@@ -139,6 +143,7 @@ class TestDefectInjection:
     @pytest.mark.parametrize("name", [_defect_param(name)
                                       for name in BREAKAGES])
     def test_defect_fails_exactly_its_row(self, name):
+        before = _module_callables()
         report = run_verify(seed=0, breakage=name, skip_differential=True)
         failed = {r.name: r.detail for r in report.invariants
                   if not r.passed}
@@ -147,3 +152,44 @@ class TestDefectInjection:
         for inv, substrings in caught_by.items():
             for substring in substrings:
                 assert substring in failed[inv], (inv, substring)
+        # No plant outlives its invariant.
+        after = _module_callables()
+        assert [key for key, value in before.items()
+                if after[key] is not value] == []
+
+    def test_planted_swaps_for_the_block_and_restores_on_error(self):
+        original = clustering._first_minima
+        with pytest.raises(RuntimeError):
+            with _planted(clustering, "_first_minima",
+                          lambda orig, d: (orig, d)):
+                assert clustering._first_minima("d") == (original, "d")
+                raise RuntimeError
+        assert clustering._first_minima is original
+
+    def test_planted_rejects_a_name_the_module_lacks(self):
+        with pytest.raises(AttributeError, match="no_such_function"):
+            with _planted(clustering, "no_such_function",
+                          lambda original: None):
+                pass
+
+    def test_vectorize_plant_neither_reads_nor_leaves_lowerings(self):
+        canary, = (c for c in CANARIES if c.name == "canary_nonuniform")
+        kernel, options = canary.build(), default_options(REFERENCE)
+
+        def vectorized():
+            return any(n.vectorized
+                       for n in compile_kernel(kernel, options).nests)
+
+        assert not vectorized()         # an honest lowering, memoized
+        ctx = VerifyContext(seed=0, breakage="vectorize-unresolved")
+        result, = run_registry(ctx, ["compiler-dependence-agreement"])
+        assert not result.passed and "canary_nonuniform" in result.detail
+        assert not vectorized()
+
+
+def _module_callables():
+    """Every callable attribute of every loaded ``repro`` module."""
+    return {(name, attr): value
+            for name, module in list(sys.modules.items())
+            if name.startswith("repro") and module is not None
+            for attr, value in vars(module).items() if callable(value)}
