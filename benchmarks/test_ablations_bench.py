@@ -9,7 +9,6 @@ from conftest import report
 from repro.core.clustering import LINKAGE_METHODS, linkage
 from repro.core.features import TABLE2_FEATURES, FeatureMatrix
 from repro.core.pipeline import cluster_and_select
-from repro.core.representatives import ill_behaved_codelets
 from repro.experiments.report import format_table
 from repro.machine import ATOM, NEHALEM, analyze_cache, simulate_cache
 from repro.suites import build_nas_suite
@@ -35,7 +34,7 @@ def test_ablation_linkage_methods(benchmark, ctx):
     profiles = ctx.nas.profiling().profiles
     fm = FeatureMatrix.from_profiles(profiles, TABLE2_FEATURES)
     rows = fm.normalized()
-    ill_behaved = ill_behaved_codelets(profiles, ctx.measurer)
+    ill_behaved, _ = ctx.nas.fidelity()
 
     def run():
         out = {}
@@ -59,7 +58,7 @@ def test_ablation_feature_normalization(benchmark, ctx):
     on normalization so every feature weighs equally)."""
     profiles = ctx.nas.profiling().profiles
     fm = FeatureMatrix.from_profiles(profiles, TABLE2_FEATURES)
-    ill_behaved = ill_behaved_codelets(profiles, ctx.measurer)
+    ill_behaved, _ = ctx.nas.fidelity()
 
     def run():
         out = {}
@@ -85,7 +84,7 @@ def test_ablation_ill_behaved_filter(benchmark, ctx):
     fm = FeatureMatrix.from_profiles(profiles, TABLE2_FEATURES)
     rows = fm.normalized()
     dg = linkage(rows, "ward")
-    ill_behaved = ill_behaved_codelets(profiles, ctx.measurer)
+    ill_behaved, _ = ctx.nas.fidelity()
 
     def run():
         return {

@@ -13,8 +13,7 @@ import sys
 
 import numpy as np
 
-from repro import Measurer, build_nr_suite
-from repro.codelets import find_suite_codelets, profile_codelets
+from repro import BenchmarkReducer, build_nr_suite
 from repro.core.features import ALL_FEATURE_NAMES, TABLE2_FEATURES
 from repro.core.ga import GAConfig, select_features
 
@@ -22,14 +21,12 @@ from repro.core.ga import GAConfig, select_features
 def main() -> None:
     generations = int(sys.argv[1]) if len(sys.argv) > 1 else 20
 
-    measurer = Measurer()
-    profiles = profile_codelets(
-        find_suite_codelets(build_nr_suite()), measurer).profiles
-    print(f"training on {len(profiles)} NR codelets, "
+    reducer = BenchmarkReducer(build_nr_suite())
+    print(f"training on {len(reducer.profiling().profiles)} NR codelets, "
           f"{len(ALL_FEATURE_NAMES)} candidate features")
 
     config = GAConfig(population=80, generations=generations, seed=42)
-    result, problem = select_features(profiles, measurer, config)
+    result, problem = select_features(reducer, config)
 
     print(f"\nGA converged after {result.generations_run} generations")
     print("fitness history (best per generation):")

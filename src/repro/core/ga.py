@@ -25,15 +25,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..codelets.measurement import Measurer
-from ..codelets.profiling import CodeletProfile
 from ..machine.architecture import ATOM, SANDY_BRIDGE
 from ..machine.noise import median
 from .clustering import (ELBOW_K_MAX, Dendrogram, ElbowCut, elbow_stack,
                          linkage_stack)
 from .features import ALL_FEATURE_NAMES, FeatureMatrix
-from .pipeline import cluster_and_select
-from .representatives import NoRepresentativeError, ill_behaved_codelets
+from .pipeline import BenchmarkReducer, cluster_and_select
+from .representatives import NoRepresentativeError
 
 
 #: The GA's operators, which the paper fixes (R ``genalg``, mutation
@@ -160,21 +158,24 @@ TRAIN_TARGETS = (ATOM, SANDY_BRIDGE)
 
 
 class FeatureSelectionProblem:
-    """Precomputed state for evaluating feature subsets on a suite.
+    """Precomputed state for evaluating feature subsets on a reducer's
+    suite.
 
     Fitness of a mask: cluster the training codelets using only the
     masked features, cut at the elbow K, select representatives, predict
     each of :data:`TRAIN_TARGETS`, and return
-    ``max(median errors) * K`` (lower is better).  The fidelity
-    verdicts do not depend on the mask, so they are judged once here.
+    ``max(median errors) * K`` (lower is better).  The profiles, the
+    z-score rule and both fidelity verdict sets are the reducer's, so a
+    codelet it bars never represents a cluster here either.
     """
 
-    def __init__(self, profiles: Sequence[CodeletProfile],
-                 measurer: Measurer):
-        self.profiles = list(profiles)
-        self.ill_behaved = ill_behaved_codelets(self.profiles, measurer)
+    def __init__(self, reducer: BenchmarkReducer):
+        self.profiles = list(reducer.profiling().profiles)
+        self.ill_behaved, ineligible = reducer.fidelity()
+        self.ineligible = frozenset(ineligible)
         self.features = FeatureMatrix.from_profiles(self.profiles,
                                                     ALL_FEATURE_NAMES)
+        measurer = reducer.measurer
         # Real target times (in-app, measured) per architecture.
         self.real_times: Dict[str, Dict[str, float]] = {}
         self.rep_bench: Dict[str, Dict[str, float]] = {}
@@ -190,7 +191,7 @@ class FeatureSelectionProblem:
         # subset equals the same columns of the full normalised matrix
         # (bit-identically) — one upfront normalisation serves every
         # mask evaluation.
-        self._normalized_full = self.features.normalized()
+        self._normalized_full = reducer.config.rows(self.features)
         self._cache: Dict[bytes, float] = {}
 
     @property
@@ -237,7 +238,8 @@ class FeatureSelectionProblem:
         try:
             _, selection, model = cluster_and_select(
                 self.profiles, self._normalized_full[:, mask], "elbow",
-                self.ill_behaved, dendrogram=dendrogram, elbow=cut)
+                self.ill_behaved, self.ineligible, dendrogram=dendrogram,
+                elbow=cut)
         except NoRepresentativeError:
             self._cache[key] = float("inf")
             return float("inf")
@@ -251,18 +253,17 @@ class FeatureSelectionProblem:
         return fitness
 
 
-def select_features(profiles: Sequence[CodeletProfile],
-                    measurer: Measurer,
+def select_features(reducer: BenchmarkReducer,
                     config: GAConfig = GAConfig()
                     ) -> Tuple[GAResult, FeatureSelectionProblem]:
-    """Run the paper's GA feature selection on a training suite.
+    """Run the paper's GA feature selection on ``reducer``'s suite.
 
     The all-features mask is seeded into the initial population, so the
     selected subset is guaranteed to never score worse than using every
     feature on the training criterion (the ``ga-selection`` invariant
     of ``repro verify`` holds by construction, not by luck).
     """
-    problem = FeatureSelectionProblem(profiles, measurer)
+    problem = FeatureSelectionProblem(reducer)
     full = np.ones(problem.n_bits, dtype=bool)
     result = run_ga(problem.n_bits, problem.evaluate_population, config,
                     seed_individuals=[full])

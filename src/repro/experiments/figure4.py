@@ -18,6 +18,9 @@ from ..suites.nas import NAS_APP_ORDER
 from .context import ExperimentContext
 from .report import format_table
 
+#: Real per-invocation time (ms) below which a codelet is short-lived.
+SHORT_LIVED_MS = 10.0
+
 
 @dataclass(frozen=True)
 class Figure4Row:
@@ -40,16 +43,14 @@ class Figure4Result:
     def app_rows(self, app: str) -> Tuple[Figure4Row, ...]:
         return tuple(r for r in self.rows if r.app == app)
 
-    def median_error_short_lived(self, threshold_ms: float = 10.0
-                                 ) -> float:
+    def median_error_short_lived(self) -> float:
         short = [r.error_pct for r in self.rows
-                 if r.real_ms < threshold_ms]
+                 if r.real_ms < SHORT_LIVED_MS]
         return float(median(short)) if short else 0.0
 
-    def median_error_long_lived(self, threshold_ms: float = 10.0
-                                ) -> float:
+    def median_error_long_lived(self) -> float:
         long_ = [r.error_pct for r in self.rows
-                 if r.real_ms >= threshold_ms]
+                 if r.real_ms >= SHORT_LIVED_MS]
         return float(median(long_)) if long_ else 0.0
 
     def format(self) -> str:

@@ -2,8 +2,9 @@
 
 Runs the genetic algorithm over the 76-feature space with the paper's
 fitness (max of Atom / Sandy Bridge NR median errors, times the elbow
-K), then compares the winning subset against the paper's published
-feature set (Table 2) and against using all 76 features.
+K) on the NR reducer's profiles and Step D verdicts, then compares the
+winning subset against the paper's published feature set (Table 2) and
+against using all 76 features.
 """
 
 from __future__ import annotations
@@ -52,8 +53,7 @@ class Table2Result:
 
 def run_table2(ctx: ExperimentContext,
                config: GAConfig = GAConfig()) -> Table2Result:
-    profiles = ctx.nr.profiling().profiles
-    result, problem = select_features(profiles, ctx.measurer, config)
+    result, problem = select_features(ctx.nr, config)
     selected = result.selected(ALL_FEATURE_NAMES)
 
     def mask_for(names) -> np.ndarray:

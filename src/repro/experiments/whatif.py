@@ -73,7 +73,7 @@ def run_whatif(ctx: ExperimentContext, k: int = 16,
             ("reference-trained (Table 2)", ctx.nas.feature_matrix()),
             ("architecture-independent", arch_independent_matrix(profiles))):
         _, selection, model = cluster_and_select(
-            profiles, features.normalized(), k, ill_behaved,
+            profiles, ctx.config.rows(features), k, ill_behaved,
             frozenset(ineligible))
         rep_times = {r: ctx.measurer.benchmark_standalone(
             by_name[r].codelet, target).per_invocation_s

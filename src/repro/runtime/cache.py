@@ -64,14 +64,13 @@ class DiskCache:
     def __init__(self, root: str, obs: Optional[Observation] = None):
         self.root = str(root)
         self.stats = CacheStats()
-        #: Optional observability sink mirroring ``stats`` into the
-        #: run's metrics registry (``cache.*`` counters).
-        self.obs = obs
+        #: Observability sink mirroring ``stats`` into the run's
+        #: metrics registry (``cache.*`` counters).
+        self.obs = obs if obs is not None else Observation()
         os.makedirs(self.root, exist_ok=True)
 
     def _count(self, name: str, amount: int = 1) -> None:
-        if self.obs is not None:
-            self.obs.metrics.counter(f"cache.{name}").inc(amount)
+        self.obs.metrics.counter(f"cache.{name}").inc(amount)
 
     # -- layout ---------------------------------------------------------------
 

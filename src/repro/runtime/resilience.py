@@ -261,9 +261,9 @@ class ResilientExecutor:
         self.policy = policy
         self.fault_plan = fault_plan
         self.health = health if health is not None else RunHealth()
-        #: Optional observability sink: retry rounds become spans,
+        #: Observability sink: retry rounds become spans,
         #: attempts/retries/quarantines/recoveries become counters.
-        self.obs = obs
+        self.obs = obs if obs is not None else Observation()
         self._tripped: Dict[Tuple[str, str], bool] = {}
 
     def is_quarantined(self, stage: str, task: str) -> bool:
@@ -300,18 +300,14 @@ class ResilientExecutor:
             else:
                 active.append(i)
 
-        metrics = self.obs.metrics if self.obs is not None else None
+        metrics = self.obs.metrics
         attempt = 0
         while active and attempt < self.policy.max_attempts:
             payloads = [(fn, items[i], stage, keys[i], arch, attempt,
                          self.fault_plan) for i in active]
-            if metrics is not None:
-                metrics.counter("resilience.attempts").inc(
-                    len(payloads))
-                if attempt > 0:
-                    metrics.counter("resilience.retries").inc(
-                        len(payloads))
-            if self.obs is not None and attempt > 0:
+            metrics.counter("resilience.attempts").inc(len(payloads))
+            if attempt > 0:
+                metrics.counter("resilience.retries").inc(len(payloads))
                 # Round 0 is ordinary execution; only actual *retry*
                 # rounds earn a span, so a failure-free run's trace is
                 # identical to the fail-fast path's.
@@ -328,9 +324,7 @@ class ResilientExecutor:
                     results[i] = value
                     if attempt > 0:
                         records[i].outcome = "recovered"
-                        if metrics is not None:
-                            metrics.counter(
-                                "resilience.recovered").inc()
+                        metrics.counter("resilience.recovered").inc()
                 else:
                     records[i].failures.append(
                         f"attempt {attempt}: {value}: {detail}")
@@ -341,13 +335,11 @@ class ResilientExecutor:
         for i in active:
             records[i].outcome = "quarantined"
             self._tripped[(stage, keys[i])] = True
-        if metrics is not None:
-            if active:
-                metrics.counter("resilience.quarantined").inc(
-                    len(active))
-            skipped = sum(1 for r in records if r.outcome == "skipped")
-            if skipped:
-                metrics.counter("resilience.skipped").inc(skipped)
+        if active:
+            metrics.counter("resilience.quarantined").inc(len(active))
+        skipped = sum(1 for r in records if r.outcome == "skipped")
+        if skipped:
+            metrics.counter("resilience.skipped").inc(skipped)
         for record in records:
             self.health.record(record)
         return results

@@ -244,6 +244,9 @@ class VerifyContext:
         self.config = (_RawRowsConfig() if self.broken("no-normalize")
                        else SubsettingConfig())
         self.measurer = Measurer()
+        #: The reducer of the context suite, measurer and config.
+        self.reducer = BenchmarkReducer(self.suite, self.measurer,
+                                        self.config)
         self._reduced: Optional[ReducedSuite] = None
 
     def broken(self, name: str) -> bool:
@@ -265,9 +268,7 @@ class VerifyContext:
         ``normalized_rows`` are the very rows the pipeline clustered,
         not a recomputation of them."""
         if self._reduced is None:
-            reducer = BenchmarkReducer(self.suite, self.measurer,
-                                       self.config)
-            self._reduced = reducer.reduce("elbow")
+            self._reduced = self.reducer.reduce("elbow")
         return self._reduced
 
     def fresh_reducer(self, config: Optional[SubsettingConfig] = None,
@@ -659,13 +660,12 @@ def check_lint_determinism(ctx: VerifyContext) -> None:
 def check_ga_selection(ctx: VerifyContext) -> None:
     from ..core.ga import select_features
 
-    profiles = ctx.reduced.profiles
     # A small, fast GA; unseeded, it draws OS entropy.
     config = GAConfig(population=16, generations=6,
                       seed=(None if ctx.broken("ga-unseeded")
                             else ctx.seed + 0x6A))
-    result_a, problem = select_features(profiles, ctx.measurer, config)
-    result_b, _ = select_features(profiles, ctx.measurer, config)
+    result_a, problem = select_features(ctx.reducer, config)
+    result_b, _ = select_features(ctx.reducer, config)
     if (result_a.best_mask != result_b.best_mask
             or result_a.best_fitness != result_b.best_fitness):
         raise InvariantViolation(

@@ -9,7 +9,7 @@ exact production path.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from .invariants import (BREAKAGES, REGISTRY, VerifyContext,
                          run_registry)
@@ -20,8 +20,6 @@ from .report import VerifyReport
 def run_verify(seed: int = 0, n_apps: int = 3,
                codelets_per_app: int = 4,
                breakage: Optional[str] = None,
-               invariant_names: Optional[Sequence[str]] = None,
-               differential_names: Optional[Sequence[str]] = None,
                skip_differential: bool = False) -> VerifyReport:
     """Run the harness on one seeded synthetic suite.
 
@@ -36,9 +34,8 @@ def run_verify(seed: int = 0, n_apps: int = 3,
                         codelets_per_app=codelets_per_app,
                         breakage=breakage)
     reduced = ctx.reduced
-    invariants = run_registry(ctx, invariant_names)
-    differentials = ([] if skip_differential
-                     else run_differential(ctx, differential_names))
+    invariants = run_registry(ctx)
+    differentials = [] if skip_differential else run_differential(ctx)
     return VerifyReport(
         seed=seed,
         suite_name=ctx.suite.name,

@@ -4,11 +4,12 @@ per-app vs cross-app subsetting."""
 import numpy as np
 import pytest
 
-from repro.codelets import Measurer, find_suite_codelets, profile_codelets
+from repro.codelets import Measurer
 from repro.core import clustering, ga
 from repro.core.features import ALL_FEATURE_NAMES
 from repro.core.ga import (INIT_DENSITY, FeatureSelectionProblem, GAConfig,
                            run_ga, select_features)
+from repro.core.pipeline import BenchmarkReducer, SubsettingConfig
 from repro.core.prediction import percent_error
 from repro.core.random_baseline import (RandomClusteringStats,
                                         random_clustering_errors,
@@ -16,15 +17,18 @@ from repro.core.random_baseline import (RandomClusteringStats,
 from repro.core.subsetting import (cross_application_subsetting,
                                    per_application_subsetting)
 from repro.machine import ATOM, CORE2, SANDY_BRIDGE
+from repro.runtime import FaultPlan, FaultRule, RuntimeConfig
 from repro.suites import build_nr_suite
 
 
 @pytest.fixture(scope="module")
-def nr_profiles():
-    m = Measurer()
-    profiles = profile_codelets(find_suite_codelets(build_nr_suite()),
-                                m).profiles
-    return m, profiles
+def nr_reducer():
+    return BenchmarkReducer(build_nr_suite())
+
+
+@pytest.fixture(scope="module")
+def nr_profiles(nr_reducer):
+    return nr_reducer.measurer, nr_reducer.profiling().profiles
 
 
 class TestGenericGA:
@@ -72,28 +76,26 @@ class TestGenericGA:
 
 
 class TestFeatureSelection:
-    def test_problem_evaluates_paper_set(self, nr_profiles):
-        m, profiles = nr_profiles
-        problem = FeatureSelectionProblem(profiles, m)
+    def test_problem_evaluates_paper_set(self, nr_reducer):
+        problem = FeatureSelectionProblem(nr_reducer)
         from repro.core.features import TABLE2_FEATURES
         mask = np.array([n in TABLE2_FEATURES
                          for n in ALL_FEATURE_NAMES])
         fitness = problem.evaluate_mask(mask)
         assert np.isfinite(fitness) and fitness > 0
 
-    def test_cache_hit(self, nr_profiles):
-        m, profiles = nr_profiles
-        problem = FeatureSelectionProblem(profiles, m)
+    def test_cache_hit(self, nr_reducer):
+        problem = FeatureSelectionProblem(nr_reducer)
         mask = np.zeros(76, dtype=bool)
         mask[0] = True
         f1 = problem.evaluate_mask(mask)
         f2 = problem.evaluate_mask(mask)
         assert f1 == f2
 
-    def test_fidelity_judged_once_per_problem(self, nr_profiles):
-        """The verdicts do not depend on the mask: each profile's
-        fidelity is judged once, however many masks are evaluated."""
-        _, profiles = nr_profiles
+    def test_fidelity_judged_once_per_problem(self):
+        """The GA reads the reducer's verdicts: once the reducer has
+        judged every profile, building the problem and scoring masks
+        judge none again."""
         measurer = Measurer()
         judged = []
         deviation = measurer.behavior_deviation
@@ -103,32 +105,63 @@ class TestFeatureSelection:
             return deviation(codelet, arch)
 
         measurer.behavior_deviation = counting
-        problem = FeatureSelectionProblem(profiles, measurer)
+        reducer = BenchmarkReducer(build_nr_suite(), measurer)
+        reducer.fidelity()
+        profiles = reducer.profiling().profiles
+        assert sorted(judged) == sorted(p.name for p in profiles)
+        judged.clear()
+        problem = FeatureSelectionProblem(reducer)
         rng = np.random.default_rng(0)
         masks = [np.ones(problem.n_bits, dtype=bool)] + [
             rng.random(problem.n_bits) < 0.3 for _ in range(4)]
         for mask in masks:
             problem.evaluate_mask(mask)
-        assert sorted(judged) == sorted(p.name for p in profiles)
+        select_features(reducer, GAConfig(population=6, generations=1,
+                                          seed=0))
+        assert judged == []
 
-    def test_ga_beats_all_features(self, nr_profiles):
+    def test_ga_never_picks_a_codelet_the_reducer_bars(self,
+                                                       monkeypatch):
+        """A codelet whose fidelity probe is quarantined is ineligible
+        for the NR reducer, so the GA's evaluations never select it."""
+        picked = []
+        real = ga.cluster_and_select
+
+        def spying(*args, **kwargs):
+            labels, selection, model = real(*args, **kwargs)
+            picked.append(selection.representatives)
+            return labels, selection, model
+
+        monkeypatch.setattr(ga, "cluster_and_select", spying)
+        full = np.ones(len(ALL_FEATURE_NAMES), dtype=bool)
+        FeatureSelectionProblem(
+            BenchmarkReducer(build_nr_suite())).evaluate_mask(full)
+        first = picked.pop()[0]
+
+        config = SubsettingConfig(runtime=RuntimeConfig(
+            fault_plan=FaultPlan(rules=(FaultRule(
+                "crash", match=first, stage="fidelity"),))))
+        reducer = BenchmarkReducer(build_nr_suite(), Measurer(), config)
+        assert reducer.fidelity()[1] == (first,)
+        problem = FeatureSelectionProblem(reducer)
+        assert np.isfinite(problem.evaluate_mask(full))
+        assert first not in picked.pop()
+
+    def test_ga_beats_all_features(self, nr_reducer):
         """The paper's point: a selected subset out-predicts using all
         76 features (irrelevant features add noise)."""
-        m, profiles = nr_profiles
         result, problem = select_features(
-            profiles, m, GAConfig(population=30, generations=10,
-                                  seed=7))
+            nr_reducer, GAConfig(population=30, generations=10, seed=7))
         all_fitness = problem.evaluate_mask(np.ones(76, dtype=bool))
         assert result.best_fitness <= all_fitness
 
     def test_stacked_generations_match_one_mask_at_a_time(self,
-                                                          nr_profiles):
+                                                          nr_reducer):
         # select_features links each generation's new masks in one
         # stack; scoring every mask alone must give the same GA run.
-        m, profiles = nr_profiles
         config = GAConfig(population=30, generations=10, seed=7)
-        result, problem = select_features(profiles, m, config)
-        fresh = FeatureSelectionProblem(profiles, m)
+        result, problem = select_features(nr_reducer, config)
+        fresh = FeatureSelectionProblem(nr_reducer)
         alone = run_ga(fresh.n_bits,
                        lambda pop: np.array([fresh.evaluate_mask(x)
                                              for x in pop]),
@@ -137,12 +170,11 @@ class TestFeatureSelection:
         assert result == alone
         assert list(problem._cache.items()) == list(fresh._cache.items())
 
-    def test_generation_cut_without_elbow_k(self, nr_profiles,
+    def test_generation_cut_without_elbow_k(self, nr_reducer,
                                             monkeypatch):
         # A generation's new masks are cut at their elbows in one
         # elbow_stack call, not one elbow_k call per mask, and every
         # score is the one the mask gets alone.
-        m, profiles = nr_profiles
         real = clustering.elbow_k
         calls = []
 
@@ -153,7 +185,7 @@ class TestFeatureSelection:
         for module in (clustering, ga):
             if getattr(module, "elbow_k", None) is real:
                 monkeypatch.setattr(module, "elbow_k", counting)
-        problem = FeatureSelectionProblem(profiles, m)
+        problem = FeatureSelectionProblem(nr_reducer)
         rng = np.random.default_rng(11)
         population = rng.random((60, problem.n_bits)) < INIT_DENSITY
         population[~population.any(axis=1), 0] = True
@@ -161,17 +193,16 @@ class TestFeatureSelection:
         assert len(problem._cache) == 60
         assert calls == []
         monkeypatch.undo()
-        fresh = FeatureSelectionProblem(profiles, m)
+        fresh = FeatureSelectionProblem(nr_reducer)
         alone = np.array([fresh.evaluate_mask(mask) for mask in population])
         assert scores.tobytes() == alone.tobytes()
 
     def test_mismatched_cut_raises_instead_of_scoring_inf(self,
-                                                          nr_profiles):
+                                                          nr_reducer):
         # A cut whose distances do not match the mask's clusters is the
         # caller's mistake: it must fail loudly, not be cached as an
         # infeasible mask.
-        m, profiles = nr_profiles
-        problem = FeatureSelectionProblem(profiles, m)
+        problem = FeatureSelectionProblem(nr_reducer)
         mask = np.zeros(problem.n_bits, dtype=bool)
         mask[:6] = True
         rows = problem._normalized_full[:, mask]
@@ -186,10 +217,9 @@ class TestFeatureSelection:
         assert problem._cache == {}
         assert np.isfinite(problem.evaluate_mask(mask, dendrogram, cut))
 
-    def test_all_ill_behaved_scores_inf(self, nr_profiles):
-        m, profiles = nr_profiles
-        problem = FeatureSelectionProblem(profiles, m)
-        problem.ill_behaved = frozenset(p.name for p in profiles)
+    def test_all_ill_behaved_scores_inf(self, nr_reducer):
+        problem = FeatureSelectionProblem(nr_reducer)
+        problem.ill_behaved = frozenset(p.name for p in problem.profiles)
         mask = np.ones(problem.n_bits, dtype=bool)
         assert problem.evaluate_mask(mask) == float("inf")
         assert problem._cache == {mask.tobytes(): float("inf")}
@@ -199,10 +229,9 @@ class TestFeatureSelection:
             run_ga(4, lambda pop: float(pop.sum()),
                    GAConfig(population=10, generations=1, seed=4))
 
-    def test_selected_subset_nonempty(self, nr_profiles):
-        m, profiles = nr_profiles
+    def test_selected_subset_nonempty(self, nr_reducer):
         result, _ = select_features(
-            profiles, m, GAConfig(population=20, generations=5, seed=8))
+            nr_reducer, GAConfig(population=20, generations=5, seed=8))
         assert sum(result.best_mask) >= 1
 
 
