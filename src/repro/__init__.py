@@ -37,34 +37,23 @@ The package layers, bottom-up:
 * :mod:`repro.experiments` — one driver per paper table/figure.
 """
 
-from .codelets import (Application, BenchmarkSuite, Codelet, Measurer,
-                       extract, find_codelets, find_suite_codelets,
-                       profile_codelets)
-from .core import (ALL_FEATURE_NAMES, TABLE2_FEATURES, BenchmarkReducer,
-                   FeatureMatrix, GAConfig, ReducedSuite, SubsettingConfig,
-                   TargetEvaluation, evaluate_on_target,
-                   geometric_mean_speedup, select_features, ward_linkage)
-from .machine import (ALL_ARCHITECTURES, ATOM, CORE2, NEHALEM, REFERENCE,
-                      SANDY_BRIDGE, TARGETS, Architecture, NoiseModel,
-                      run_kernel_model)
-from .runtime import (DiskCache, ProcessExecutor, RuntimeConfig,
-                      SerialExecutor, make_executor)
-from .suites import build_nas_suite, build_nr_suite
+from ._exports import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Codelet", "Application", "BenchmarkSuite", "Measurer",
-    "find_codelets", "find_suite_codelets", "profile_codelets", "extract",
-    "BenchmarkReducer", "ReducedSuite", "SubsettingConfig",
-    "TargetEvaluation", "evaluate_on_target", "geometric_mean_speedup",
-    "FeatureMatrix", "ALL_FEATURE_NAMES", "TABLE2_FEATURES",
-    "GAConfig", "select_features", "ward_linkage",
-    "Architecture", "NEHALEM", "ATOM", "CORE2", "SANDY_BRIDGE",
-    "REFERENCE", "TARGETS", "ALL_ARCHITECTURES", "NoiseModel",
-    "run_kernel_model",
-    "build_nr_suite", "build_nas_suite",
-    "RuntimeConfig", "SerialExecutor", "ProcessExecutor",
-    "make_executor", "DiskCache",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".codelets": ("Application", "BenchmarkSuite", "Codelet", "Measurer",
+                  "extract", "find_codelets", "find_suite_codelets",
+                  "profile_codelets"),
+    ".core": ("ALL_FEATURE_NAMES", "TABLE2_FEATURES", "BenchmarkReducer",
+              "FeatureMatrix", "GAConfig", "ReducedSuite",
+              "SubsettingConfig", "TargetEvaluation", "evaluate_on_target",
+              "geometric_mean_speedup", "select_features", "ward_linkage"),
+    ".machine": ("ALL_ARCHITECTURES", "ATOM", "CORE2", "NEHALEM",
+                 "REFERENCE", "SANDY_BRIDGE", "TARGETS", "Architecture",
+                 "NoiseModel", "run_kernel_model"),
+    ".runtime": ("DiskCache", "ProcessExecutor", "RuntimeConfig",
+                 "SerialExecutor", "make_executor"),
+    ".suites": ("build_nas_suite", "build_nr_suite"),
+})
+__all__.append("__version__")

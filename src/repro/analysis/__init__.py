@@ -9,15 +9,13 @@
   subpackage directly).
 """
 
-from .arch_independent import (ARCH_INDEPENDENT_FEATURE_NAMES,
-                               ArchIndependentProfile,
-                               analyze_arch_independent,
-                               arch_independent_matrix)
-from .static_metrics import (STATIC_FEATURE_NAMES, StaticProfile,
-                             analyze_static)
+from .._exports import lazy_exports
 
-__all__ = [
-    "StaticProfile", "analyze_static", "STATIC_FEATURE_NAMES",
-    "ArchIndependentProfile", "analyze_arch_independent",
-    "arch_independent_matrix", "ARCH_INDEPENDENT_FEATURE_NAMES",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".arch_independent": ("ARCH_INDEPENDENT_FEATURE_NAMES",
+                          "ArchIndependentProfile",
+                          "analyze_arch_independent",
+                          "arch_independent_matrix"),
+    ".static_metrics": ("STATIC_FEATURE_NAMES", "StaticProfile",
+                        "analyze_static"),
+})

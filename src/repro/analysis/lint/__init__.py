@@ -14,9 +14,7 @@ pass emits structured :class:`Diagnostic` objects with stable codes
   replayed by the ``lint-determinism`` verification invariant.
 """
 
-from .diagnostics import Diagnostic, Severity, sort_diagnostics
-from .registry import (PASS_REGISTRY, LintPass, describe_passes,
-                       lint_kernel, lint_pass, make_diagnostic)
+from ..._exports import lazy_exports
 
 # Pass modules self-register on import; this order is the registration
 # (and therefore execution) order and must stay fixed — lint output is
@@ -28,19 +26,13 @@ from . import uninit as _uninit            # noqa: F401  (L401)
 from . import deadstore as _deadstore      # noqa: F401  (L501)
 from . import transform as _transform      # noqa: F401  (L601-L606)
 
-from .baseline import (Baseline, Suppression, apply_baseline,
-                       prune_baseline, BASELINE_VERSION)
-from .canary import CANARIES, Canary, check_canaries
-from .report import LintReport
-from .runner import lint_suite, make_suite_report
-
-__all__ = [
-    "Diagnostic", "Severity", "sort_diagnostics",
-    "PASS_REGISTRY", "LintPass", "describe_passes", "lint_kernel",
-    "lint_pass", "make_diagnostic",
-    "Baseline", "Suppression", "apply_baseline", "prune_baseline",
-    "BASELINE_VERSION",
-    "CANARIES", "Canary", "check_canaries",
-    "LintReport",
-    "lint_suite", "make_suite_report",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".diagnostics": ("Diagnostic", "Severity", "sort_diagnostics"),
+    ".registry": ("PASS_REGISTRY", "LintPass", "describe_passes",
+                  "lint_kernel", "lint_pass", "make_diagnostic"),
+    ".baseline": ("Baseline", "Suppression", "apply_baseline",
+                  "prune_baseline", "BASELINE_VERSION"),
+    ".canary": ("CANARIES", "Canary", "check_canaries"),
+    ".report": ("LintReport",),
+    ".runner": ("lint_suite", "make_suite_report"),
+})

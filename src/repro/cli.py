@@ -60,16 +60,12 @@ import os
 import sys
 from typing import List, Optional
 
+from . import experiments
 from .core.ga import GAConfig
 from .core.pipeline import SubsettingConfig
-from .obs import Observation, load_trace, observing, render_summary, \
-    render_tree
+from .experiments.context import ExperimentContext
+from .obs import Observation, observing
 from .runtime import RunHealth, RuntimeConfig
-from .experiments import (ExperimentContext, run_capture_change,
-                          run_figure2, run_figure3, run_figure4,
-                          run_figure5, run_figure6, run_figure7,
-                          run_figure8, run_table1, run_table2,
-                          run_table3, run_table4, run_table5, run_whatif)
 from .machine import TARGETS, Architecture, architecture_by_name
 from .suites import build_nas_suite, build_nr_suite
 
@@ -150,27 +146,29 @@ _FLAGS = {
 }
 
 #: Each experiment, in ``report`` order: the flags it reads and its
-#: runner.
+#: runner.  A runner resolves its driver when it runs, so a command
+#: imports only the experiments it runs.
 _EXPERIMENTS = {
-    "table1": ((), lambda ctx, args: run_table1()),
+    "table1": ((), lambda ctx, args: experiments.run_table1()),
     "table2": (("--population", "--generations", "--seed"),
-               lambda ctx, args: run_table2(ctx, GAConfig(
+               lambda ctx, args: experiments.run_table2(ctx, GAConfig(
                    population=args.population,
                    generations=args.generations, seed=args.seed))),
     "table3": (("--k-fixed",),
-               lambda ctx, args: run_table3(ctx, k=args.k_fixed)),
-    "table4": ((), lambda ctx, args: run_table4(ctx)),
-    "table5": ((), lambda ctx, args: run_table5(ctx)),
-    "figure2": ((), lambda ctx, args: run_figure2(ctx)),
-    "figure3": ((), lambda ctx, args: run_figure3(ctx)),
-    "figure4": ((), lambda ctx, args: run_figure4(ctx)),
-    "figure5": ((), lambda ctx, args: run_figure5(ctx)),
-    "figure6": ((), lambda ctx, args: run_figure6(ctx)),
+               lambda ctx, args: experiments.run_table3(ctx, k=args.k_fixed)),
+    "table4": ((), lambda ctx, args: experiments.run_table4(ctx)),
+    "table5": ((), lambda ctx, args: experiments.run_table5(ctx)),
+    "figure2": ((), lambda ctx, args: experiments.run_figure2(ctx)),
+    "figure3": ((), lambda ctx, args: experiments.run_figure3(ctx)),
+    "figure4": ((), lambda ctx, args: experiments.run_figure4(ctx)),
+    "figure5": ((), lambda ctx, args: experiments.run_figure5(ctx)),
+    "figure6": ((), lambda ctx, args: experiments.run_figure6(ctx)),
     "figure7": (("--samples",),
-                lambda ctx, args: run_figure7(ctx, samples=args.samples)),
-    "figure8": ((), lambda ctx, args: run_figure8(ctx)),
-    "capture": ((), lambda ctx, args: run_capture_change(ctx)),
-    "whatif": ((), lambda ctx, args: run_whatif(ctx)),
+                lambda ctx, args: experiments.run_figure7(
+                    ctx, samples=args.samples)),
+    "figure8": ((), lambda ctx, args: experiments.run_figure8(ctx)),
+    "capture": ((), lambda ctx, args: experiments.run_capture_change(ctx)),
+    "whatif": ((), lambda ctx, args: experiments.run_whatif(ctx)),
 }
 
 
@@ -367,6 +365,8 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    from .obs.render import load_trace, render_summary, render_tree
+
     try:
         data = load_trace(args.file)
     except OSError as exc:
@@ -619,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="aggregate by span category and show the "
                         "top spans by modelled time instead of the "
                         "full tree")
-    p.add_argument("--top", type=int, default=10, metavar="N",
+    p.add_argument("--top", type=_positive_int, default=10, metavar="N",
                    help="rows in the --summary top-spans table")
     p.set_defaults(func=_cmd_trace)
 

@@ -1,24 +1,18 @@
 """Codelet layer: detection (Step A), profiling (Step B), extraction and
 measurement (Step D) — the Codelet Finder + probe substrate."""
 
-from .codelet import (Application, BenchmarkSuite, Codelet, CodeletRegion,
-                      Routine)
-from .extractor import MemoryDump, Microbenchmark, capture_memory, extract
-from .finder import DetectionReport, find_codelets, find_suite_codelets
-from .measurement import (MIN_BENCH_SECONDS, MIN_INVOCATIONS, Measurer,
-                          MeasurerSpec, StandaloneTiming, average_metrics,
-                          choose_invocations)
-from .profiling import (MIN_TOTAL_CYCLES, CodeletProfile, ProfileOutcome,
-                        ProfilingReport, profile_codelet, profile_codelets,
-                        profile_outcome)
+from .._exports import lazy_exports
 
-__all__ = [
-    "Codelet", "CodeletRegion", "Routine", "Application", "BenchmarkSuite",
-    "DetectionReport", "find_codelets", "find_suite_codelets",
-    "MemoryDump", "Microbenchmark", "capture_memory", "extract",
-    "Measurer", "MeasurerSpec", "StandaloneTiming", "choose_invocations",
-    "average_metrics", "MIN_BENCH_SECONDS", "MIN_INVOCATIONS",
-    "CodeletProfile", "ProfileOutcome", "ProfilingReport",
-    "profile_codelet", "profile_codelets", "profile_outcome",
-    "MIN_TOTAL_CYCLES",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".codelet": ("Application", "BenchmarkSuite", "Codelet",
+                 "CodeletRegion", "Routine"),
+    ".extractor": ("MemoryDump", "Microbenchmark", "capture_memory",
+                   "extract"),
+    ".finder": ("DetectionReport", "find_codelets", "find_suite_codelets"),
+    ".measurement": ("MIN_BENCH_SECONDS", "MIN_INVOCATIONS", "Measurer",
+                     "MeasurerSpec", "StandaloneTiming", "average_metrics",
+                     "choose_invocations"),
+    ".profiling": ("MIN_TOTAL_CYCLES", "CodeletProfile", "ProfileOutcome",
+                   "ProfilingReport", "profile_codelet", "profile_codelets",
+                   "profile_outcome"),
+})

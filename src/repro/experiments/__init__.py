@@ -5,41 +5,25 @@ returns a structured result with a ``format()`` method that regenerates
 the table/figure as text, alongside the paper's published values.
 """
 
-from .capture_change import CaptureChangeResult, run_capture_change
-from .context import ExperimentContext
-from .figure2 import Figure2Result, run_figure2
-from .figure3 import Figure3Result, run_figure3
-from .figure4 import Figure4Result, run_figure4
-from .figure5 import Figure5Result, run_figure5
-from .figure6 import Figure6Result, run_figure6
-from .figure7 import Figure7Result, run_figure7
-from .figure8 import Figure8Result, run_figure8
-from .report import format_series, format_table, paper_vs_measured
-from .table1 import Table1Result, run_table1
-from .transform_stability import (TransformStabilityResult,
-                                  run_transform_stability)
-from .whatif import WhatIfResult, run_whatif
-from .table2 import Table2Result, run_table2
-from .table3 import Table3Result, run_table3
-from .table4 import Table4Result, run_table4
-from .table5 import Table5Result, run_table5
+from .._exports import lazy_exports
 
-__all__ = [
-    "ExperimentContext",
-    "run_table1", "Table1Result",
-    "run_table2", "Table2Result",
-    "run_table3", "Table3Result",
-    "run_table4", "Table4Result",
-    "run_table5", "Table5Result",
-    "run_figure2", "Figure2Result",
-    "run_figure3", "Figure3Result",
-    "run_figure4", "Figure4Result",
-    "run_figure5", "Figure5Result",
-    "run_figure6", "Figure6Result",
-    "run_figure7", "Figure7Result",
-    "run_figure8", "Figure8Result",
-    "run_capture_change", "CaptureChangeResult",
-    "run_whatif", "WhatIfResult",
-    "run_transform_stability", "TransformStabilityResult",
-    "format_table", "format_series", "paper_vs_measured",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".capture_change": ("CaptureChangeResult", "run_capture_change"),
+    ".context": ("ExperimentContext",),
+    ".figure2": ("Figure2Result", "run_figure2"),
+    ".figure3": ("Figure3Result", "run_figure3"),
+    ".figure4": ("Figure4Result", "run_figure4"),
+    ".figure5": ("Figure5Result", "run_figure5"),
+    ".figure6": ("Figure6Result", "run_figure6"),
+    ".figure7": ("Figure7Result", "run_figure7"),
+    ".figure8": ("Figure8Result", "run_figure8"),
+    ".report": ("format_series", "format_table", "paper_vs_measured"),
+    ".table1": ("Table1Result", "run_table1"),
+    ".table2": ("Table2Result", "run_table2"),
+    ".table3": ("Table3Result", "run_table3"),
+    ".table4": ("Table4Result", "run_table4"),
+    ".table5": ("Table5Result", "run_table5"),
+    ".transform_stability": ("TransformStabilityResult",
+                             "run_transform_stability"),
+    ".whatif": ("WhatIfResult", "run_whatif"),
+})

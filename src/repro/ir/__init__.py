@@ -7,30 +7,21 @@ the access analyses (strides, trip counts, footprints) that the compiler
 (:mod:`repro.isa`) and the machine models (:mod:`repro.machine`) consume.
 """
 
-from .builder import KernelBuilder, simple_loop_kernel
-from .expr import (AffineIndex, Array, BinOp, Call, Const, Expr, IndexVar,
-                   IRError, Load, as_affine, cos, exp, fabs, fmax, fmin, log,
-                   powr, sign, sin, sqrt, walk_expr)
-from .interp import Interpreter, allocate_storage, run_kernel
-from .kernel import Kernel, SourceLoc
-from .stmt import (Block, Loop, Stmt, Store, fresh_index, loop_nests,
-                   walk_statements)
-from .traverse import (Access, NestAnalysis, analyze_nests,
-                       average_trip_counts, kernel_stride_summary)
-from .types import ALL_DTYPES, DP, DType, INT32, INT64, SP, promote
-from .validate import IRValidationError, is_valid_kernel, validate_kernel
+from .._exports import lazy_exports
 
-__all__ = [
-    "AffineIndex", "Array", "BinOp", "Call", "Const", "Expr", "IndexVar",
-    "IRError", "Load", "as_affine", "walk_expr",
-    "sqrt", "exp", "log", "sin", "cos", "fabs", "sign", "powr", "fmin",
-    "fmax",
-    "Block", "Loop", "Stmt", "Store", "fresh_index", "loop_nests",
-    "walk_statements",
-    "Kernel", "SourceLoc", "KernelBuilder", "simple_loop_kernel",
-    "Interpreter", "allocate_storage", "run_kernel",
-    "Access", "NestAnalysis", "analyze_nests", "average_trip_counts",
-    "kernel_stride_summary",
-    "DType", "SP", "DP", "INT32", "INT64", "ALL_DTYPES", "promote",
-    "IRValidationError", "validate_kernel", "is_valid_kernel",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".builder": ("KernelBuilder", "simple_loop_kernel"),
+    ".expr": ("AffineIndex", "Array", "BinOp", "Call", "Const", "Expr",
+              "IndexVar", "IRError", "Load", "as_affine", "cos", "exp",
+              "fabs", "fmax", "fmin", "log", "powr", "sign", "sin", "sqrt",
+              "walk_expr"),
+    ".interp": ("Interpreter", "allocate_storage", "run_kernel"),
+    ".kernel": ("Kernel", "SourceLoc"),
+    ".stmt": ("Block", "Loop", "Stmt", "Store", "fresh_index", "loop_nests",
+              "walk_statements"),
+    ".traverse": ("Access", "NestAnalysis", "analyze_nests",
+                  "average_trip_counts", "kernel_stride_summary"),
+    ".types": ("ALL_DTYPES", "DP", "DType", "INT32", "INT64", "SP",
+               "promote"),
+    ".validate": ("IRValidationError", "is_valid_kernel", "validate_kernel"),
+})

@@ -22,27 +22,19 @@ commands and passes that rewrite kernels need it.  See
 ``docs/TRANSFORM.md``.
 """
 
-from .canary import (FORCED_DIVERGENCE_CANARY, TRANSFORM_CANARIES,
-                     TransformCanary)
-from .legality import (ILLEGAL, INAPPLICABLE, LEGAL, LegalityVerdict,
-                       fuse_verdict, interchange_verdict, nest_label,
-                       tile_verdict)
-from .passes import (REWRITE_REGISTRY, RewritePass, TransformRecord,
-                     describe_passes, rewrite_pass)
-from .pipeline import (PassSpec, TransformReport, parse_pass_specs,
-                       transform_kernel, transform_suite)
-from .substitute import (constant_trip, perfect_chain, rebuild_chain,
-                         scoping_ok, substitute_affine, substitute_expr,
-                         substitute_stmt)
+from ..._exports import lazy_exports
 
-__all__ = [
-    "LEGAL", "ILLEGAL", "INAPPLICABLE", "LegalityVerdict",
-    "interchange_verdict", "tile_verdict", "fuse_verdict", "nest_label",
-    "REWRITE_REGISTRY", "RewritePass", "TransformRecord",
-    "rewrite_pass", "describe_passes",
-    "PassSpec", "TransformReport", "parse_pass_specs",
-    "transform_kernel", "transform_suite",
-    "TRANSFORM_CANARIES", "TransformCanary", "FORCED_DIVERGENCE_CANARY",
-    "substitute_affine", "substitute_expr", "substitute_stmt",
-    "perfect_chain", "rebuild_chain", "scoping_ok", "constant_trip",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".canary": ("FORCED_DIVERGENCE_CANARY", "TRANSFORM_CANARIES",
+                "TransformCanary"),
+    ".legality": ("ILLEGAL", "INAPPLICABLE", "LEGAL", "LegalityVerdict",
+                  "fuse_verdict", "interchange_verdict", "nest_label",
+                  "tile_verdict"),
+    ".passes": ("REWRITE_REGISTRY", "RewritePass", "TransformRecord",
+                "describe_passes", "rewrite_pass"),
+    ".pipeline": ("PassSpec", "TransformReport", "parse_pass_specs",
+                  "transform_kernel", "transform_suite"),
+    ".substitute": ("constant_trip", "perfect_chain", "rebuild_chain",
+                    "scoping_ok", "substitute_affine", "substitute_expr",
+                    "substitute_stmt"),
+})

@@ -6,22 +6,16 @@ analyzer (:mod:`repro.analysis`, the MAQAO substitute) and the machine
 execution model (:mod:`repro.machine`).
 """
 
-from .compiler import (AVX, SCALAR, SSE2, SSE42, CompiledKernel,
-                       CompiledNest, CompilerOptions, TargetISA,
-                       clear_lowering_memo, compile_kernel,
-                       lowering_memo_keys, lowering_memo_stats,
-                       recompile_scalar)
-from .deps import DepInfo, Recurrence, Reduction, analyze_dependences
-from .instructions import (BINOP_CLASS, FP_ARITH, INTRINSIC_EXPANSION,
-                           MEMORY_OPS, Instr, OpClass, merge_instrs,
-                           sse_width, summarize)
+from .._exports import lazy_exports
 
-__all__ = [
-    "TargetISA", "SSE2", "SSE42", "AVX", "SCALAR",
-    "CompilerOptions", "CompiledKernel", "CompiledNest", "compile_kernel",
-    "recompile_scalar", "lowering_memo_stats", "lowering_memo_keys",
-    "clear_lowering_memo",
-    "DepInfo", "Reduction", "Recurrence", "analyze_dependences",
-    "Instr", "OpClass", "FP_ARITH", "MEMORY_OPS", "BINOP_CLASS",
-    "INTRINSIC_EXPANSION", "merge_instrs", "summarize", "sse_width",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".compiler": ("AVX", "SCALAR", "SSE2", "SSE42", "CompiledKernel",
+                  "CompiledNest", "CompilerOptions", "TargetISA",
+                  "clear_lowering_memo", "compile_kernel",
+                  "lowering_memo_keys", "lowering_memo_stats",
+                  "recompile_scalar"),
+    ".deps": ("DepInfo", "Recurrence", "Reduction", "analyze_dependences"),
+    ".instructions": ("BINOP_CLASS", "FP_ARITH", "INTRINSIC_EXPANSION",
+                      "MEMORY_OPS", "Instr", "OpClass", "merge_instrs",
+                      "sse_width", "summarize"),
+})

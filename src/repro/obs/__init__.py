@@ -17,20 +17,16 @@ replayable account of where work went:
   ``repro trace`` subcommand.
 
 This package deliberately imports nothing from the rest of
-:mod:`repro`: the runtime, codelet, core and CLI layers all wire it in
-(see ``docs/OBSERVABILITY.md``).
+:mod:`repro` but its namespace helper: the runtime, codelet, core and
+CLI layers all wire it in (see ``docs/OBSERVABILITY.md``).
 """
 
-from .metrics import (METRICS_FORMAT, Counter, Gauge, Histogram,
-                      MetricsRegistry)
-from .observation import Observation, active_observation, observing
-from .render import load_trace, render_summary, render_tree
-from .tracer import TRACE_FORMAT, Span, Tracer
+from .._exports import lazy_exports
 
-__all__ = [
-    "Observation", "active_observation", "observing",
-    "Tracer", "Span", "TRACE_FORMAT",
-    "MetricsRegistry", "Counter", "Gauge", "Histogram",
-    "METRICS_FORMAT",
-    "load_trace", "render_tree", "render_summary",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".metrics": ("METRICS_FORMAT", "Counter", "Gauge", "Histogram",
+                 "MetricsRegistry"),
+    ".observation": ("Observation", "active_observation", "observing"),
+    ".render": ("load_trace", "render_summary", "render_tree"),
+    ".tracer": ("TRACE_FORMAT", "Span", "Tracer"),
+})

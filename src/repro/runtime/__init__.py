@@ -28,30 +28,19 @@ This package deliberately depends only on :mod:`repro.ir` and
 :mod:`repro.machine`; the codelet and core layers import *it*.
 """
 
-from .cache import CACHE_FORMAT, CacheStats, DiskCache, content_key
-from .config import RuntimeConfig
-from .executor import (Executor, ProcessExecutor, SerialExecutor,
-                       make_executor, resolve_jobs)
-from .faults import (FAULT_KINDS, FAULT_STAGES, CorruptResult,
-                     FaultPlan, FaultRule, InjectedCrash, InjectedFault,
-                     InjectedTimeout, crash_plan)
-from .fingerprint import (architecture_fingerprint, codelet_fingerprint,
-                          kernel_fingerprint, measurer_fingerprint,
-                          profile_cache_key)
-from .resilience import (QUARANTINED, ResilientExecutor, RetryPolicy,
-                         RunHealth, TaskHealth)
+from .._exports import lazy_exports
 
-__all__ = [
-    "Executor", "SerialExecutor", "ProcessExecutor",
-    "make_executor", "resolve_jobs",
-    "DiskCache", "CacheStats", "CACHE_FORMAT", "content_key",
-    "RuntimeConfig",
-    "FaultPlan", "FaultRule", "FAULT_KINDS", "FAULT_STAGES",
-    "InjectedFault", "InjectedCrash", "InjectedTimeout",
-    "CorruptResult", "crash_plan",
-    "ResilientExecutor", "RetryPolicy", "RunHealth", "TaskHealth",
-    "QUARANTINED",
-    "kernel_fingerprint", "codelet_fingerprint",
-    "architecture_fingerprint", "measurer_fingerprint",
-    "profile_cache_key",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".cache": ("CACHE_FORMAT", "CacheStats", "DiskCache", "content_key"),
+    ".config": ("RuntimeConfig",),
+    ".executor": ("Executor", "ProcessExecutor", "SerialExecutor",
+                  "make_executor", "resolve_jobs"),
+    ".faults": ("FAULT_KINDS", "FAULT_STAGES", "CorruptResult", "FaultPlan",
+                "FaultRule", "InjectedCrash", "InjectedFault",
+                "InjectedTimeout", "crash_plan"),
+    ".fingerprint": ("architecture_fingerprint", "codelet_fingerprint",
+                     "kernel_fingerprint", "measurer_fingerprint",
+                     "profile_cache_key"),
+    ".resilience": ("QUARANTINED", "ResilientExecutor", "RetryPolicy",
+                    "RunHealth", "TaskHealth"),
+})

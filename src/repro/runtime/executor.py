@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import os
 from abc import ABC, abstractmethod
-from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Callable, Iterable, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -101,6 +103,10 @@ class ProcessExecutor(Executor):
         if self._pool is not None and self._pool_workers != self.jobs:
             self.close()
         if self._pool is None:
+            # Imported here: the pool's modules (multiprocessing and
+            # its sockets and subprocesses) load only when one is made.
+            from concurrent.futures import ProcessPoolExecutor
+
             self._pool = ProcessPoolExecutor(max_workers=self.jobs)
             self._pool_workers = self.jobs
         chunksize = max(1, len(items) // (self.jobs * 4))

@@ -1,8 +1,9 @@
 """Benchmark suites authored in the kernel IR: Numerical Recipes
 (training) and the NAS-like SER suite (validation)."""
 
-from .nas import NAS_APP_ORDER, build_nas_suite
-from .nr import NR_SPEC_BY_NAME, NR_SPECS, NRSpec, build_nr_suite
+from .._exports import lazy_exports
 
-__all__ = ["build_nr_suite", "NR_SPECS", "NR_SPEC_BY_NAME", "NRSpec",
-           "build_nas_suite", "NAS_APP_ORDER"]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".nas": ("NAS_APP_ORDER", "build_nas_suite"),
+    ".nr": ("NR_SPEC_BY_NAME", "NR_SPECS", "NRSpec", "build_nr_suite"),
+})

@@ -22,32 +22,19 @@ properties *executable*:
 See ``docs/VERIFY.md`` for how to add an invariant.
 """
 
-from .invariants import (BREAKAGES, REGISTRY, Invariant,
-                         InvariantResult, InvariantViolation,
-                         VerifyContext, invariant, reduce_codelets,
-                         run_registry)
-from .oracle import (DIFFERENTIAL_CASES, DifferentialCase,
-                     DifferentialResult, Discrepancy, diff_evaluations,
-                     diff_reduced, run_differential)
-from .report import VerifyReport
-from .runner import describe_registry, run_verify
-from .strategies import (FEATURE_MATRIX_VARIANTS, KERNEL_SHAPES,
-                         architecture_configs,
-                         benchmark_suites, codelet_lists,
-                         feature_matrices,
-                         random_codelet, random_codelets,
-                         synthetic_suite)
+from .._exports import lazy_exports
 
-__all__ = [
-    "Invariant", "InvariantResult", "InvariantViolation",
-    "VerifyContext", "REGISTRY", "BREAKAGES", "invariant",
-    "run_registry", "reduce_codelets",
-    "Discrepancy", "DifferentialCase", "DifferentialResult",
-    "DIFFERENTIAL_CASES", "diff_reduced", "diff_evaluations",
-    "run_differential",
-    "VerifyReport", "run_verify", "describe_registry",
-    "KERNEL_SHAPES", "random_codelet", "random_codelets",
-    "synthetic_suite", "codelet_lists", "benchmark_suites",
-    "architecture_configs", "feature_matrices",
-    "FEATURE_MATRIX_VARIANTS",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    ".invariants": ("BREAKAGES", "REGISTRY", "Invariant", "InvariantResult",
+                    "InvariantViolation", "VerifyContext", "invariant",
+                    "reduce_codelets", "run_registry"),
+    ".oracle": ("DIFFERENTIAL_CASES", "DifferentialCase",
+                "DifferentialResult", "Discrepancy", "diff_evaluations",
+                "diff_reduced", "run_differential"),
+    ".report": ("VerifyReport",),
+    ".runner": ("describe_registry", "run_verify"),
+    ".strategies": ("FEATURE_MATRIX_VARIANTS", "KERNEL_SHAPES",
+                    "architecture_configs", "benchmark_suites",
+                    "codelet_lists", "feature_matrices", "random_codelet",
+                    "random_codelets", "synthetic_suite"),
+})

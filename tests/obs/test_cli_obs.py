@@ -76,6 +76,19 @@ def test_trace_subcommand_renders_tree_and_summary(tmp_path, capsys):
     assert "top 3 spans by modelled time:" in summary
 
 
+@pytest.mark.parametrize("top", ["-2", "0"])
+def test_trace_summary_rejects_a_top_below_one(tmp_path, capsys, top):
+    run_reduce(tmp_path, "top")
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["trace", str(tmp_path / "trace_top.json"), "--summary",
+              "--top", top])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "must be an integer >= 1" in captured.err
+    assert captured.out == ""
+
+
 def test_trace_subcommand_rejects_bad_files(tmp_path, capsys):
     missing = main(["trace", str(tmp_path / "nope.json")])
     assert missing == 2
