@@ -1,17 +1,20 @@
-"""Check that CLI commands print what ``cli_digests.json`` pins.
+"""Check that CLI commands print and write what ``cli_digests.json`` pins.
 
 Usage::
 
     python tests/golden/check_cli_digests.py [--write]
 
 ``cli_digests.json`` maps each argv (what follows ``python -m repro``)
-to the sha256 of its stdout.  Every argv runs in a new process from this
-checkout's ``src``, so a deferred import that fails, or one that changes
-a registry's order, shows even when the same command passes in a
-process that has already imported everything.  Exits 1 on a moved
-digest or a non-zero exit status.  ``--write`` re-records the digests
-of the argvs already in the file; a change that means to move an output
-re-records it and says why.
+to the sha256 of each of its outputs: ``stdout``, and every file the
+argv writes, named by the relative path it gives.  Every argv runs in a
+new process from this checkout's ``src``, in a new empty working
+directory, so a deferred import that fails, or one that changes a
+registry's order, shows even when the same command passes in a process
+that has already imported everything, and no file is left over from
+another argv.  Exits 1 on a moved digest, a missing file or a non-zero
+exit status.  ``--write`` re-records the digests of the outputs already
+in the file; a change that means to move an output re-records it and
+says why.
 """
 
 from __future__ import annotations
@@ -29,15 +32,25 @@ DIGESTS = HERE / "cli_digests.json"
 SRC = HERE.parents[1] / "src"
 
 
-def stdout_digest(argv, cwd) -> tuple:
-    """``(exit status, sha256 of stdout)`` of ``python -m repro argv``."""
+def output_digests(argv, outputs) -> tuple:
+    """``(exit status, {output: sha256 or None})`` of ``python -m repro
+    argv`` run in a new empty directory: ``stdout``, or a file the
+    command writes there (``None`` if it wrote none)."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-m", "repro", *argv],
-                          env=env, cwd=cwd, capture_output=True,
-                          timeout=600)
-    if proc.returncode != 0:
-        sys.stderr.write(proc.stderr.decode(errors="replace"))
-    return proc.returncode, hashlib.sha256(proc.stdout).hexdigest()
+    with tempfile.TemporaryDirectory() as cwd:
+        proc = subprocess.run([sys.executable, "-m", "repro", *argv],
+                              env=env, cwd=cwd, capture_output=True,
+                              timeout=600)
+        if proc.returncode != 0:
+            sys.stderr.write(proc.stderr.decode(errors="replace"))
+        digests = {}
+        for output in outputs:
+            path = Path(cwd, output)
+            data = (proc.stdout if output == "stdout"
+                    else path.read_bytes() if path.is_file() else None)
+            digests[output] = (None if data is None
+                               else hashlib.sha256(data).hexdigest())
+    return proc.returncode, digests
 
 
 def main(argv) -> int:
@@ -47,18 +60,22 @@ def main(argv) -> int:
         return 2
     pinned = json.loads(DIGESTS.read_text())
     failed = []
-    # Commands that write reports write them here, not into the tree.
-    with tempfile.TemporaryDirectory() as cwd:
-        for command, want in pinned.items():
-            status, got = stdout_digest(command.split(), cwd)
-            if status != 0:
-                failed.append(f"{command}: exit {status}")
-            elif write:
-                pinned[command] = got
-            elif got != want:
-                failed.append(f"{command}: digest {got}, pinned {want}")
-            else:
-                print(f"ok  {command}")
+    for command, want in pinned.items():
+        status, got = output_digests(command.split(), want)
+        problems = [f"{command}: exit {status}"] if status != 0 else []
+        problems += [f"{command}: wrote no {output}"
+                     for output, digest in got.items() if digest is None]
+        if not write:
+            problems += [f"{command}: {output} digest {got[output]}, "
+                         f"pinned {want[output]}"
+                         for output in want
+                         if got[output] not in (None, want[output])]
+        if problems:
+            failed += problems
+        elif write:
+            pinned[command] = got
+        else:
+            print(f"ok  {command}")
     for line in failed:
         print(f"FAILED  {line}")
     if write and not failed:
