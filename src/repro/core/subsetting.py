@@ -24,6 +24,7 @@ from typing import List, Tuple
 
 from ..machine.architecture import Architecture
 from .prediction import CodeletPrediction, median_error
+from .representatives import NoRepresentativeError
 
 
 @dataclass(frozen=True)
@@ -55,8 +56,9 @@ def per_application_subsetting(ctx, target: Architecture,
 
     Each NAS application gets ``reps_per_app`` representatives.  Apps
     where representative selection fails outright (all codelets
-    ill-behaved) are excluded from the error computation and listed as
-    unpredictable, as the paper does for MG.
+    ill-behaved: :class:`NoRepresentativeError`) are excluded from the
+    error computation and listed as unpredictable, as the paper does
+    for MG.  Any other error of an application's Steps C-D propagates.
     """
     all_predictions: List[CodeletPrediction] = []
     unpredictable: List[str] = []
@@ -70,7 +72,7 @@ def per_application_subsetting(ctx, target: Architecture,
         k = max(1, min(reps_per_app, n_codelets))
         try:
             reduced = ctx.reduced(name, k)
-        except ValueError:
+        except NoRepresentativeError:
             # Every codelet ill-behaved: no faithful representative.
             unpredictable.append(app.name)
             continue

@@ -362,6 +362,20 @@ class TestSubsetting:
         apps_predicted = {c.app for c in result.codelets}
         assert "mg" not in apps_predicted
 
+    def test_per_app_propagates_other_errors(self, ctx, monkeypatch):
+        # Only "no representative" makes an application unpredictable;
+        # any other error of its Steps C-D must fail Figure 8.
+        reduced = ctx.reduced
+
+        def broken(name, k):
+            if name == "nas:bt":
+                raise ValueError("2 centroid-distance lists for 3 clusters")
+            return reduced(name, k)
+
+        monkeypatch.setattr(ctx, "reduced", broken)
+        with pytest.raises(ValueError, match="centroid-distance"):
+            per_application_subsetting(ctx, CORE2, reps_per_app=2)
+
     def test_cross_app_beats_per_app(self, ctx):
         """Figure 8's headline at a matched budget."""
         per_app = per_application_subsetting(ctx, ATOM, reps_per_app=2)
