@@ -71,6 +71,10 @@ class TestTable3:
         by_name = {r.codelet: r for r in result.rows}
         assert by_name["hqr_12"].cluster == by_name["jacobi_5"].cluster
 
+    def test_element_wise_multiplies_clustered_together(self, result):
+        by_name = {r.codelet: r for r in result.rows}
+        assert by_name["balanc_3"].cluster == by_name["elmhes_10"].cluster
+
     def test_representatives_count_equals_k(self, result):
         assert sum(r.is_representative for r in result.rows) == result.k
 
