@@ -7,8 +7,8 @@ from .._exports import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "..codelets.measurement": ("ILL_BEHAVED_TOLERANCE",),
     ".clustering": ("ELBOW_K_MAX", "ELBOW_THRESHOLD", "LINKAGE_METHODS",
-                    "Dendrogram", "Merge", "elbow_k", "linkage",
-                    "linkage_reference", "variance_curve", "ward_linkage",
+                    "Dendrogram", "elbow_k", "linkage", "linkage_reference",
+                    "variance_curve", "ward_linkage",
                     "within_cluster_variance"),
     ".features": ("ALL_FEATURE_NAMES", "DYNAMIC_FEATURE_NAMES",
                   "TABLE2_FEATURES", "FeatureMatrix", "dynamic_features",

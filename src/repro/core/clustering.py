@@ -39,73 +39,57 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 
-@dataclass(frozen=True)
-class Merge:
-    """One agglomeration step: clusters ``a`` and ``b`` join at
-    ``height`` (the Ward distance), forming a cluster of ``size``."""
-
-    a: int
-    b: int
-    height: float
-    size: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dendrogram:
-    """The full merge history of ``n_leaves`` observations.
+    """The full merge history of ``n_leaves`` observations, as scipy's
+    linkage matrix: a read-only (n-1) x 4 float64 array ``Z``.
 
-    Cluster ids follow the scipy convention: leaves are ``0..n-1``,
-    merge ``i`` creates cluster ``n + i``.
+    Row ``i`` joins clusters ``Z[i, 0]`` and ``Z[i, 1]`` at height
+    ``Z[i, 2]`` into a cluster of ``Z[i, 3]`` leaves, whose id is
+    ``n + i``; leaves are ``0..n-1``.
     """
 
-    n_leaves: int
-    merges: Tuple[Merge, ...]
+    Z: np.ndarray
 
     def __post_init__(self):
-        if len(self.merges) != self.n_leaves - 1:
-            raise ValueError("a dendrogram has n-1 merges")
+        Z = np.asarray(self.Z, dtype=float).view()
+        if Z.ndim != 2 or Z.shape[1] != 4:
+            raise ValueError("a dendrogram is an (n-1) x 4 linkage "
+                             f"matrix, got shape {Z.shape}")
+        Z.flags.writeable = False
+        object.__setattr__(self, "Z", Z)
+
+    @property
+    def n_leaves(self) -> int:
+        return len(self.Z) + 1
 
     def cut(self, k: int) -> np.ndarray:
-        """Labels (0..k-1) for a cut producing ``k`` clusters.
+        """Labels (0..k-1) for a cut producing ``k`` clusters, numbered
+        in order of each cluster's smallest leaf.
 
-        Cutting applies the first ``n - k`` merges — equivalently, cuts
-        the tree just below the height of merge ``n - k``.  The
-        union-find uses union by rank with full path compression, so a
-        cut stays near-linear even on chain-shaped dendrograms where
-        naive linking degenerates quadratically.
+        Cutting applies the first ``n - k`` merges.  One reverse sweep
+        over them gives each merged cluster the root of the cluster it
+        ends up in: a merge can only be named by a later one, so when
+        merge ``i`` is reached its own root is final and passes to both
+        its children.  Each merge is visited once, so a cut is linear
+        even on chain-shaped dendrograms.
         """
-        if not 1 <= k <= self.n_leaves:
-            raise ValueError(f"k must be in [1, {self.n_leaves}]")
         n = self.n_leaves
-        parent = list(range(n + len(self.merges)))
-        rank = [0] * len(parent)
-
-        def find(x: int) -> int:
-            root = x
-            while parent[root] != root:
-                root = parent[root]
-            while parent[x] != root:
-                parent[x], x = root, parent[x]
-            return root
-
-        for i, merge in enumerate(self.merges[:n - k]):
-            ra, rb = find(merge.a), find(merge.b)
-            if rank[ra] < rank[rb]:
-                ra, rb = rb, ra
-            parent[rb] = ra
-            if rank[ra] == rank[rb]:
-                rank[ra] += 1
-            # Later merges may name this merge's cluster id directly.
-            parent[n + i] = ra
-
+        if not 1 <= k <= n:
+            raise ValueError(f"k must be in [1, {n}]")
+        root = list(range(2 * n - 1))
+        pairs = self.Z[:n - k, :2].astype(np.int64).tolist()
+        for i in range(n - k - 1, -1, -1):
+            a, b = pairs[i]
+            root[a] = root[b] = root[n + i]
         label_of: Dict[int, int] = {}
         labels = np.empty(n, dtype=int)
         for leaf in range(n):
-            labels[leaf] = label_of.setdefault(find(leaf), len(label_of))
+            labels[leaf] = label_of.setdefault(root[leaf], len(label_of))
         return labels
 
     def heights(self) -> np.ndarray:
-        return np.array([m.height for m in self.merges])
+        return self.Z[:, 2]
 
     def render(self, labels: Optional[Sequence[str]] = None,
                width: int = 40) -> str:
@@ -113,39 +97,37 @@ class Dendrogram:
         panel of the paper's Table 3).
 
         Each leaf line shows its label and a bar whose indentation
-        encodes the height at which the leaf's subtree last merged —
-        adjacent leaves joining early share long bars.
+        encodes the height at which the leaf first merges — adjacent
+        leaves joining early share long bars.
         """
+        n = self.n_leaves
         labels = list(labels) if labels is not None else [
-            str(i) for i in range(self.n_leaves)]
-        if len(labels) != self.n_leaves:
+            str(i) for i in range(n)]
+        if len(labels) != n:
             raise ValueError("one label per leaf required")
-        if self.n_leaves == 1:
+        if n == 1:
             return f"{labels[0]} |"
 
-        # Leaf order: in-order walk of the merge tree.
-        children = {self.n_leaves + i: (m.a, m.b)
-                    for i, m in enumerate(self.merges)}
+        pairs = self.Z[:, :2].astype(np.int64).tolist()
 
+        # Leaf order: in-order walk of the merge tree.
         def leaves_of(node: int) -> List[int]:
-            if node < self.n_leaves:
+            if node < n:
                 return [node]
-            a, b = children[node]
+            a, b = pairs[node - n]
             return leaves_of(a) + leaves_of(b)
 
-        order = leaves_of(self.n_leaves + len(self.merges) - 1)
+        order = leaves_of(2 * n - 2)
 
-        # Height at which each leaf first merges with its neighbour in
-        # the rendered order.
-        first_merge = {}
-        for merge in self.merges:
-            for leaf in leaves_of(merge.a) + leaves_of(merge.b):
-                first_merge.setdefault(leaf, merge.height)
+        # Each leaf first merges in the one row that names it.
+        first_merge: Dict[int, float] = {}
+        for (a, b), height in zip(pairs, self.heights().tolist()):
+            first_merge[a] = first_merge[b] = height
         max_h = max(self.heights().max(), 1e-12)
         label_w = max(len(lbl) for lbl in labels)
         lines = []
         for leaf in order:
-            frac = min(1.0, first_merge.get(leaf, max_h) / max_h)
+            frac = min(1.0, first_merge[leaf] / max_h)
             bar = "-" * max(1, int(round((1.0 - frac) * width)) + 1)
             lines.append(f"{labels[leaf]:<{label_w}} |{bar}+")
         return "\n".join(lines)
@@ -226,7 +208,7 @@ def linkage_reference(points: np.ndarray,
     active = list(range(n))                 # current cluster ids
     sizes = {i: 1 for i in range(n)}
     index_of = {i: i for i in range(n)}     # cluster id -> matrix row
-    merges: List[Merge] = []
+    rows: List[List[float]] = []
     next_id = n
 
     for _ in range(n - 1):
@@ -257,7 +239,7 @@ def linkage_reference(points: np.ndarray,
 
         height = float(np.sqrt(max(dist, 0.0))) if method == "ward" \
             else float(dist)
-        merges.append(Merge(ca, cb, height, na + nb))
+        rows.append([ca, cb, height, na + nb])
         new_cluster = next_id
         next_id += 1
         sizes[new_cluster] = na + nb
@@ -265,7 +247,7 @@ def linkage_reference(points: np.ndarray,
         active.pop(bi)
         active[ai] = new_cluster
 
-    return Dendrogram(n, tuple(merges))
+    return Dendrogram(np.array(rows, dtype=float).reshape(n - 1, 4))
 
 
 def _lw_update_stack(d: np.ndarray, size: np.ndarray, alive: np.ndarray,
@@ -327,7 +309,8 @@ def linkage_stack(point_sets: Sequence[np.ndarray],
     arithmetic.  Each matrix thus sees the argmin and the arithmetic it
     would see alone, so every dendrogram is the one
     :func:`linkage_reference` builds for its set, bit for bit, by
-    construction.
+    construction.  The merges are written into one (P, n-1, 4) array,
+    and each dendrogram views its set's linkage matrix in it.
     """
     _check_method(method)
     sets = [_check_points(points) for points in point_sets]
@@ -343,31 +326,28 @@ def linkage_stack(point_sets: Sequence[np.ndarray],
     size = np.ones((n_sets, n), dtype=np.int64)
     alive = np.ones((n_sets, n), dtype=bool)
     cluster_id = np.tile(np.arange(n, dtype=np.int64), (n_sets, 1))
-    # Step i's merge per matrix; Merge objects are built once at the end.
-    ids_a = np.empty((n - 1, n_sets), dtype=np.int64)
-    ids_b = np.empty((n - 1, n_sets), dtype=np.int64)
-    merged = np.empty((n - 1, n_sets), dtype=np.int64)
-    dists = np.empty((n - 1, n_sets))
+    # Row i of each set's linkage matrix: the pair step i merges, its
+    # distance (a height once Ward's square root is taken below) and
+    # the merged cluster's size.
+    Z = np.empty((n_sets, n - 1, 4))
     for i in range(n - 1):
         a, b = np.divmod(_first_minima(d), n)
         dist = d[rows, a, b]
-        ids_a[i], ids_b[i] = cluster_id[rows, a], cluster_id[rows, b]
-        merged[i] = size[rows, a] + size[rows, b]
-        dists[i] = dist
+        merged = size[rows, a] + size[rows, b]
+        Z[:, i, 0] = cluster_id[rows, a]
+        Z[:, i, 1] = cluster_id[rows, b]
+        Z[:, i, 2] = dist
+        Z[:, i, 3] = merged
         _lw_update_stack(d, size, alive, rows, a, b, dist, method)
-        size[rows, a] = merged[i]
+        size[rows, a] = merged
         alive[rows, b] = False
         cluster_id[rows, a] = n + i
-    # The reference's height: sqrt(max(dist, 0.0)) for Ward, where
-    # max() keeps ``dist`` unless 0.0 is strictly greater.
-    heights = np.sqrt(np.where(0.0 > dists, 0.0, dists)) \
-        if method == "ward" else dists
-    return [Dendrogram(n, tuple(
-        Merge(*step) for step in zip(ids_a[:, p].tolist(),
-                                     ids_b[:, p].tolist(),
-                                     heights[:, p].tolist(),
-                                     merged[:, p].tolist())))
-        for p in range(n_sets)]
+    if method == "ward":
+        # The reference's height: sqrt(max(dist, 0.0)), where max()
+        # keeps ``dist`` unless 0.0 is strictly greater.
+        dists = Z[:, :, 2]
+        Z[:, :, 2] = np.sqrt(np.where(0.0 > dists, 0.0, dists))
+    return [Dendrogram(z) for z in Z]
 
 
 def linkage(points: np.ndarray, method: str = "ward") -> Dendrogram:
@@ -571,11 +551,10 @@ def elbow_stack(point_sets: Sequence[np.ndarray],
     starts: List[int] = []
     for p, dendrogram in enumerate(dendrograms):
         starts.append(len(clusters))
-        merges = dendrogram.merges
+        pairs = dendrogram.Z[:, :2].astype(np.int64).tolist()
         leaves: Dict[int, List[int]] = {leaf: [leaf] for leaf in range(n)}
-        for i, merge in enumerate(merges[:n - k_max]):
-            leaves[n + i] = sorted(leaves.pop(merge.a)
-                                   + leaves.pop(merge.b))
+        for i, (a, b) in enumerate(pairs[:n - k_max]):
+            leaves[n + i] = sorted(leaves.pop(a) + leaves.pop(b))
         position: Dict[int, int] = {}   # cluster id -> index in clusters
         for cluster_id, members in leaves.items():
             position[cluster_id] = len(clusters)
@@ -583,8 +562,8 @@ def elbow_stack(point_sets: Sequence[np.ndarray],
             live_to.append(k_max)
             live_from.append(1)
         for i in range(n - k_max, n - 1):
-            a = position.pop(merges[i].a)
-            b = position.pop(merges[i].b)
+            left, right = pairs[i]
+            a, b = position.pop(left), position.pop(right)
             live_from[a] = live_from[b] = n - i
             position[n + i] = len(clusters)
             clusters.append((p, sorted(clusters[a][1] + clusters[b][1])))

@@ -7,9 +7,9 @@ be exact at K = N, and every runtime knob (process pools, the profile
 cache) must change wall-clock time only.  This package makes those
 properties *executable*:
 
-* :mod:`~repro.verify.strategies` — seeded synthetic suites/codelets
-  plus Hypothesis strategies over the same space (promoted from the
-  runtime test helpers so all layers share one generator);
+* :mod:`~repro.verify.strategies` — seeded synthetic suites, codelets
+  and feature matrices (promoted from the runtime test helpers so all
+  layers share one generator);
 * :mod:`~repro.verify.invariants` — the named invariant registry and
   the :class:`VerifyContext` it runs against, with deliberate-defect
   injection (``BREAKAGES``) to prove each invariant actually bites;
@@ -34,7 +34,5 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     ".report": ("VerifyReport",),
     ".runner": ("describe_registry", "run_verify"),
     ".strategies": ("FEATURE_MATRIX_VARIANTS", "KERNEL_SHAPES",
-                    "architecture_configs", "benchmark_suites",
-                    "codelet_lists", "feature_matrices", "random_codelet",
-                    "random_codelets", "synthetic_suite"),
+                    "random_codelet", "random_codelets", "synthetic_suite"),
 })

@@ -32,9 +32,9 @@ from ..codelets.finder import find_suite_codelets
 from ..codelets.measurement import ILL_BEHAVED_TOLERANCE, Measurer
 from ..codelets.profiling import profile_codelets
 from ..core import clustering
-from ..core.clustering import (ELBOW_K_MAX, Dendrogram, elbow_stack,
-                               linkage, linkage_reference, linkage_stack,
-                               variance_curve, ward_linkage,
+from ..core.clustering import (ELBOW_K_MAX, LINKAGE_METHODS, Dendrogram,
+                               elbow_stack, linkage, linkage_reference,
+                               linkage_stack, variance_curve, ward_linkage,
                                within_cluster_variance)
 from ..core.features import ALL_FEATURE_NAMES, FeatureMatrix
 from ..core.ga import INIT_DENSITY, GAConfig
@@ -880,58 +880,43 @@ def check_trace_replay(ctx: VerifyContext) -> None:
 
 def _assert_same_dendrogram(name: str, label: str, got: Dendrogram,
                             want: Dendrogram) -> None:
-    """Bitwise equality of a :func:`linkage` dendrogram with the
-    reference's: merges, heights, every cut.  ``name`` is the invariant
-    a difference violates."""
-    if len(got.merges) != len(want.merges):
+    """Bitwise equality of a :func:`linkage` dendrogram's linkage
+    matrix with the reference's; every cut is a function of it.
+    ``name`` is the invariant a difference violates."""
+    if got.Z.shape != want.Z.shape:
         raise InvariantViolation(
-            f"{name}: {label}: linkage produced "
-            f"{len(got.merges)} merges, reference {len(want.merges)}")
-    for step, (mg, mw) in enumerate(zip(got.merges, want.merges)):
-        if (mg.a, mg.b, mg.size) != (mw.a, mw.b, mw.size):
-            raise InvariantViolation(
-                f"{name}: {label}: merge {step} joins "
-                f"({mg.a}, {mg.b}) in linkage but "
-                f"({mw.a}, {mw.b}) in the reference — the trees differ")
-        if mg.height != mw.height:
-            raise InvariantViolation(
-                f"{name}: {label}: merge {step} height "
-                f"{mg.height!r} != reference {mw.height!r} — heights "
-                "must be bit-identical, not merely close")
-    for k in range(1, got.n_leaves + 1):
-        if not np.array_equal(got.cut(k), want.cut(k)):
-            raise InvariantViolation(
-                f"{name}: {label}: cut(k={k}) labels "
-                "differ between linkage and the reference")
-
-
-@invariant(
-    "clustering-equivalence",
-    "the vectorized greedy linkage is bit-compatible with the O(n^3) "
-    "reference loop on every method and tie structure: identical "
-    "merges, bit-identical heights, identical cut(k) for all k")
-def check_clustering_equivalence(ctx: VerifyContext) -> None:
-    with ctx.planted("slow-path-skew", clustering, "_lw_update_stack",
-                     _skewed_lw_update):
-        for variant in FEATURE_MATRIX_VARIANTS:
-            for rows in (12, 26):
-                points = _feature_matrix(ctx.seed + rows, rows, 4, variant)
-                for method in ("ward", "single", "complete", "average"):
-                    got = linkage(points, method=method)
-                    want = linkage_reference(points, method=method)
-                    _assert_same_dendrogram(
-                        "clustering-equivalence",
-                        f"{variant} n={rows} method={method}", got, want)
+            f"{name}: {label}: linkage produced {len(got.Z)} merges, "
+            f"reference {len(want.Z)}")
+    differ = np.flatnonzero((got.Z.view(np.uint64)
+                             != want.Z.view(np.uint64)).any(axis=1))
+    if differ.size:
+        i = int(differ[0])
+        raise InvariantViolation(
+            f"{name}: {label}: row {i} is {got.Z[i].tolist()} in linkage "
+            f"but {want.Z[i].tolist()} in the reference — the "
+            "dendrograms must be bit-identical, not merely close")
 
 
 @invariant(
     "stacked-linkage-equivalence",
-    "every dendrogram of a stack of point sets linked side by side is "
-    "bit-identical to the reference loop on its own set, on every "
-    "method and tie structure")
+    "every dendrogram of a stack of point sets linked side by side, a "
+    "stack of one included, is bit-identical to the reference loop on "
+    "its own set, on every method and tie structure")
 def check_stacked_linkage_equivalence(ctx: VerifyContext) -> None:
-    with ctx.planted("stack-shares-argmin", clustering, "_first_minima",
-                     _shared_first_minima):
+    with ctx.planted("slow-path-skew", clustering, "_lw_update_stack",
+                     _skewed_lw_update), \
+            ctx.planted("stack-shares-argmin", clustering,
+                        "_first_minima", _shared_first_minima):
+        # Stacks of one, through linkage.
+        for variant in FEATURE_MATRIX_VARIANTS:
+            for rows in (12, 26):
+                points = _feature_matrix(ctx.seed + rows, rows, 4, variant)
+                for method in LINKAGE_METHODS:
+                    _assert_same_dendrogram(
+                        "stacked-linkage-equivalence",
+                        f"linkage: {variant} n={rows} method={method}",
+                        linkage(points, method=method),
+                        linkage_reference(points, method=method))
         for rows in (12, 26):
             for size in (2, 7):
                 # Each set its own tie structure and column count.
@@ -940,7 +925,7 @@ def check_stacked_linkage_equivalence(ctx: VerifyContext) -> None:
                 stack = [_feature_matrix(ctx.seed + 100 * rows + j, rows,
                                          1 + j % 5, kind)
                          for j, kind in enumerate(kinds)]
-                for method in ("ward", "single", "complete", "average"):
+                for method in LINKAGE_METHODS:
                     got = linkage_stack(stack, method)
                     for j, points in enumerate(stack):
                         _assert_same_dendrogram(
@@ -949,37 +934,6 @@ def check_stacked_linkage_equivalence(ctx: VerifyContext) -> None:
                             f"{points.shape[1]} columns) n={rows} "
                             f"method={method}", got[j],
                             linkage_reference(points, method=method))
-
-
-@invariant(
-    "variance-curve-equivalence",
-    "the one-pass W(k) curve is bit-identical to re-cutting the "
-    "dendrogram and summing within_cluster_variance at every k")
-def check_variance_curve_equivalence(ctx: VerifyContext) -> None:
-    dendrogram = ctx.reduced.dendrogram
-    rows = ctx.reduced.normalized_rows
-    n = dendrogram.n_leaves
-    with ctx.planted("stale-curve-child", clustering, "_w_curve",
-                     _stale_w_curve):
-        for k_max in (None, ELBOW_K_MAX, 1):
-            got = variance_curve(rows, dendrogram, k_max)
-            want = np.array([within_cluster_variance(rows,
-                                                     dendrogram.cut(k))
-                             for k in range(1, min(k_max or n, n) + 1)])
-            if got.shape != want.shape:
-                raise InvariantViolation(
-                    f"variance-curve-equivalence: k_max={k_max}: the "
-                    f"one-pass curve has {got.size} points, the per-cut "
-                    f"curve {want.size}")
-            differ = np.flatnonzero(got.view(np.uint64)
-                                    != want.view(np.uint64))
-            if differ.size:
-                k = int(differ[0]) + 1
-                raise InvariantViolation(
-                    f"variance-curve-equivalence: k_max={k_max}: W({k}) "
-                    f"is {float(got[k - 1])!r} in one pass but "
-                    f"{float(want[k - 1])!r} from cut({k}) — the curve "
-                    "must be bit-identical, not merely close")
 
 
 #: Column counts of the ``stacked-elbow-equivalence`` sets: none, one
@@ -992,12 +946,32 @@ def _hex(values) -> List[str]:
     return [float(v).hex() for v in np.ravel(values)]
 
 
+def _assert_curve(where: str, curve: np.ndarray, points: np.ndarray,
+                  dendrogram: Dendrogram, k_max: Optional[int]) -> None:
+    """``curve`` is W(1..k_max) of ``dendrogram`` over ``points``, each
+    ``within_cluster_variance`` of its cut bit for bit."""
+    n = dendrogram.n_leaves
+    want = [within_cluster_variance(points, dendrogram.cut(k))
+            for k in range(1, min(k_max or n, n) + 1)]
+    if len(curve) != len(want):
+        raise InvariantViolation(
+            f"{where}: the one-pass curve has {len(curve)} points, the "
+            f"per-cut curve {len(want)}")
+    for k, (got_w, want_w) in enumerate(zip(_hex(curve), _hex(want)),
+                                        start=1):
+        if got_w != want_w:
+            raise InvariantViolation(
+                f"{where}: W({k}) is {got_w} in one pass but {want_w} "
+                f"from cut({k}) — the curve must be bit-identical, not "
+                "merely close")
+
+
 @invariant(
     "stacked-elbow-equivalence",
-    "every elbow of a stack of point sets cut side by side is its own "
-    "set's reference bit for bit: W(k) is within_cluster_variance at "
-    "every cut, and each cluster's centroid distances at the elbow K "
-    "are np.linalg.norm on that cluster alone")
+    "every elbow of a stack of point sets cut side by side, a stack of "
+    "one included, is its own set's reference bit for bit: W(k) is "
+    "within_cluster_variance at every cut, and each cluster's centroid "
+    "distances at the elbow K are np.linalg.norm on that cluster alone")
 def check_stacked_elbow_equivalence(ctx: VerifyContext) -> None:
     from ..suites import build_nr_suite
 
@@ -1020,45 +994,52 @@ def check_stacked_elbow_equivalence(ctx: VerifyContext) -> None:
         if not mask.any():
             mask[rng.integers(full.shape[1])] = True
     stacks.append(("NR GA masks", [full[:, mask] for mask in masks]))
+    # First a stack of one, through variance_curve: the rows and the
+    # dendrogram the context reducer cut.  The reduction runs before
+    # the plant, so only the curves under test see it.
+    reduced = ctx.reduced
 
-    for label, stack in stacks:
-        dendrograms = linkage_stack(stack)
-        cut_sets = stack
-        if ctx.broken("stack-pads-columns"):
-            widest = max(points.shape[1] for points in stack)
-            cut_sets = [np.pad(points,
-                               ((0, 0), (0, widest - points.shape[1])))
-                        for points in stack]
-        cuts = elbow_stack(cut_sets, dendrograms, ELBOW_K_MAX)
-        for j, (points, dendrogram, cut) in enumerate(
-                zip(stack, dendrograms, cuts)):
-            where = (f"stacked-elbow-equivalence: {label}: set {j} of "
-                     f"{len(stack)} ({points.shape[1]} columns)")
-            want = [within_cluster_variance(points, dendrogram.cut(k))
-                    for k in range(1, len(cut.curve) + 1)]
-            for k, (got_w, want_w) in enumerate(
-                    zip(_hex(cut.curve), _hex(want)), start=1):
-                if got_w != want_w:
+    with ctx.planted("stale-curve-child", clustering, "_w_curve",
+                     _stale_w_curve):
+        for k_max in (None, ELBOW_K_MAX, 1):
+            _assert_curve(
+                "stacked-elbow-equivalence: the reducer's rows, "
+                f"k_max={k_max}",
+                variance_curve(reduced.normalized_rows, reduced.dendrogram,
+                               k_max),
+                reduced.normalized_rows, reduced.dendrogram, k_max)
+        for label, stack in stacks:
+            dendrograms = linkage_stack(stack)
+            cut_sets = stack
+            if ctx.broken("stack-pads-columns"):
+                widest = max(points.shape[1] for points in stack)
+                cut_sets = [np.pad(points,
+                                   ((0, 0), (0, widest - points.shape[1])))
+                            for points in stack]
+            cuts = elbow_stack(cut_sets, dendrograms, ELBOW_K_MAX)
+            for j, (points, dendrogram, cut) in enumerate(
+                    zip(stack, dendrograms, cuts)):
+                where = (f"stacked-elbow-equivalence: {label}: set {j} "
+                         f"of {len(stack)} ({points.shape[1]} columns)")
+                _assert_curve(where, cut.curve, points, dendrogram,
+                              ELBOW_K_MAX)
+                labels = dendrogram.cut(cut.k)
+                clusters = np.unique(labels)
+                if len(cut.distances) != len(clusters):
                     raise InvariantViolation(
-                        f"{where}: W({k}) is {got_w} stacked but "
-                        f"{want_w} from cut({k}) — the curve must be "
-                        "bit-identical, not merely close")
-            labels = dendrogram.cut(cut.k)
-            clusters = np.unique(labels)
-            if len(cut.distances) != len(clusters):
-                raise InvariantViolation(
-                    f"{where}: {len(cut.distances)} clusters' distances "
-                    f"for the {len(clusters)} clusters of cut({cut.k})")
-            for lab, got in zip(clusters, cut.distances):
-                pts = points[labels == lab]
-                ref = np.linalg.norm(pts - pts.mean(axis=0), axis=1)
-                if _hex(got) != _hex(ref):
-                    raise InvariantViolation(
-                        f"{where}: the centroid distances of cluster "
-                        f"{int(lab)} of cut({cut.k}) are {_hex(got)} "
-                        f"stacked but {_hex(ref)} on the cluster alone "
-                        "— they must be bit-identical, not merely "
-                        "close")
+                        f"{where}: {len(cut.distances)} clusters' "
+                        f"distances for the {len(clusters)} clusters of "
+                        f"cut({cut.k})")
+                for lab, got in zip(clusters, cut.distances):
+                    pts = points[labels == lab]
+                    ref = np.linalg.norm(pts - pts.mean(axis=0), axis=1)
+                    if _hex(got) != _hex(ref):
+                        raise InvariantViolation(
+                            f"{where}: the centroid distances of cluster "
+                            f"{int(lab)} of cut({cut.k}) are {_hex(got)} "
+                            f"stacked but {_hex(ref)} on the cluster "
+                            "alone — they must be bit-identical, not "
+                            "merely close")
 
 
 @invariant(
@@ -1316,11 +1297,11 @@ BREAKAGES: Dict[str, Breakage] = {
     "slow-path-skew": Breakage(
         "perturb one Lance-Williams update coefficient in the vectorized "
         "linkage by 1e-3, silently diverging it from the reference loop",
-        {"clustering-equivalence": ("bit-identical",)}),
+        {"stacked-linkage-equivalence": ("bit-identical",)}),
     "stale-curve-child": Breakage(
         "keep each merged-away child's sum of squares in the one-pass "
         "W(k) total, silently inflating the elbow curve below k_max",
-        {"variance-curve-equivalence": ("bit-identical",)}),
+        {"stacked-elbow-equivalence": ("bit-identical",)}),
     "stack-shares-argmin": Breakage(
         "merge every matrix of a linkage stack at matrix 0's argmin, "
         "silently giving every set matrix 0's merge order",

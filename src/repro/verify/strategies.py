@@ -1,25 +1,20 @@
-"""Synthetic suites, codelets and architectures for verification.
+"""Synthetic suites, codelets and feature matrices for verification.
 
 Promoted from the runtime test helpers (``tests/runtime/suitegen.py``)
 so every test layer and the ``repro verify`` harness share one
-generator.  Two styles coexist:
-
-* **seeded generators** (:func:`random_codelets`,
-  :func:`synthetic_suite`) — plain ``numpy`` RNG, no extra dependency,
-  reproducible from a single integer seed.  Kernels span the shapes the
-  pipeline cares about (streams, reductions, recurrences, stencils) and
-  invocation counts straddle the 1M-cycle measurability filter so both
-  kept and discarded outcomes are exercised;
-* **Hypothesis strategies** (:func:`codelet_lists`,
-  :func:`benchmark_suites`, :func:`architecture_configs`) — thin
-  wrappers that let property tests shrink over the same generator
-  space.  They require ``hypothesis`` and raise a clear error when it
-  is absent, so the library itself keeps its numpy-only footprint.
+generator: seeded generators (:func:`random_codelets`,
+:func:`synthetic_suite`, :func:`_feature_matrix`) on a plain ``numpy``
+RNG, reproducible from a single integer seed, with no extra
+dependency.  Kernels span the shapes the pipeline cares about (streams,
+reductions, recurrences, stencils) and invocation counts straddle the
+1M-cycle measurability filter so both kept and discarded outcomes are
+exercised.  The Hypothesis strategies over the same space live with
+the tests (``tests/strategies.py``), so ``repro verify`` never loads
+Hypothesis.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -28,21 +23,6 @@ from ..codelets.codelet import (Application, BenchmarkSuite, Codelet,
                                 CodeletRegion, Routine)
 from ..ir import DP, SP, KernelBuilder
 from ..ir.kernel import SourceLoc
-from ..machine.architecture import ALL_ARCHITECTURES, Architecture
-
-try:                                    # optional test-time dependency
-    from hypothesis import strategies as st
-except ImportError:                     # pragma: no cover - CI has it
-    st = None
-
-
-def _require_hypothesis():
-    if st is None:                      # pragma: no cover - CI has it
-        raise RuntimeError(
-            "repro.verify.strategies: the Hypothesis strategies need "
-            "the 'hypothesis' package (pip install repro[test]); the "
-            "seeded generators (random_codelets, synthetic_suite) work "
-            "without it")
 
 
 # ---------------------------------------------------------------------------
@@ -195,29 +175,8 @@ def synthetic_suite(seed: int, n_apps: int = 3,
 
 
 # ---------------------------------------------------------------------------
-# Hypothesis strategies
+# Seeded feature matrices
 # ---------------------------------------------------------------------------
-
-
-def codelet_lists(min_count: int = 2, max_count: int = 8,
-                  tame: bool = False):
-    """Strategy over lists of random codelets (shrinks seed and size)."""
-    _require_hypothesis()
-    return st.builds(random_codelets,
-                     st.integers(min_value=0, max_value=2 ** 32 - 1),
-                     st.integers(min_value=min_count,
-                                 max_value=max_count),
-                     st.just(tame))
-
-
-def benchmark_suites(max_apps: int = 3, max_codelets_per_app: int = 4):
-    """Strategy over whole synthetic benchmark suites."""
-    _require_hypothesis()
-    return st.builds(synthetic_suite,
-                     st.integers(min_value=0, max_value=2 ** 32 - 1),
-                     st.integers(min_value=1, max_value=max_apps),
-                     st.integers(min_value=1,
-                                 max_value=max_codelets_per_app))
 
 
 def _feature_matrix(seed: int, rows: int, cols: int,
@@ -243,34 +202,5 @@ def _feature_matrix(seed: int, rows: int, cols: int,
     return points
 
 
-#: Tie-structure variants ``feature_matrices`` samples over.
+#: The tie-structure variants of :func:`_feature_matrix`.
 FEATURE_MATRIX_VARIANTS = ("plain", "duplicates", "quantized", "lattice")
-
-
-def feature_matrices(min_rows: int = 2, max_rows: int = 24,
-                     max_cols: int = 6):
-    """Strategy over float64 feature matrices (shrinks over seed,
-    shape and tie-structure variant)."""
-    _require_hypothesis()
-    return st.builds(_feature_matrix,
-                     st.integers(min_value=0, max_value=2 ** 32 - 1),
-                     st.integers(min_value=min_rows, max_value=max_rows),
-                     st.integers(min_value=1, max_value=max_cols),
-                     st.sampled_from(FEATURE_MATRIX_VARIANTS))
-
-
-def _scaled_architecture(arch: Architecture,
-                         freq_scale: float) -> Architecture:
-    if freq_scale == 1.0:
-        return arch
-    return replace(arch, name=f"{arch.name} x{freq_scale:g}",
-                   freq_ghz=arch.freq_ghz * freq_scale)
-
-
-def architecture_configs():
-    """Strategy over architecture configurations: the four paper
-    machines plus exact power-of-two frequency rescalings of each."""
-    _require_hypothesis()
-    return st.builds(_scaled_architecture,
-                     st.sampled_from(ALL_ARCHITECTURES),
-                     st.sampled_from([0.5, 1.0, 2.0]))

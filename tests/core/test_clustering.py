@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.cluster.hierarchy import fcluster, linkage
+from scipy.cluster.hierarchy import fcluster, is_valid_linkage, linkage
 
-from repro.core.clustering import (Dendrogram, Merge, elbow_k,
+from repro.core import clustering
+from repro.core.clustering import (LINKAGE_METHODS, Dendrogram, elbow_k,
                                    variance_curve, ward_linkage,
                                    within_cluster_variance)
 
@@ -44,6 +45,49 @@ class TestWardAgainstScipy:
         ref = fcluster(linkage(pts, method="ward"), k,
                        criterion="maxclust")
         assert _labels_equivalent(ours, ref)
+
+
+class TestLinkageMatrix:
+    """A dendrogram is scipy's linkage matrix: row i joins Z[i, 0] and
+    Z[i, 1] at height Z[i, 2] into a cluster of Z[i, 3] leaves, id
+    n + i."""
+
+    @pytest.mark.parametrize("method", LINKAGE_METHODS)
+    def test_scipy_accepts_the_matrix(self, method):
+        for n, seed in ((2, 0), (9, 1), (30, 2)):
+            pts = _random_points(n, 3, seed)
+            dg = clustering.linkage(pts, method)
+            assert dg.Z.shape == (n - 1, 4)
+            assert dg.Z.dtype == np.float64
+            assert is_valid_linkage(dg.Z)
+        # Exact ties: duplicate rows and a small integer lattice.
+        lattice = np.random.default_rng(3).integers(0, 3, size=(20, 2))
+        dg = clustering.linkage(lattice.astype(float), method)
+        assert is_valid_linkage(dg.Z)
+
+    @pytest.mark.parametrize("method", LINKAGE_METHODS)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fcluster_maxclust_partitions_are_the_cuts(self, method,
+                                                       seed):
+        # Untied data: every height is distinct, so maxclust's height
+        # threshold cuts exactly where cut(k) does.
+        pts = _random_points(25, 4, seed)
+        dg = clustering.linkage(pts, method)
+        assert len(np.unique(dg.heights())) == len(dg.Z)
+        for k in range(1, dg.n_leaves + 1):
+            assert _labels_equivalent(
+                dg.cut(k), fcluster(dg.Z, k, criterion="maxclust")), k
+
+    def test_read_only(self):
+        for dg in (ward_linkage(_random_points(6, 2, 0)),
+                   Dendrogram(np.array([[0.0, 1.0, 1.0, 2.0]]))):
+            with pytest.raises(ValueError, match="read-only"):
+                dg.Z[0, 2] = 0.0
+
+    @pytest.mark.parametrize("shape", [(4,), (3, 3), (2, 5), (1, 2, 4)])
+    def test_malformed_matrix_rejected(self, shape):
+        with pytest.raises(ValueError, match="linkage matrix"):
+            Dendrogram(np.zeros(shape))
 
 
 class TestDendrogram:
@@ -155,20 +199,18 @@ class TestVarianceAndElbow:
 
 class TestCutChainRegression:
     """``cut`` on a degenerate chain dendrogram (every merge absorbs one
-    more leaf).  With naive union-find linking this shape degenerates to
-    quadratic find chains; union by rank + path compression keeps it
-    near-linear.  1k leaves is large enough that a regression here is
-    obvious in CI wall time while the healthy path stays instant."""
+    more leaf).  Naive union-find linking degenerates to quadratic find
+    chains on this shape; the reverse sweep visits each merge once.
+    1k leaves is large enough that a regression here is obvious in CI
+    wall time while the healthy path stays instant."""
 
     @staticmethod
     def _chain(n: int) -> Dendrogram:
-        merges = [Merge(a=0, b=1, height=1.0, size=2)]
-        for i in range(1, n - 1):
-            # Merge i joins the growing chain (cluster id n + i - 1)
-            # with leaf i + 1.
-            merges.append(Merge(a=n + i - 1, b=i + 1,
-                                height=float(i + 1), size=i + 2))
-        return Dendrogram(n_leaves=n, merges=tuple(merges))
+        # Merge i > 0 joins the growing chain (cluster id n + i - 1)
+        # with leaf i + 1.
+        return Dendrogram(np.array(
+            [[0, 1, 1.0, 2]] + [[n + i - 1, i + 1, i + 1, i + 2]
+                                for i in range(1, n - 1)], dtype=float))
 
     def test_chain_cut_labels(self):
         n = 1000

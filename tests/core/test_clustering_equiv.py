@@ -5,8 +5,8 @@ elbow's sums of squares and centroid distances with each cluster
 computed alone.
 
 These are the equivalence guarantees the clustering layer rests on (see
-docs/PERFORMANCE.md): same merges, same heights, same ``cut()`` labels,
-same W(k) bits — including on exact distance ties, which the
+docs/PERFORMANCE.md): the same linkage matrix bit for bit, the same
+W(k) bits — including on exact distance ties, which the
 ``duplicates`` / ``quantized`` / ``lattice`` matrix variants
 manufacture on purpose, and on the normalized feature matrices the
 pipeline really clusters.
@@ -25,8 +25,8 @@ from repro.core.clustering import (ELBOW_K_MAX, LINKAGE_METHODS,
 from repro.core.features import (ALL_FEATURE_NAMES, TABLE2_FEATURES,
                                  FeatureMatrix)
 from repro.core.ga import INIT_DENSITY
-from repro.verify.strategies import (FEATURE_MATRIX_VARIANTS,
-                                     _feature_matrix, feature_matrices)
+from repro.verify.strategies import FEATURE_MATRIX_VARIANTS, _feature_matrix
+from tests.strategies import feature_matrices
 
 METHODS = sorted(LINKAGE_METHODS)
 
@@ -48,16 +48,14 @@ def pipeline_rows(ctx, suite, features, shape):
 
 
 def assert_same_dendrogram(fast, slow):
-    """Bitwise merge/height equality plus identical cuts at every k."""
-    assert len(fast.merges) == len(slow.merges)
-    for mf, ms in zip(fast.merges, slow.merges):
-        assert (mf.a, mf.b, mf.size) == (ms.a, ms.b, ms.size)
-        # The contract is bitwise, but assert with a tolerance message
-        # first so a near-miss shrinks to a readable report.
-        assert mf.height == pytest.approx(ms.height, abs=1e-9)
-        assert mf.height == ms.height, "heights must be bit-identical"
-    for k in range(1, fast.n_leaves + 1):
-        assert list(fast.cut(k)) == list(slow.cut(k))
+    """Bitwise equality of the linkage matrices; every cut is a
+    function of the matrix."""
+    assert fast.Z.shape == slow.Z.shape
+    # The contract is bitwise, but assert with a tolerance first so a
+    # near-miss shrinks to a readable report.
+    np.testing.assert_allclose(fast.Z, slow.Z, rtol=0, atol=1e-9)
+    assert fast.Z.tobytes() == slow.Z.tobytes(), \
+        "linkage matrices must be bit-identical"
 
 
 class TestLinkageEquivalence:

@@ -84,7 +84,9 @@ after_import = loaded()
 status = repro.cli.main(sys.argv[1:])
 print(json.dumps({"status": status, "import": after_import,
                   "command": loaded(),
-                  "pool": [name for name in %r if name in sys.modules]}))
+                  "pool": [name for name in %r if name in sys.modules],
+                  "hypothesis": [name for name in sys.modules
+                                 if name.split(".")[0] == "hypothesis"]}))
 """ % (POOL_MODULES,)
 
 #: Each package imported first: every ``repro`` module is dropped
@@ -121,6 +123,17 @@ def test_a_command_loads_only_the_pinned_modules(tmp_path, command):
     assert tuple(result["import"]) == PINNED
     assert tuple(result["command"]) == PINNED
     assert result["pool"] == []
+
+
+def test_verify_list_loads_no_hypothesis(tmp_path):
+    # The invariants draw from the seeded generators; the Hypothesis
+    # strategies over them are a test dependency.
+    proc = _fresh(COMMAND, "verify", "--list", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["status"] == 0
+    assert "repro.verify.invariants" in result["command"]
+    assert result["hypothesis"] == []
 
 
 def test_every_package_imports_first_in_a_fresh_interpreter(tmp_path):

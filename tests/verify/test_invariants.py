@@ -32,9 +32,7 @@ EXPECTED_INVARIANTS = {
     "manifest-round-trip",
     "resilience-replay",
     "trace-replay",
-    "clustering-equivalence",
     "stacked-linkage-equivalence",
-    "variance-curve-equivalence",
     "stacked-elbow-equivalence",
     "transform-equivalence",
     "transform-legality",

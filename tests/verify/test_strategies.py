@@ -1,4 +1,5 @@
-"""The promoted suite/codelet generators and Hypothesis strategies."""
+"""The promoted suite/codelet generators and the Hypothesis strategies
+over them."""
 
 import pytest
 
@@ -54,7 +55,7 @@ class TestSeededGenerators:
 class TestHypothesisStrategies:
     def test_codelet_lists_strategy_draws_codelets(self):
         hypothesis = pytest.importorskip("hypothesis")
-        from repro.verify import codelet_lists
+        from tests.strategies import codelet_lists
 
         @hypothesis.settings(max_examples=10, deadline=None)
         @hypothesis.given(codelet_lists(min_count=2, max_count=4))
@@ -67,7 +68,7 @@ class TestHypothesisStrategies:
     def test_architecture_configs_scale_frequency_exactly(self):
         hypothesis = pytest.importorskip("hypothesis")
         from repro.machine import ALL_ARCHITECTURES
-        from repro.verify import architecture_configs
+        from tests.strategies import architecture_configs
 
         base_freqs = {a.name: a.freq_ghz for a in ALL_ARCHITECTURES}
 
