@@ -110,14 +110,16 @@ class Dendrogram:
 
         pairs = self.Z[:, :2].astype(np.int64).tolist()
 
-        # Leaf order: in-order walk of the merge tree.
-        def leaves_of(node: int) -> List[int]:
+        # Leaf order: in-order walk of the merge tree, from the root.
+        order: List[int] = []
+        stack = [2 * n - 2]
+        while stack:
+            node = stack.pop()
             if node < n:
-                return [node]
-            a, b = pairs[node - n]
-            return leaves_of(a) + leaves_of(b)
-
-        order = leaves_of(2 * n - 2)
+                order.append(node)
+            else:
+                a, b = pairs[node - n]
+                stack += (b, a)
 
         # Each leaf first merges in the one row that names it.
         first_merge: Dict[int, float] = {}

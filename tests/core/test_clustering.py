@@ -225,6 +225,13 @@ class TestCutChainRegression:
             fused = n - k + 1
             assert labels == [0] * fused + list(range(1, k))
 
+    def test_chain_renders_in_leaf_order(self):
+        # The in-order walk is a loop: a recursive one exceeded Python's
+        # recursion limit on chains past about 1,000 leaves.
+        lines = self._chain(2000).render().splitlines()
+        assert [line.split()[0] for line in lines] == \
+            [str(leaf) for leaf in range(2000)]
+
     def test_chain_cut_is_fast(self):
         import time
         dg = self._chain(1000)
