@@ -1,5 +1,4 @@
-"""The promoted suite/codelet generators and the Hypothesis strategies
-over them."""
+"""The promoted suite/codelet generators and Hypothesis strategies."""
 
 import pytest
 
